@@ -3,12 +3,14 @@ composite trajectory comparison, and the three case presets."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import auxmap
-from .composite import AttractorClass, CoeffTable, CompositeMap, detect_attractor, load_table
+from .composite import (AttractorClass, CoeffTable, CompositeMap, ExtrapolationWarning,
+                        detect_attractor, load_table)
 from .core import NondimParams, baseline_params
 from .returnmap import ReturnClass, first_return_B
 
@@ -60,26 +62,35 @@ def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
 
     n_d = int(round(abs(d_to - d_from) / step)) + 1
     direction = 1.0 if d_to >= d_from else -1.0
+    ds = [d_from + direction * i * step for i in range(n_d)]
+    if kind == "composite":
+        outside = sum(not table.covers(d) for d in ds)
+        if outside:
+            lo, hi = table.d_range
+            warnings.warn(f"{outside} of {n_d} d values outside the calibrated range "
+                          f"[{lo}, {hi}]; extrapolating the coefficient polynomials",
+                          ExtrapolationWarning, stacklevel=2)
     samples: list[BifurcationSample] = []
     state = seed
-    for i in range(n_d):
-        d = d_from + direction * i * step
-        if kind == "exact":
-            p = base.replace(length=d)
-            v, phi, ok = _iterate_exact(state[0], state[1], p, n_steps)
-        else:
-            v, phi, _ = CompositeMap(table=table, d=d).iterate(state[0], state[1], n_steps)
-            ok = np.isfinite(v).all() and np.isfinite(phi).all()
-        if not ok or len(v) <= discard:
-            samples.append(BifurcationSample(d=d, tail_v=np.empty(0),
-                                             tail_phi=np.empty(0), classification=None))
-            state = seed
-            continue
-        tail_v, tail_phi = v[discard:], phi[discard:]
-        cls = detect_attractor(v, phi)
-        samples.append(BifurcationSample(d=d, tail_v=tail_v, tail_phi=tail_phi,
-                                         classification=cls))
-        state = (float(v[-1]), float(phi[-1]))
+    with warnings.catch_warnings():  # counted once above, not once per map
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        for d in ds:
+            if kind == "exact":
+                p = base.replace(length=d)
+                v, phi, ok = _iterate_exact(state[0], state[1], p, n_steps)
+            else:
+                v, phi, _ = CompositeMap(table=table, d=d).iterate(state[0], state[1], n_steps)
+                ok = np.isfinite(v).all() and np.isfinite(phi).all()
+            if not ok or len(v) <= discard:
+                samples.append(BifurcationSample(d=d, tail_v=np.empty(0),
+                                                 tail_phi=np.empty(0), classification=None))
+                state = seed
+                continue
+            tail_v, tail_phi = v[discard:], phi[discard:]
+            cls = detect_attractor(v, phi)
+            samples.append(BifurcationSample(d=d, tail_v=tail_v, tail_phi=tail_phi,
+                                             classification=cls))
+            state = (float(v[-1]), float(phi[-1]))
     return samples
 
 

@@ -137,6 +137,10 @@ def table_checksum(regions_dict: dict) -> str:
     return "sha256:" + hashlib.sha256(_canonical_payload(regions_dict).encode()).hexdigest()
 
 
+class ExtrapolationWarning(UserWarning):
+    """A coefficient table evaluated at a d outside its calibrated range."""
+
+
 class CoeffTableError(ValueError):
     pass
 
@@ -194,11 +198,17 @@ class CoeffTable:
                 "metadata": self.metadata, "regions": regions,
                 "checksum": table_checksum(regions)}
 
-    def _check_d(self, d: float):
+    def covers(self, d: float) -> bool:
+        """Whether d lies in the calibrated range."""
         lo, hi = self.d_range
-        if not lo - 1e-9 <= d <= hi + 1e-9:  # scan grids accumulate float noise
+        return lo - 1e-9 <= d <= hi + 1e-9  # scan grids accumulate float noise
+
+    def _check_d(self, d: float):
+        if not self.covers(d):
+            lo, hi = self.d_range
             warnings.warn(f"d={d} outside the calibrated range [{lo}, {hi}]; "
-                          "extrapolating the coefficient polynomials", stacklevel=3)
+                          "extrapolating the coefficient polynomials",
+                          ExtrapolationWarning, stacklevel=3)
 
     def coeffs_for(self, region: Region, d: float) -> dict:
         """Evaluate the d-polynomials of one region; {'v': map, 'phi': map}."""

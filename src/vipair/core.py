@@ -9,12 +9,22 @@ impacts follows
 with closed-form quadrature between impacts.  The bottom wall is at
 Z = +d/2 (side "B", hit with Zdot > 0), the top wall at Z = -d/2
 (side "T", hit with Zdot < 0).  Impact-to-impact propagation has no closed
-form, so `next_impact` locates wall crossings numerically: march with a fixed
-step, bracket the first directional sign change, refine by bisection.
+form, so `next_impact_batch` locates wall crossings numerically.  The next
+impact lies in the first interval of a fixed sample grid (step SCAN_STEP,
+from START_OFFSET to HORIZON after the impact) in which Z rises through +d/2
+or falls through -d/2; 45 bisection steps on that interval give its time.
+
+Most grid samples cannot start that interval, and certified skip-ahead avoids
+evaluating them.  Since gbar - |A| <= Zdd <= gbar + |A| between impacts, the
+state (Z, Zdot) at one sample bounds how soon either wall can come within
+SKIP_MARGIN of Z; every sample before that time is strictly inside the
+capsule and is skipped.  The bound only selects which samples are evaluated,
+so results are bit-identical to evaluating Z on every grid sample.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +45,18 @@ TIME_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 GRAZING_TOL = 1e-8
 
+# Largest chunk of the sample grid's construction (it fixes the grid's floats)
+# and largest scan window, in grid intervals.
 _SCAN_CHUNK = 2048
+
+# Certified skip-ahead (see next_impact_batch): the distance kept from either
+# wall when skipping samples, far above the ~1e-13 evaluation error of Z at
+# tau <= 40; certified steps per round; first window of grid intervals; and
+# the batch size up to which the certificate runs in scalar arithmetic.
+SKIP_MARGIN = 1e-9
+_SKIP_STEPS = 6
+_FIRST_WINDOW = 8
+_SCALAR_ROWS = 8
 
 
 class DegenerateParamsError(ValueError):
@@ -216,10 +237,69 @@ def flow_between_impacts(event: ImpactEvent, tau, p: NondimParams,
     return FlowSample(displacement=z, velocity=zdot, time=event.time + np.asarray(tau))
 
 
+@functools.lru_cache(maxsize=4)
+def _scan_grid(scan_step: float, horizon: float) -> np.ndarray:
+    """Sample times tau of the fixed march over (0, horizon], read-only.
+
+    Built in chunks of 256 doubling to _SCAN_CHUNK samples with the
+    arithmetic the march has always used, so the floats never change;
+    adjacent chunks share their end point, which appears once.
+    """
+    n_steps = int(math.ceil(horizon / scan_step))
+    parts = []
+    base, done, chunk = 0.0, 0, 256
+    while done < n_steps:
+        m = min(chunk, n_steps - done)
+        chunk = min(2 * chunk, _SCAN_CHUNK)
+        offs = START_OFFSET + (base + scan_step * np.arange(m + 1))
+        parts.append(offs[1:] if parts else offs)
+        base += scan_step * m
+        done += m
+    grid = np.concatenate(parts) if parts else np.empty(0)
+    grid.flags.writeable = False
+    return grid
+
+
+def _safe_time(dist, speed, accel):
+    """Smallest s > 0 with speed*s + accel*s^2/2 = dist (dist > 0); inf if none.
+
+    The root is taken in the form without cancellation for either sign of
+    speed, so its rounding error stays far below SKIP_MARGIN.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(speed * speed + 2.0 * accel * dist)
+        s = np.where(speed >= 0, 2.0 * dist / (speed + root), (root - speed) / accel)
+    return np.where(s >= 0, s, np.inf)
+
+
+def _safe_time_scalar(dist: float, speed: float, accel: float) -> float:
+    """_safe_time for Python floats."""
+    disc = speed * speed + 2.0 * accel * dist
+    if disc < 0.0:
+        return math.inf
+    root = math.sqrt(disc)
+    if speed >= 0.0:
+        return 2.0 * dist / (speed + root) if speed + root > 0.0 else math.inf
+    return (root - speed) / accel if accel > 0.0 else math.inf
+
+
 def next_impact_batch(sides, times, velocities, p: NondimParams, *,
                       amplitude: float = 1.0, scan_step: float = SCAN_STEP,
                       horizon: float = HORIZON, grazing_tol: float = GRAZING_TOL):
     """Vectorized impact-to-impact step for a batch of events.
+
+    Each row's next impact lies in the first interval of the fixed sample
+    grid `_scan_grid(scan_step, horizon)` in which Z rises through +d/2
+    (side B) or falls through -d/2 (side T); 45 bisection steps on that
+    interval give the impact time.  Certified skip-ahead decides which grid
+    samples are evaluated at all: from a sample's (Z, Zdot) and the bound
+    gbar - |A| <= Zdd <= gbar + |A|, every later sample before the first time
+    either wall could come within SKIP_MARGIN of Z is strictly inside the
+    capsule, so no interval ending there can be a crossing and those samples
+    are skipped.  The rest are scanned in windows of _FIRST_WINDOW intervals
+    that double each round up to _SCAN_CHUNK.  The certificate only decides
+    what to skip, never a returned value: the results are bit-identical to
+    evaluating Z on every grid sample.
 
     Args:
         sides: int array, +1 for side B, -1 for side T.
@@ -246,70 +326,105 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
     c0 = z0 - f2_0
     c1 = vplus - f1_0
 
+    def z_of(c0r, c1r, arg0r, tau):
+        return (c0r + c1r * tau + 0.5 * gbar * tau**2
+                - amplitude * np.cos(arg0r + PI * tau) / PI**2)
+
     def z_at(rows, tau):
-        return (c0[rows] + c1[rows] * tau + 0.5 * gbar * tau**2
-                - amplitude * np.cos(arg0[rows] + PI * tau) / PI**2)
+        return z_of(c0[rows], c1[rows], arg0[rows], tau)
 
     def zdot_at(rows, tau):
         return (vplus[rows] + gbar * tau
                 + amplitude * np.sin(arg0[rows] + PI * tau) / PI - f1_0[rows])
 
-    out_side = np.zeros(n, dtype=np.int8)
-    out_t = np.full(n, np.nan)
-    out_v = np.full(n, np.nan)
-    status = np.ones(n, dtype=np.int8)  # assume no-impact until found
+    grid = _scan_grid(scan_step, horizon)
+    last = grid.size - 1
+    lim = half - SKIP_MARGIN
+    accel_b = gbar + abs(amplitude)   # bounds on Zdd towards +d/2 and towards -d/2
+    accel_t = abs(amplitude) - gbar
 
-    active = np.arange(n)
-    base = 0.0
-    prev_z = None
-    n_steps = int(math.ceil(horizon / scan_step))
-    done_steps = 0
-    chunk = 256
-    while active.size and done_steps < n_steps:
-        m = min(chunk, n_steps - done_steps)
-        chunk = min(2 * chunk, _SCAN_CHUNK)
-        offs = START_OFFSET + (base + scan_step * np.arange(m + 1))
-        z = z_at(active[:, None], offs[None, :])
-        if prev_z is not None:
-            z = np.concatenate([prev_z[:, None], z], axis=1)
-            taus = np.concatenate([[offs[0] - scan_step], offs])
+    def skip_rows(rows, first):
+        """Advance each row's first uncleared interval by certified steps."""
+        for _ in range(_SKIP_STEPS):
+            i = np.minimum(first + 1, last)
+            tau = grid[i]
+            z = z_at(rows, tau)
+            zd = zdot_at(rows, tau)
+            inside = (lim - z > 0) & (lim + z > 0) & np.isfinite(zd)
+            s = np.minimum(_safe_time(lim - z, zd, accel_b),
+                           _safe_time(lim + z, -zd, accel_t))
+            reach = np.searchsorted(grid, tau + s) - 1
+            first = np.where(inside, np.maximum(i, reach), first)
+        return first
+
+    def skip_row(r, first):
+        """skip_rows for one row in scalar arithmetic (cheaper for small batches)."""
+        c0r, c1r, arg0r = float(c0[r]), float(c1[r]), float(arg0[r])
+        vr, f1r = float(vplus[r]), float(f1_0[r])
+        for _ in range(_SKIP_STEPS):
+            i = min(first + 1, last)
+            tau = float(grid[i])
+            arg = arg0r + PI * tau
+            z = c0r + c1r * tau + 0.5 * gbar * tau * tau - amplitude * math.cos(arg) / PI**2
+            zd = vr + gbar * tau + amplitude * math.sin(arg) / PI - f1r
+            if not (lim - z > 0 and lim + z > 0 and math.isfinite(zd)):
+                break
+            s = min(_safe_time_scalar(lim - z, zd, accel_b),
+                    _safe_time_scalar(lim + z, -zd, accel_t))
+            first = max(i, int(np.searchsorted(grid, tau + s)) - 1)
+        return first
+
+    first = np.zeros(n, dtype=np.intp)    # first grid interval not yet cleared
+    hit_at = np.full(n, -1, dtype=np.intp)
+    hit_b = np.zeros(n, dtype=bool)
+    active = np.arange(n) if last > 0 else np.arange(0)
+    window = _FIRST_WINDOW
+    while active.size:
+        if active.size <= _SCALAR_ROWS:
+            first[active] = [skip_row(r, first[r]) for r in active]
         else:
-            taus = offs
-
+            first[active] = skip_rows(active, first[active])
+        cols = np.minimum(first[active, None] + np.arange(window + 1), last)
+        z = z_at(active[:, None], grid[cols])
         up_b = (z[:, :-1] < half) & (z[:, 1:] >= half)
         down_t = (z[:, :-1] > -half) & (z[:, 1:] <= -half)
         hit = up_b | down_t
         rows = hit.any(axis=1)
         if rows.any():
             ridx = np.flatnonzero(rows)
-            cols = hit[ridx].argmax(axis=1)
-            ev_rows = active[ridx]
-            is_b = up_b[ridx, cols]
-            lo = taus[cols]
-            hi = taus[cols + 1]
-            target = np.where(is_b, half, -half)
-            g_lo = z_at(ev_rows, lo) - target
-            for _ in range(45):  # 1e-3 / 2^45 << TIME_TOL
-                mid = 0.5 * (lo + hi)
-                g_mid = z_at(ev_rows, mid) - target
-                bracket_lo = g_lo * g_mid <= 0
-                hi = np.where(bracket_lo, mid, hi)
-                lo = np.where(bracket_lo, lo, mid)
-                g_lo = np.where(bracket_lo, g_lo, g_mid)
-            t_star = 0.5 * (lo + hi)
-            zdot = zdot_at(ev_rows, t_star)
-            out_side[ev_rows] = np.where(is_b, 1, -1)
-            out_t[ev_rows] = t0[ev_rows] + t_star
-            out_v[ev_rows] = zdot
-            graze = np.abs(zdot) < grazing_tol
-            status[ev_rows] = np.where(graze, 2, 0).astype(np.int8)
-            keep = ~rows
-            active = active[keep]
-            prev_z = z[keep, -1] if active.size else None
-        else:
-            prev_z = z[:, -1]
-        base += scan_step * m
-        done_steps += m
+            k = hit[ridx].argmax(axis=1)
+            hit_at[active[ridx]] = cols[ridx, k]
+            hit_b[active[ridx]] = up_b[ridx, k]
+        first[active] += window
+        active = active[~rows & (first[active] < last)]
+        window = min(2 * window, _SCAN_CHUNK)
+
+    out_side = np.zeros(n, dtype=np.int8)
+    out_t = np.full(n, np.nan)
+    out_v = np.full(n, np.nan)
+    status = np.ones(n, dtype=np.int8)  # no impact unless a crossing was found
+    ev_rows = np.flatnonzero(hit_at >= 0)
+    if ev_rows.size:
+        is_b = hit_b[ev_rows]
+        lo = grid[hit_at[ev_rows]]
+        hi = grid[hit_at[ev_rows] + 1]
+        target = np.where(is_b, half, -half)
+        c0r, c1r, arg0r = c0[ev_rows], c1[ev_rows], arg0[ev_rows]
+        g_lo = z_of(c0r, c1r, arg0r, lo) - target
+        for _ in range(45):  # 1e-3 / 2^45 << TIME_TOL
+            mid = 0.5 * (lo + hi)
+            g_mid = z_of(c0r, c1r, arg0r, mid) - target
+            bracket_lo = g_lo * g_mid <= 0
+            hi = np.where(bracket_lo, mid, hi)
+            lo = np.where(bracket_lo, lo, mid)
+            g_lo = np.where(bracket_lo, g_lo, g_mid)
+        t_star = 0.5 * (lo + hi)
+        zdot = zdot_at(ev_rows, t_star)
+        out_side[ev_rows] = np.where(is_b, 1, -1)
+        out_t[ev_rows] = t0[ev_rows] + t_star
+        out_v[ev_rows] = zdot
+        graze = np.abs(zdot) < grazing_tol
+        status[ev_rows] = np.where(graze, 2, 0).astype(np.int8)
 
     return out_side, out_t, out_v, status
 

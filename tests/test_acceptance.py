@@ -1,8 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
 Criteria 1-5 compare against values whose reproduction requires the original
-authors' internal fitted polynomials (see notes/decisions.md at the
-repository root); the shipped refit makes the dynamics criteria (6-9) pass
+authors' internal fitted polynomials (see "Coefficient tables" in
+README.md); the shipped refit makes the dynamics criteria (6-9) pass
 and reports the remaining gaps honestly rather than loosening tolerances.
 """
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from vipair.analysis import (
     hausdorff_distance,
     run_case_preset,
 )
-from vipair.composite import Region, region_of
+from vipair.composite import ExtrapolationWarning, Region, region_of
 from vipair.core import baseline_params
 
 PI = np.pi
@@ -25,6 +27,17 @@ def test_zero_length_range_single_sample(table):
     samples = bifurcation_scan("composite", 0.35, 0.35, 0.01, table=table)
     assert len(samples) == 1
     assert str(samples[0].classification) == "FP"
+
+
+def test_scan_warns_once_about_extrapolated_d(table):
+    # 0.259 ... 0.250 lie below the calibrated range: one warning with the count
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        samples = bifurcation_scan("composite", 0.26, 0.25, 0.001, table=table)
+    assert len(samples) == 11
+    extrapolated = [w for w in caught if issubclass(w.category, ExtrapolationWarning)]
+    assert len(extrapolated) == 1
+    assert str(extrapolated[0].message).startswith("10 of 11 d values outside")
 
 
 def test_scan_determinism(table):

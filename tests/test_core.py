@@ -20,6 +20,7 @@ from vipair.core import (
     forcing_antiderivatives,
     impact_phase,
     next_impact,
+    next_impact_batch,
     nondimensionalize,
 )
 
@@ -241,3 +242,147 @@ def test_baseline_params():
     assert p.length == 0.3
     assert p.restitution == 0.5
     assert p.gravity_term == pytest.approx(0.2113, abs=5e-5)
+
+
+def _march_next_impact_batch(sides, times, velocities, p, *, amplitude=1.0,
+                             scan_step=1e-3, horizon=40.0, grazing_tol=1e-8):
+    """Frozen reference: the event solver that evaluates Z on every grid sample.
+
+    Kept verbatim from the solver that preceded certified skip-ahead; the
+    production solver must return bit-identical results.
+    """
+    sides = np.asarray(sides, dtype=np.int8)
+    t0 = np.asarray(times, dtype=float)
+    vin = np.asarray(velocities, dtype=float)
+    n = t0.shape[0]
+    half = 0.5 * p.length
+    gbar = p.gravity_term
+    psi = p.general_phase
+
+    z0 = np.where(sides > 0, half, -half)
+    vplus = -p.restitution * vin
+    arg0 = PI * t0 + psi
+    f1_0 = amplitude * np.sin(arg0) / PI
+    f2_0 = -amplitude * np.cos(arg0) / PI**2
+    c0 = z0 - f2_0
+    c1 = vplus - f1_0
+
+    def z_at(rows, tau):
+        return (c0[rows] + c1[rows] * tau + 0.5 * gbar * tau**2
+                - amplitude * np.cos(arg0[rows] + PI * tau) / PI**2)
+
+    def zdot_at(rows, tau):
+        return (vplus[rows] + gbar * tau
+                + amplitude * np.sin(arg0[rows] + PI * tau) / PI - f1_0[rows])
+
+    out_side = np.zeros(n, dtype=np.int8)
+    out_t = np.full(n, np.nan)
+    out_v = np.full(n, np.nan)
+    status = np.ones(n, dtype=np.int8)
+
+    active = np.arange(n)
+    base = 0.0
+    prev_z = None
+    n_steps = int(math.ceil(horizon / scan_step))
+    done_steps = 0
+    chunk = 256
+    while active.size and done_steps < n_steps:
+        m = min(chunk, n_steps - done_steps)
+        chunk = min(2 * chunk, 2048)
+        offs = 1e-9 + (base + scan_step * np.arange(m + 1))
+        z = z_at(active[:, None], offs[None, :])
+        if prev_z is not None:
+            z = np.concatenate([prev_z[:, None], z], axis=1)
+            taus = np.concatenate([[offs[0] - scan_step], offs])
+        else:
+            taus = offs
+
+        up_b = (z[:, :-1] < half) & (z[:, 1:] >= half)
+        down_t = (z[:, :-1] > -half) & (z[:, 1:] <= -half)
+        hit = up_b | down_t
+        rows = hit.any(axis=1)
+        if rows.any():
+            ridx = np.flatnonzero(rows)
+            cols = hit[ridx].argmax(axis=1)
+            ev_rows = active[ridx]
+            is_b = up_b[ridx, cols]
+            lo = taus[cols]
+            hi = taus[cols + 1]
+            target = np.where(is_b, half, -half)
+            g_lo = z_at(ev_rows, lo) - target
+            for _ in range(45):
+                mid = 0.5 * (lo + hi)
+                g_mid = z_at(ev_rows, mid) - target
+                bracket_lo = g_lo * g_mid <= 0
+                hi = np.where(bracket_lo, mid, hi)
+                lo = np.where(bracket_lo, lo, mid)
+                g_lo = np.where(bracket_lo, g_lo, g_mid)
+            t_star = 0.5 * (lo + hi)
+            zdot = zdot_at(ev_rows, t_star)
+            out_side[ev_rows] = np.where(is_b, 1, -1)
+            out_t[ev_rows] = t0[ev_rows] + t_star
+            out_v[ev_rows] = zdot
+            graze = np.abs(zdot) < grazing_tol
+            status[ev_rows] = np.where(graze, 2, 0).astype(np.int8)
+            keep = ~rows
+            active = active[keep]
+            prev_z = z[keep, -1] if active.size else None
+        else:
+            prev_z = z[:, -1]
+        base += scan_step * m
+        done_steps += m
+
+    return out_side, out_t, out_v, status
+
+
+def _fuzz_rows(rng, n):
+    """Random B/T starts with velocities log-uniform in [1e-9, 1.5]."""
+    sides = rng.choice(np.array([1, -1], dtype=np.int8), n)
+    speed = np.exp(rng.uniform(math.log(1e-9), math.log(1.5), n))
+    return sides, rng.uniform(-3.0, 3.0, n), sides * speed
+
+
+def test_next_impact_batch_matches_full_march():
+    # Skipping grid samples must never change a returned bit.
+    rng = np.random.default_rng(4047)
+    forced = NondimParams(restitution=0.5, length=0.3, gravity_term=0.2113,
+                          general_phase=0.7)
+    cases = [  # (params, solver keywords, batch sizes)
+        (baseline_params(0.35), {}, [1] * 40 + [7] * 20 + [1200]),
+        (forced, {}, [1] * 20 + [7] * 10 + [400]),
+        (forced, {"amplitude": 0.0}, [7] * 10 + [300]),
+        (NondimParams(restitution=0.5, length=0.35, gravity_term=0.0),
+         {"amplitude": 0.0}, [1] * 5 + [40]),   # coasting: mostly no impact in 40
+        (forced, {"scan_step": 2e-3, "horizon": 7.3}, [7] * 5 + [200]),
+    ]
+    seen_status = set()
+    n_rows = 0
+    for p, kw, sizes in cases:
+        for size in sizes:
+            sides, times, vels = _fuzz_rows(rng, size)
+            got = next_impact_batch(sides, times, vels, p, **kw)
+            want = _march_next_impact_batch(sides, times, vels, p, **kw)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True)
+            seen_status.update(want[3].tolist())
+            n_rows += size
+
+    # Tangency at the top wall (apex exactly at -d/2 with the forcing off),
+    # a slow crossing under a raised grazing tolerance, and a short horizon.
+    p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.2113)
+    v_apex = math.sqrt(2 * p.gravity_term * p.length) / p.restitution
+    special = [
+        ([1, 1, 1], [0.0, 0.3, 0.6], [v_apex, math.nextafter(v_apex, 2.0), v_apex * (1 + 1e-12)],
+         {"amplitude": 0.0}),
+        ([1], [0.0], [0.8], {"amplitude": 0.0, "grazing_tol": 0.2}),
+        ([1], [0.0], [0.4], {"amplitude": 0.0, "horizon": 0.05}),
+    ]
+    for sides, times, vels, kw in special:
+        got = next_impact_batch(sides, times, vels, p, **kw)
+        want = _march_next_impact_batch(sides, times, vels, p, **kw)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        seen_status.update(want[3].tolist())
+        n_rows += len(sides)
+    assert n_rows >= 2000
+    assert seen_status == {0, 1, 2}
