@@ -166,11 +166,8 @@ class CasePreset:
     initial_condition: tuple[float, float] = (0.2, 0.1)
 
 
-CASE_PRESETS = {
-    "FP": CasePreset(name="FP", d=0.35, n_updates=11),
-    "PD": CasePreset(name="PD", d=0.30, n_updates=11),
-    "CD": CasePreset(name="CD", d=0.26, n_updates=6),
-}
+CASE_PRESETS = {name: CasePreset(name=name, d=d, n_updates=auxmap.CASE_UPDATES[name])
+                for name, d in auxmap.CASE_D.items()}
 
 
 @dataclass

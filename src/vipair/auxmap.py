@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composite import CoeffTable, Poly1D, Poly2D, Region, load_table
+from .fitting import compose
 
 PI = np.pi
 
-ENVELOPE_GRID = 201          # tabulation points along each curve
+ENVELOPE_GRID = 201          # WCS extremization and 2-cycle scan points
 INNER_GRID = 1001            # inner extremum grid; keeps envelope error ~1e-7
 WCS_MAX_STEPS = 400
 WCS_TOL = 1e-9
@@ -92,67 +93,36 @@ class BoundCurves:
     endpoints when the f1 family does not cross in v on the box (checked by
     sampling); otherwise both xi branches fall back to sampled envelopes.
     eta branches are always sampled envelopes: extrema of g1 over the box's
-    v-interval, tabulated on a phase grid but evaluated exactly on demand.
+    v-interval, evaluated at the requested phases.
     """
 
     box: DomainBox
     d: float
     f1: Poly2D
     g1: Poly2D
-    xi_closed_form: bool = True
-    grid: int = ENVELOPE_GRID
-    inner_grid: int = INNER_GRID
     crossing_detected: bool = False
 
     def __post_init__(self):
-        self._v_src = np.linspace(self.box.v_min, self.box.v_max, self.inner_grid)
-        self._phi_src = np.linspace(self.box.phi_min, self.box.phi_max, self.inner_grid)
-        self._v_tab = np.linspace(self.box.v_min, self.box.v_max, self.grid)
-        self._phi_tab = np.linspace(self.box.phi_min, self.box.phi_max, self.grid)
-        if self.xi_closed_form:
-            lo = self.f1.partial_phi(self.box.phi_min)
-            hi = self.f1.partial_phi(self.box.phi_max)
-            # orientation: whichever branch dominates on the box is the upper one
-            if np.all(lo(self._v_src) >= hi(self._v_src)):
-                self._xi_u_poly, self._xi_l_poly = lo, hi
-            elif np.all(hi(self._v_src) >= lo(self._v_src)):
-                self._xi_u_poly, self._xi_l_poly = hi, lo
-            else:
-                self.crossing_detected = True
-                self.xi_closed_form = False
-        # tabulated envelopes (exports/diagnostics); evaluation is exact
-        self.eta_u_table = self.eta_u(self._phi_tab)
-        self.eta_l_table = self.eta_l(self._phi_tab)
-        self.xi_u_table = self.xi_u(self._v_tab)
-        self.xi_l_table = self.xi_l(self._v_tab)
-
-    @property
-    def v_grid(self) -> np.ndarray:
-        return self._v_tab
-
-    @property
-    def phi_grid(self) -> np.ndarray:
-        return self._phi_tab
-
-    @property
-    def xi_u_poly(self) -> Poly1D:
-        if not self.xi_closed_form:
-            raise ValueError("xi branches are sampled envelopes (f1 family crosses)")
-        return self._xi_u_poly
-
-    @property
-    def xi_l_poly(self) -> Poly1D:
-        if not self.xi_closed_form:
-            raise ValueError("xi branches are sampled envelopes (f1 family crosses)")
-        return self._xi_l_poly
+        self._v_src = np.linspace(self.box.v_min, self.box.v_max, INNER_GRID)
+        self._phi_src = np.linspace(self.box.phi_min, self.box.phi_max, INNER_GRID)
+        lo = self.f1.partial_phi(self.box.phi_min)
+        hi = self.f1.partial_phi(self.box.phi_max)
+        # orientation: whichever branch dominates on the box is the upper one
+        self._xi_u_poly = self._xi_l_poly = None
+        if np.all(lo(self._v_src) >= hi(self._v_src)):
+            self._xi_u_poly, self._xi_l_poly = lo, hi
+        elif np.all(hi(self._v_src) >= lo(self._v_src)):
+            self._xi_u_poly, self._xi_l_poly = hi, lo
+        else:
+            self.crossing_detected = True
 
     def xi_u(self, v):
-        if self.xi_closed_form:
+        if self._xi_u_poly is not None:
             return self._xi_u_poly(v)
         return self._xi_env(v, np.max)
 
     def xi_l(self, v):
-        if self.xi_closed_form:
+        if self._xi_l_poly is not None:
             return self._xi_l_poly(v)
         return self._xi_env(v, np.min)
 
@@ -175,12 +145,11 @@ class BoundCurves:
         return out if out.shape != (1,) else float(out[0])
 
 
-def build_bound_curves(box: DomainBox, d: float, table: CoeffTable | None = None,
-                       grid: int = ENVELOPE_GRID) -> BoundCurves:
+def build_bound_curves(box: DomainBox, d: float, table: CoeffTable | None = None) -> BoundCurves:
     """Bound curves of the region-1 maps on a box at dimensionless length d."""
     table = table if table is not None else load_table()
     maps = table.coeffs_for(Region.R1, d)
-    return BoundCurves(box=box, d=d, f1=maps["v"], g1=maps["phi"], grid=grid)
+    return BoundCurves(box=box, d=d, f1=maps["v"], g1=maps["phi"])
 
 
 @dataclass(frozen=True)
@@ -194,6 +163,9 @@ class WcsRecord:
     argmax_eta_u: float
     argmin_eta_l: float
 
+    def as_tuple(self):
+        return (*self.interval_v, *self.interval_phi)
+
 
 def _clip_to(interval, lo, hi):
     """Intersect an interval with [lo, hi]; collapse to the closer edge if disjoint."""
@@ -204,8 +176,7 @@ def _clip_to(interval, lo, hi):
     return a, b
 
 
-def wcs_step(curves: BoundCurves, interval_v, interval_phi,
-             grid: int = ENVELOPE_GRID) -> WcsRecord:
+def wcs_step(curves: BoundCurves, interval_v, interval_phi) -> WcsRecord:
     """One worst-case-scenario step: extremal images of the current intervals.
 
     The bound curves exist on the source box only, so extremization runs over
@@ -216,13 +187,13 @@ def wcs_step(curves: BoundCurves, interval_v, interval_phi,
     iv = _clip_to(interval_v, box.v_min, box.v_max)
     ip = _clip_to(interval_phi, box.phi_min, box.phi_max)
 
-    vv = np.linspace(iv[0], iv[1], grid)
+    vv = np.linspace(iv[0], iv[1], ENVELOPE_GRID)
     up = curves.xi_u(vv)
     lo = curves.xi_l(vv)
     new_v = (float(np.min(lo)), float(np.max(up)))
     arg_u, arg_l = float(vv[np.argmax(up)]), float(vv[np.argmin(lo)])
 
-    pp = np.linspace(ip[0], ip[1], grid)
+    pp = np.linspace(ip[0], ip[1], ENVELOPE_GRID)
     e_up = curves.eta_u(pp)
     e_lo = curves.eta_l(pp)
     new_p = (float(np.min(e_lo)), float(np.max(e_up)))
@@ -242,25 +213,26 @@ class WcsHistory:
         return self.records[-1]
 
 
-def iterate_wcs(curves: BoundCurves, *, max_steps: int = WCS_MAX_STEPS,
-                tol: float = WCS_TOL, grid: int = ENVELOPE_GRID) -> WcsHistory:
+def iterate_wcs(curves: BoundCurves) -> WcsHistory:
     """Iterate the WCS step from the full source box until the interval pair
-    settles (change below tol) or the step budget runs out."""
-    iv = (curves.box.v_min, curves.box.v_max)
-    ip = (curves.box.phi_min, curves.box.phi_max)
+    settles (change below WCS_TOL) or WCS_MAX_STEPS steps have run."""
+    bounds = curves.box.as_tuple()
     history = WcsHistory()
-    for _ in range(max_steps):
-        rec = wcs_step(curves, iv, ip, grid=grid)
+    for _ in range(WCS_MAX_STEPS):
+        rec = wcs_step(curves, bounds[:2], bounds[2:])
         history.records.append(rec)
-        change = max(abs(rec.interval_v[0] - iv[0]), abs(rec.interval_v[1] - iv[1]),
-                     abs(rec.interval_phi[0] - ip[0]), abs(rec.interval_phi[1] - ip[1]))
-        iv, ip = rec.interval_v, rec.interval_phi
-        if not (np.isfinite(iv).all() and np.isfinite(ip).all()):
+        if not np.isfinite(rec.as_tuple()).all():
             raise FloatingPointError("WCS iteration diverged (non-finite interval)")
-        if change < tol:
+        if _same_bounds(rec.as_tuple(), bounds):
             history.converged = True
             break
+        bounds = rec.as_tuple()
     return history
+
+
+def _same_bounds(a, b) -> bool:
+    """Whether two (v_min, v_max, phi_min, phi_max) tuples agree within WCS_TOL."""
+    return all(abs(x - y) < WCS_TOL for x, y in zip(a, b))
 
 
 def generic_cobweb(curves: BoundCurves, start: tuple[float, float], steps: int = WCS_MAX_STEPS):
@@ -289,17 +261,12 @@ def generic_cobweb(curves: BoundCurves, start: tuple[float, float], steps: int =
     return orbit, extrema
 
 
-def update_region(curves: BoundCurves, box: DomainBox, *,
-                  max_steps: int = WCS_MAX_STEPS, tol: float = WCS_TOL) -> tuple[DomainBox, WcsHistory]:
+def update_region(curves: BoundCurves, box: DomainBox) -> tuple[DomainBox, WcsHistory]:
     """One update: run the WCS iteration to its limit and adopt the limiting
     intervals as the next box."""
-    history = iterate_wcs(curves, max_steps=max_steps, tol=tol)
-    rec = history.final
-    new_box = DomainBox(rec.interval_v[0], rec.interval_v[1],
-                        rec.interval_phi[0], rec.interval_phi[1], index=box.index + 1)
-    if (abs(new_box.v_min - box.v_min) < tol and abs(new_box.v_max - box.v_max) < tol
-            and abs(new_box.phi_min - box.phi_min) < tol
-            and abs(new_box.phi_max - box.phi_max) < tol):
+    history = iterate_wcs(curves)
+    new_box = DomainBox(*history.final.as_tuple(), index=box.index + 1)
+    if _same_bounds(new_box.as_tuple(), box.as_tuple()):
         warnings.warn("update produced the same box (non-contracting)",
                       NonContracting, stacklevel=2)
     return new_box, history
@@ -336,51 +303,16 @@ def second_iterate_v(d: float, phi_min: float, phi_max: float,
     f1 = table.coeffs_for(Region.R1, d)["v"]
     inner = f1.partial_phi(phi_max)      # lower branch applied first
     outer = f1.partial_phi(phi_min)
-    composed = Poly1D("v", _compose(outer.coeffs, inner.coeffs))
+    composed = Poly1D("v", compose(outer.coeffs, inner.coeffs))
     lo, hi = box_v if box_v is not None else (0.0, 1.5)
-    root, slope = _stable_fixed_point_poly(composed, lo, hi)
+    deriv = composed.derivative()
+    root, slope = _stable_root(lambda x: composed(x) - x,
+                               np.arange(lo, hi + ROOT_SCAN, ROOT_SCAN),
+                               lambda x: float(deriv(x)), 0.5 * (lo + hi),
+                               f"no stable fixed point in [{lo}, {hi}]")
     partner = float(inner(root))
     p_v, q_v = min(root, partner), max(root, partner)
     return composed, p_v, q_v, slope
-
-
-def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Coefficients (ascending) of outer(inner(x))."""
-    P = np.polynomial.polynomial
-    acc = np.array([outer[-1]])
-    for c in outer[-2::-1]:
-        acc = P.polyadd(P.polymul(acc, inner), [c])
-    return acc
-
-
-def _stable_fixed_point_poly(poly: Poly1D, lo: float, hi: float):
-    """Stable root of poly(x) = x in [lo, hi] by sign-bracketing + bisection."""
-    deriv = poly.derivative()
-    g = lambda x: poly(x) - x
-    xs = np.arange(lo, hi + ROOT_SCAN, ROOT_SCAN)
-    vals = g(xs)
-    roots = []
-    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0):
-        a, b = xs[i], xs[i + 1]
-        ga = g(a)
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            gm = g(m)
-            if ga * gm <= 0:
-                b = m
-            else:
-                a, ga = m, gm
-            if b - a < BISECT_TOL:
-                break
-        x = 0.5 * (a + b)
-        roots.append((x, float(deriv(x))))
-    stable = [(x, s) for x, s in roots if abs(s) < 1.0]
-    if not stable:
-        raise NoStableRoot(f"no stable fixed point in [{lo}, {hi}] "
-                           f"(found {[round(x, 4) for x, _ in roots]})")
-    mid = 0.5 * (lo + hi)
-    stable.sort(key=lambda xs_: abs(xs_[0] - mid))
-    return stable[0]
 
 
 def second_iterate_phase(curves: BoundCurves,
@@ -390,13 +322,26 @@ def second_iterate_phase(curves: BoundCurves,
     difference."""
     lo, hi = window if window is not None else (curves.box.phi_min, curves.box.phi_max)
     comp = lambda x: curves.eta_l(curves.eta_u(np.asarray(x, dtype=float)))
-    g = lambda x: comp(x) - np.asarray(x, dtype=float)
-    xs = np.linspace(lo, hi, max(curves.grid, 2))
-    vals = g(xs)
-    candidates = []
     h = 1e-6 * max(hi - lo, 1.0)
+    p_phi, slope = _stable_root(lambda x: comp(x) - np.asarray(x, dtype=float),
+                                np.linspace(lo, hi, ENVELOPE_GRID),
+                                lambda x: float((comp(x + h) - comp(x - h)) / (2 * h)),
+                                0.5 * (lo + hi),
+                                "no stable fixed point of eta_L(eta_U(.)) in the window")
+    q_phi = float(curves.eta_u(p_phi))
+    return min(p_phi, q_phi), max(p_phi, q_phi), slope
+
+
+def _stable_root(g, nodes, slope, centre: float, error: str):
+    """Root of g with |slope| < 1 nearest centre, as (root, slope).
+
+    Every sign change of g between adjacent scan nodes is bisected down to
+    BISECT_TOL; NoStableRoot (message error) is raised if no root is stable.
+    """
+    vals = g(nodes)
+    roots = []
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0):
-        a, b = xs[i], xs[i + 1]
+        a, b = nodes[i], nodes[i + 1]
         ga = float(g(a))
         for _ in range(60):
             m = 0.5 * (a + b)
@@ -408,16 +353,11 @@ def second_iterate_phase(curves: BoundCurves,
             if b - a < BISECT_TOL:
                 break
         x = 0.5 * (a + b)
-        slope = float((comp(x + h) - comp(x - h)) / (2 * h))
-        candidates.append((x, slope))
-    stable = [(x, s) for x, s in candidates if abs(s) < 1.0]
+        roots.append((x, slope(x)))
+    stable = [(x, s) for x, s in roots if abs(s) < 1.0]
     if not stable:
-        raise NoStableRoot("no stable fixed point of eta_L(eta_U(.)) in the window")
-    mid = 0.5 * (lo + hi)
-    stable.sort(key=lambda xs_: abs(xs_[0] - mid))
-    p_phi, slope = stable[0]
-    q_phi = float(curves.eta_u(p_phi))
-    return min(p_phi, q_phi), max(p_phi, q_phi), slope
+        raise NoStableRoot(f"{error} (found {[round(x, 4) for x, _ in roots]})")
+    return min(stable, key=lambda root: abs(root[0] - centre))
 
 
 STATEMENT_PART1 = "Part1"
@@ -425,7 +365,7 @@ STATEMENT_PART2 = "Part2"
 STATEMENT_INDETERMINATE = "Indeterminate"
 
 
-def statement61_case(history: WcsHistory, tol: float = WCS_TOL) -> str:
+def statement61_case(history: WcsHistory) -> str:
     """Which part of the attracting-domain statement the iteration satisfied.
 
     Part1: at every step that still moved the intervals, the extremizers of
@@ -438,7 +378,7 @@ def statement61_case(history: WcsHistory, tol: float = WCS_TOL) -> str:
     exclusion_ok = True
     stabilized = history.converged
     for k, rec in enumerate(history.records):
-        if k and _same_interval(rec, history.records[k - 1], tol):
+        if k and _same_bounds(rec.as_tuple(), history.records[k - 1].as_tuple()):
             break
         iv, ip = rec.interval_v, rec.interval_phi
         inside = (iv[0] <= rec.argmax_xi_u <= iv[1]) or (iv[0] <= rec.argmin_xi_l <= iv[1]) \
@@ -450,13 +390,6 @@ def statement61_case(history: WcsHistory, tol: float = WCS_TOL) -> str:
     if stabilized:
         return STATEMENT_PART2
     return STATEMENT_INDETERMINATE
-
-
-def _same_interval(a: WcsRecord, b: WcsRecord, tol: float) -> bool:
-    return (abs(a.interval_v[0] - b.interval_v[0]) < tol
-            and abs(a.interval_v[1] - b.interval_v[1]) < tol
-            and abs(a.interval_phi[0] - b.interval_phi[0]) < tol
-            and abs(a.interval_phi[1] - b.interval_phi[1]) < tol)
 
 
 @dataclass
@@ -500,42 +433,39 @@ def _inside_trust(box: DomainBox, trust) -> bool:
 
 
 def iterate_updates(case: str, d: float | None = None, n_updates: int | None = None,
-                    table: CoeffTable | None = None, *,
-                    box: DomainBox | None = None,
-                    max_steps: int = WCS_MAX_STEPS, tol: float = WCS_TOL) -> UpdateReport:
+                    table: CoeffTable | None = None) -> UpdateReport:
     """Repeated bound-curve construction and WCS convergence for one case.
 
-    Starts from the case's enlarged region-1 box (or an explicit one),
-    rebuilds the curves on each converged box, and stops after n_updates or
-    when an update no longer moves the box.  The final box's 2-cycle is
-    extracted from the last curves.
+    Starts from the case's enlarged region-1 box, rebuilds the curves on each
+    converged box, and stops after n_updates or when an update no longer
+    moves the box.  The final box's 2-cycle is extracted from the last curves.
     """
+    current = r1_plus(case)
     table = table if table is not None else load_table()
     d = CASE_D[case] if d is None else d
-    n_updates = CASE_UPDATES.get(case, 11) if n_updates is None else n_updates
-    current = box if box is not None else r1_plus(case)
+    n_updates = CASE_UPDATES[case] if n_updates is None else n_updates
 
     boxes = [current]
     histories: list[WcsHistory] = []
     crossing = False
     escaped = False
     last_curves = None
-    trust = _trust_region(case) if case in _R1_PLUS else None
+    trust = _trust_region(case)
     for _ in range(n_updates - 1):
         curves = build_bound_curves(current, d, table)
         crossing = crossing or curves.crossing_detected
         last_curves = curves
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonContracting)
-            new_box, history = update_region(curves, current, max_steps=max_steps, tol=tol)
+            new_box, history = update_region(curves, current)
         histories.append(history)
         boxes.append(new_box)
-        if trust is not None and not _inside_trust(new_box, trust):
+        if not _inside_trust(new_box, trust):
             escaped = True
             warnings.warn(f"update {new_box.index} left the map's trust region; "
                           "stopping the update sequence", EscapedBox, stacklevel=2)
             break
-        if _boxes_equal(new_box, current, tol):
+        if _same_bounds(new_box.as_tuple(), current.as_tuple()):
             break
         current = new_box
 
@@ -557,7 +487,3 @@ def iterate_updates(case: str, d: float | None = None, n_updates: int | None = N
                         statement_case=statement, two_cycle=cycle,
                         crossing_detected=crossing, escaped=escaped)
 
-
-def _boxes_equal(a: DomainBox, b: DomainBox, tol: float) -> bool:
-    return (abs(a.v_min - b.v_min) < tol and abs(a.v_max - b.v_max) < tol
-            and abs(a.phi_min - b.phi_min) < tol and abs(a.phi_max - b.phi_max) < tol)

@@ -27,7 +27,7 @@ from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_coeff_in_d,
                       fit_poly2d_scaled, scaled_fit_2d,
                       scaled_to_monomial_matrix_2d, design_matrix,
                       poly2d_exponents)
-from .returnmap import GridSpec, ReturnClass, sweep_surfaces, _sweep_points
+from .returnmap import GridSpec, ReturnClass, near_diagonal, sweep_surfaces, _sweep_points
 
 D_GRID_DEFAULT = np.round(np.arange(0.26, 0.35001, 0.005), 4)
 R1_FIT_GRID = 72
@@ -35,20 +35,17 @@ R1_DELTA = 1.2
 R1_MIN_SAMPLES = 160
 D_POLY_DEGREE = 8
 
-# The auxiliary-map construction evaluates the region-1 maps over the
-# enlarged boxes (phase up to pi/3), far beyond the diagonal-proximity
-# sample support.  Anchor samples from that enlarged region (restricted to
-# the smooth attracting sheet) can pin that extrapolation, but any anchor
-# mass heavy enough to control the box corners also perturbs the map near
-# the attractor by ~1e-2, which destroys the period-doubled cycle at
-# d = 0.30 (the cycle is marginal there).  Dynamics fidelity wins: anchors
-# ship disabled, and the auxiliary pipeline reports an escape when an
-# updated box leaves the map's trust region instead.
-R1_ANCHOR_REGION = (0.63, 1.0, 0.08, np.pi / 3)
-R1_ANCHOR_GRID = 40
-R1_ANCHOR_MASS = 0.0           # see note below: anchors off by default
-R1_ANCHOR_V_BAND = (0.55, 1.0)
-R1_ANCHOR_PHI_BAND = (0.05, 1.2)
+# The R1 fits are solved in coordinates scaled to this window, the enlarged
+# region-1 box (phase up to pi/3) over which the auxiliary-map construction
+# evaluates the region-1 maps, far beyond the diagonal-proximity sample
+# support.  Anchor samples from that enlarged region (restricted to the
+# smooth attracting sheet) can pin that extrapolation, but any anchor mass
+# heavy enough to control the box corners also perturbs the map near the
+# attractor by ~1e-2, which destroys the period-doubled cycle at d = 0.30
+# (the cycle is marginal there).  Dynamics fidelity wins: the fits use no
+# anchors, and the auxiliary pipeline reports an escape when an updated box
+# leaves the map's trust region instead.
+R1_FIT_WINDOW = (0.63, 1.0, 0.08, np.pi / 3)
 
 # Representative curves for the separable regions (fixed phase for the
 # velocity map, fixed velocity for the phase map) and fit windows.  Rows and
@@ -82,79 +79,30 @@ def _r1_samples(d: float, base: NondimParams, delta: float):
     surface = sweep_surfaces(grid, base.replace(length=d))
     vk, pk, vn, pn = surface.class_samples(ReturnClass.BTB)
     while True:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rv = np.abs(vn / vk)
-            rp = np.abs(pn / pk)
-        keep = (rv > 1 / delta) & (rv < delta) & (rp > 1 / delta) & (rp < delta)
+        keep = near_diagonal(vk, pk, vn, pn, delta)
         if keep.sum() >= R1_MIN_SAMPLES or delta > 3.0:
             return vk[keep], pk[keep], vn[keep], pn[keep], delta
         delta *= 1.1
 
 
-def _r1_anchor_samples(d: float, base: NondimParams):
-    """Attracting-sheet BTB samples over the enlarged region, outside the box."""
-    from .composite import R1_BOX
-
-    lo_v, hi_v, lo_p, hi_p = R1_ANCHOR_REGION
-    grid = GridSpec(n_v=R1_ANCHOR_GRID, n_phi=R1_ANCHOR_GRID,
-                    v_range=(lo_v, hi_v), phi_range=(lo_p, hi_p))
-    surface = sweep_surfaces(grid, base.replace(length=d))
-    vk, pk, vn, pn = surface.class_samples(ReturnClass.BTB)
-    outside_box = ~((vk >= R1_BOX[0]) & (vk <= R1_BOX[1])
-                    & (pk >= R1_BOX[2]) & (pk <= R1_BOX[3]))
-    on_sheet_v = outside_box & (vn > R1_ANCHOR_V_BAND[0]) & (vn < R1_ANCHOR_V_BAND[1])
-    on_sheet_p = outside_box & (pn > R1_ANCHOR_PHI_BAND[0]) & (pn < R1_ANCHOR_PHI_BAND[1])
-    return vk, pk, vn, pn, on_sheet_v, on_sheet_p
-
-
-def _weighted_scaled_fit(parts, deg_phi, deg_v, v_win, p_win):
-    """Weighted least squares in scaled coordinates over (v, phi, t, w) parts."""
-    exps = poly2d_exponents(deg_phi, deg_v)
-    v0, sv = 0.5 * (v_win[0] + v_win[1]), 0.5 * (v_win[1] - v_win[0])
-    p0, sp = 0.5 * (p_win[0] + p_win[1]), 0.5 * (p_win[1] - p_win[0])
-    rows, rhs = [], []
-    for v, phi, t, w in parts:
-        sw = np.sqrt(w)
-        rows.append(sw * design_matrix((v - v0) / sv, (phi - p0) / sp, exps))
-        rhs.append(sw * np.asarray(t, dtype=float))
-    A = np.vstack(rows)
-    y = np.concatenate(rhs)
-    coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return coeffs
-
-
 def calibrate_r1(d_grid, base: NondimParams, log=None):
-    """Per-d poly23 fits of the R1 surfaces: diagonal-proximity samples at
-    full weight plus light attracting-sheet anchors over the enlarged region.
+    """Per-d poly23 fits of the R1 surfaces to the diagonal-proximity samples.
 
     Returns scaled-basis coefficient rows, exponents, the basis-change
     matrix, and the relaxed-delta record."""
     rows_b, rows_a, deltas = [], [], {}
-    v_win = (R1_ANCHOR_REGION[0], R1_ANCHOR_REGION[1])
-    p_win = (R1_ANCHOR_REGION[2], R1_ANCHOR_REGION[3])
+    v_win = (R1_FIT_WINDOW[0], R1_FIT_WINDOW[1])
+    p_win = (R1_FIT_WINDOW[2], R1_FIT_WINDOW[3])
     for d in d_grid:
         vk, pk, vn, pn, used = _r1_samples(d, base, R1_DELTA)
-        parts_v = [(vk, pk, vn, 1.0)]
-        parts_p = [(vk, pk, pn, 1.0)]
-        if R1_ANCHOR_MASS > 0:
-            av, ap, avn, apn, sheet_v, sheet_p = _r1_anchor_samples(d, base)
-            w_v = R1_ANCHOR_MASS * len(vk) / max(int(sheet_v.sum()), 1)
-            w_p = R1_ANCHOR_MASS * len(vk) / max(int(sheet_p.sum()), 1)
-            parts_v.append((av[sheet_v], ap[sheet_v], avn[sheet_v], w_v))
-            parts_p.append((av[sheet_p], ap[sheet_p], apn[sheet_p], w_p))
-        b = _weighted_scaled_fit(parts_v, 2, 3, v_win, p_win)
-        a = _weighted_scaled_fit(parts_p, 2, 3, v_win, p_win)
+        b, rep_b = scaled_fit_2d(vk, pk, vn, 2, 3, v_win, p_win)
+        a, rep_a = scaled_fit_2d(vk, pk, pn, 2, 3, v_win, p_win)
         rows_b.append(b)
         rows_a.append(a)
         deltas[float(d)] = used
         if log:
-            exps = poly2d_exponents(2, 3)
-            T = scaled_to_monomial_matrix_2d(2, 3, v_win, p_win)
-            fb, fa = T @ b, T @ a
-            ev = lambda c: sum(cc * pk**i * vk**j for (i, j), cc in zip(exps, c))
             log(f"R1 d={d}: n={len(vk)} delta={used:.2f} "
-                f"delta-set rmse=({np.sqrt(np.mean((ev(fb)-vn)**2)):.2e},"
-                f"{np.sqrt(np.mean((ev(fa)-pn)**2)):.2e})")
+                f"delta-set rmse=({rep_b.rmse:.2e},{rep_a.rmse:.2e})")
     transform = scaled_to_monomial_matrix_2d(2, 3, v_win, p_win)
     return np.array(rows_b), np.array(rows_a), poly2d_exponents(2, 3), transform, deltas
 
@@ -165,12 +113,12 @@ def _curve_samples(d: float, base: NondimParams, region: Region):
     p = base.replace(length=d)
     v_nodes = np.linspace(*rec["v_window"], CURVE_POINTS)
     s_row = _sweep_points(v_nodes, np.full_like(v_nodes, rec["phi_row"]), p)
-    mask = np.array([k == rec["klass"] for k in s_row.klass])
+    mask = s_row.klass == rec["klass"]
     row = (s_row.v_in[mask], s_row.v_out[mask])
 
     phi_nodes = np.linspace(*rec["phi_window"], CURVE_POINTS)
     s_col = _sweep_points(np.full_like(phi_nodes, rec["v_col"]), phi_nodes, p)
-    mask = np.array([k == rec["klass"] for k in s_col.klass])
+    mask = s_col.klass == rec["klass"]
     p_out = s_col.phi_out[mask]
     if rec["unwrap"]:
         p_out = unwrap_phase(p_out)

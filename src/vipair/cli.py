@@ -20,7 +20,8 @@ from .calibration import build_calibrated_table
 from .composite import CompositeMap, Region, load_table, fit_region_maps
 from .config import ConfigError, load_config
 from .core import baseline_params
-from .returnmap import GridSpec, ReturnClass, partition_by_class, r1_filter, sweep_surfaces
+from .fitting import RankDeficientFit
+from .returnmap import GridSpec, partition_by_class, r1_filter, sweep_surfaces
 
 DEFAULT_OUT_ENV = "VIPAIR_OUT"
 
@@ -219,9 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_r1_filter)
 
-    p = sub.add_parser("fit", help="refit one region's maps from a sweep")
+    # the separable regions R2/R4/R5 need representative curves; `calibrate`
+    # refits them
+    p = sub.add_parser("fit", help="refit region R1 or R3 from a sweep")
     common(p)
-    p.add_argument("--region", default="R1", choices=[r.value for r in Region if r != Region.RESET])
+    p.add_argument("--region", default="R1", choices=[Region.R1.value, Region.R3.value])
     p.add_argument("--delta", type=float, default=1.2)
     p.add_argument("--grid", default="200x200")
     p.set_defaults(func=cmd_fit)
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("aux-domain", help="auxiliary-map attracting-domain updates")
-    p.add_argument("--case", choices=["FP", "PD", "CD"], required=True)
+    p.add_argument("--case", choices=list(auxmap.CASE_D), required=True)
     p.add_argument("--d", type=float)
     p.add_argument("--updates", type=int)
     p.add_argument("--table", default="calibrated")
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aux_domain)
 
     p = sub.add_parser("case", help="full preset: trajectory + aux domain + reports")
-    p.add_argument("--name", choices=["FP", "PD", "CD"], required=True)
+    p.add_argument("--name", choices=list(auxmap.CASE_D), required=True)
     p.add_argument("--table", default="calibrated")
     p.add_argument("--out")
     p.set_defaults(func=cmd_case)
@@ -277,7 +280,7 @@ def run_command(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (ConfigError, FileNotFoundError, ValueError, RankDeficientFit) as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),
               file=sys.stderr)
         return 2

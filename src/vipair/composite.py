@@ -26,11 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import design_matrix, fit_poly1d, fit_poly2d, poly2d_exponents
+from .fitting import fit_poly1d, fit_poly2d
 
 PI = np.pi
 
-D_RANGE = (0.26, 0.35)
 PHI_RESET = 1.2
 
 R1_BOX = (0.63, 0.94, 0.15, 0.45)  # v_min, v_max, phi_min, phi_max
@@ -284,9 +283,6 @@ class CompositeMap:
         regions[n_steps] = region_of(v[n_steps], phi[n_steps])
         return v, phi, regions
 
-    def r1_maps(self) -> dict:
-        return self._maps[Region.R1]
-
 
 def composite_step(v: float, phi: float, d: float,
                    table: CoeffTable | None = None) -> tuple[float, float]:
@@ -341,10 +337,8 @@ def detect_attractor(v, phi, p_max: int = 16, tol: float = 1e-4,
 
 
 def fit_region_maps(surface, region: Region, *, delta: float | None = None,
-                    deg_phi: int | None = None, deg_v: int | None = None,
                     curve_fixed_phi: float | None = None,
-                    curve_fixed_v: float | None = None,
-                    degree_v: int | None = None, degree_phi: int | None = None):
+                    curve_fixed_v: float | None = None):
     """Refit one region's maps from a swept surface (see returnmap.sweep_surfaces).
 
     2D regions (R1, R3) fit all class-matching samples inside the region,
@@ -355,7 +349,7 @@ def fit_region_maps(surface, region: Region, *, delta: float | None = None,
 
     Returns {"v": map, "phi": map, "reports": {...}}.
     """
-    from .returnmap import ReturnClass
+    from .returnmap import ReturnClass, near_diagonal
 
     want = ReturnClass.BTB if region in (Region.R1, Region.R2, Region.R4) else ReturnClass.BB
     shape = REGION_SHAPES[region]
@@ -364,12 +358,10 @@ def fit_region_maps(surface, region: Region, *, delta: float | None = None,
         in_region = np.array([region_of(v, p) == region for v, p in zip(vk, pk)])
         vk, pk, vn, pn = vk[in_region], pk[in_region], vn[in_region], pn[in_region]
         if delta is not None:
-            keep = _ratio_filter(vk, pk, vn, pn, delta)
+            keep = near_diagonal(vk, pk, vn, pn, delta)
             vk, pk, vn, pn = vk[keep], pk[keep], vn[keep], pn[keep]
-        dphi_v, dv_v = (deg_phi, deg_v) if deg_phi is not None else shape["v"][1:3]
-        dphi_g, dv_g = (deg_phi, deg_v) if deg_phi is not None else shape["phi"][1:3]
-        cv, ev, rep_v = fit_poly2d(vk, pk, vn, dphi_v, dv_v)
-        cp, ep, rep_p = fit_poly2d(vk, pk, pn, dphi_g, dv_g)
+        cv, ev, rep_v = fit_poly2d(vk, pk, vn, *shape["v"][1:3])
+        cp, ep, rep_p = fit_poly2d(vk, pk, pn, *shape["phi"][1:3])
         return {"v": Poly2D(tuple(ev), cv), "phi": Poly2D(tuple(ep), cp),
                 "reports": {"v": rep_v, "phi": rep_p}}
 
@@ -379,17 +371,8 @@ def fit_region_maps(surface, region: Region, *, delta: float | None = None,
     vk, pk, vn, pn = surface.class_samples(want)
     row = np.isclose(pk, curve_fixed_phi, atol=1e-9)
     col = np.isclose(vk, curve_fixed_v, atol=1e-9)
-    deg_f = degree_v if degree_v is not None else shape["v"][2]
-    deg_g = degree_phi if degree_phi is not None else shape["phi"][2]
-    cf, rep_f = fit_poly1d(vk[row], vn[row], deg_f)
-    cg, rep_g = fit_poly1d(pk[col], pn[col], deg_g)
+    cf, rep_f = fit_poly1d(vk[row], vn[row], shape["v"][2])
+    cg, rep_g = fit_poly1d(pk[col], pn[col], shape["phi"][2])
     return {"v": Poly1D("v", cf, absolute=shape["v"][3]),
             "phi": Poly1D("phi", cg),
             "reports": {"v": rep_f, "phi": rep_g}}
-
-
-def _ratio_filter(vk, pk, vn, pn, delta: float):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rv = np.abs(vn / vk)
-        rp = np.abs(pn / pk)
-    return (rv > 1.0 / delta) & (rv < delta) & (rp > 1.0 / delta) & (rp < delta)

@@ -42,7 +42,6 @@ SCAN_STEP = 1e-3
 START_OFFSET = 1e-9
 HORIZON = 40.0
 TIME_TOL = 1e-12
-RESIDUAL_TOL = 1e-10
 GRAZING_TOL = 1e-8
 
 # Largest chunk of the sample grid's construction (it fixes the grid's floats)

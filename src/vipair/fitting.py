@@ -86,13 +86,13 @@ def fit_poly1d(x, target, degree: int):
     return lstsq_fit(design, target)
 
 
-def _compose_linear(coeffs: np.ndarray, offset: float, scale: float) -> np.ndarray:
-    """Coefficients of p((x - offset)/scale) as a polynomial in x (exact)."""
+def compose(outer, inner) -> np.ndarray:
+    """Coefficients (ascending) of outer(inner(x)), by Horner's rule on the
+    coefficient arrays."""
     P = np.polynomial.polynomial
-    lin = np.array([-offset / scale, 1.0 / scale])
-    acc = np.array([coeffs[-1]])
-    for c in coeffs[-2::-1]:
-        acc = P.polyadd(P.polymul(acc, lin), [c])
+    acc = np.array([outer[-1]])
+    for c in outer[-2::-1]:
+        acc = P.polyadd(P.polymul(acc, inner), [c])
     return acc
 
 
@@ -113,12 +113,13 @@ def cheb_fit_1d(x, target, degree: int, window: tuple[float, float]):
 def cheb_to_monomial_matrix(degree: int, window: tuple[float, float]) -> np.ndarray:
     """Constant matrix T with monomial_coeffs = T @ cheb_coeffs on the window."""
     a, b = window
+    offset, scale = 0.5 * (a + b), 0.5 * (b - a)
     T = np.zeros((degree + 1, degree + 1))
     for k in range(degree + 1):
         unit = np.zeros(k + 1)
         unit[k] = 1.0
         power_u = np.polynomial.chebyshev.cheb2poly(unit)
-        coeffs = _compose_linear(power_u, offset=0.5 * (a + b), scale=0.5 * (b - a))
+        coeffs = compose(power_u, [-offset / scale, 1.0 / scale])  # u = (x - offset)/scale
         T[: len(coeffs), k] = coeffs
     return T
 

@@ -16,11 +16,9 @@ import numpy as np
 
 from .core import (
     PI,
-    SIDE_B,
     SIDE_T,
     ImpactEvent,
     NondimParams,
-    event_on_b,
     impact_phase,
     next_impact_batch,
 )
@@ -33,7 +31,7 @@ class ReturnClass(Enum):
     OTHER = "OTHER"
 
 
-_CLASS_BY_TCOUNT = {0: ReturnClass.BB, 1: ReturnClass.BTB, 2: ReturnClass.BTTB}
+_CLASS_BY_TCOUNT = np.array([ReturnClass.BB, ReturnClass.BTB, ReturnClass.BTTB], dtype=object)
 _MAX_T_IMPACTS = 2
 
 REASON_NONE = ""
@@ -75,9 +73,6 @@ class GridSpec:
 
     def phi_nodes(self) -> np.ndarray:
         return np.linspace(self.phi_range[0], self.phi_range[1], self.n_phi)
-
-
-EXTENDED_GRID = GridSpec(n_v=300, n_phi=400, v_range=(0.0, 1.5), phi_range=(0.0, 2 * PI))
 
 
 @dataclass
@@ -125,7 +120,7 @@ class SurfaceData:
 
     def class_samples(self, klass: ReturnClass):
         """Arrays (v_in, phi_in, v_out, phi_out) of one class."""
-        m = np.array([k == klass for k in self.klass])
+        m = self.klass == klass
         return self.v_in[m], self.phi_in[m], self.v_out[m], self.phi_out[m]
 
     def class_counts(self) -> dict:
@@ -135,24 +130,22 @@ class SurfaceData:
         return out
 
 
-def first_return_B(v: float, phi: float, p: NondimParams, *,
-                   amplitude: float = 1.0) -> ReturnSample:
+def first_return_B(v: float, phi: float, p: NondimParams) -> ReturnSample:
     """First return to the bottom wall from state (v, phi).
 
     Solver failures never raise; they classify the sample as OTHER with a
     reason code.
     """
-    surface = _sweep_points(np.array([v]), np.array([phi]), p, amplitude=amplitude)
+    surface = _sweep_points(np.array([v]), np.array([phi]), p)
     return surface.sample(0)
 
 
-def sweep_surfaces(grid: GridSpec, p: NondimParams, *,
-                   amplitude: float = 1.0) -> SurfaceData:
+def sweep_surfaces(grid: GridSpec, p: NondimParams) -> SurfaceData:
     """Evaluate the first-return map on every grid node (deterministic)."""
     vs = grid.v_nodes()
     ps = grid.phi_nodes()
     V, P = np.meshgrid(vs, ps, indexing="ij")
-    surface = _sweep_points(V.ravel(), P.ravel(), p, amplitude=amplitude)
+    surface = _sweep_points(V.ravel(), P.ravel(), p)
     surface.grid = grid
     surface.metadata.update({"n_v": grid.n_v, "n_phi": grid.n_phi,
                              "v_range": list(grid.v_range),
@@ -160,7 +153,7 @@ def sweep_surfaces(grid: GridSpec, p: NondimParams, *,
     return surface
 
 
-def _sweep_points(v_in, phi_in, p: NondimParams, *, amplitude: float = 1.0) -> SurfaceData:
+def _sweep_points(v_in, phi_in, p: NondimParams) -> SurfaceData:
     """Chain the batched event solver until each point returns to B or fails."""
     n = len(v_in)
     v_in = np.asarray(v_in, dtype=float)
@@ -185,8 +178,7 @@ def _sweep_points(v_in, phi_in, p: NondimParams, *, amplitude: float = 1.0) -> S
 
     legs = 0
     while active.size:
-        s, t, v, st = next_impact_batch(sides[active], times[active], vels[active], p,
-                                        amplitude=amplitude)
+        s, t, v, st = next_impact_batch(sides[active], times[active], vels[active], p)
         no_hit = st == 1
         graze = st == 2
         idx = active
@@ -200,8 +192,7 @@ def _sweep_points(v_in, phi_in, p: NondimParams, *, amplitude: float = 1.0) -> S
         done = idx[back_b]
         v_out[done] = v[back_b]
         phi_out[done] = impact_phase(t[back_b], p.general_phase)
-        for j in np.flatnonzero(back_b):
-            klass[idx[j]] = _CLASS_BY_TCOUNT[int(n_inter[idx[j]])]
+        klass[done] = _CLASS_BY_TCOUNT[n_inter[done]]
 
         to_t = ok & (s < 0)
         cont = idx[to_t]
@@ -249,6 +240,18 @@ class EmptyFilterResult(UserWarning):
     pass
 
 
+def near_diagonal(v_in, phi_in, v_out, phi_out, delta: float) -> np.ndarray:
+    """Diagonal-proximity ratio test: 1/delta < |v_out/v_in| < delta and
+    1/delta < |phi_out/phi_in| < delta.
+
+    A zero input makes its ratio inf or NaN, which fails the open interval.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rv = np.abs(v_out / v_in)
+        rp = np.abs(phi_out / phi_in)
+    return (rv > 1 / delta) & (rv < delta) & (rp > 1 / delta) & (rp < delta)
+
+
 def r1_filter(d_values, delta: float, grid: GridSpec, base: NondimParams,
               surfaces: dict | None = None) -> R1FilterResult:
     """Diagonal-proximity filter defining region R1.
@@ -268,13 +271,9 @@ def r1_filter(d_values, delta: float, grid: GridSpec, base: NondimParams,
         p = base.replace(length=float(d))
         surface = surfaces[d] if surfaces and d in surfaces else sweep_surfaces(grid, p)
         vk, pk, vn, pn = surface.class_samples(ReturnClass.BTB)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rv = np.abs(vn / vk)
-            rp = np.abs(pn / pk)
-        keep = (rv > 1 / delta) & (rv < delta) & (rp > 1 / delta) & (rp < delta)
-        for v, ph in zip(vk[keep], pk[keep]):
-            rows.append((float(d), float(v), float(ph)))
-    points = np.array(rows) if rows else np.empty((0, 3))
+        keep = near_diagonal(vk, pk, vn, pn, delta)
+        rows.append(np.column_stack([np.full(keep.sum(), float(d)), vk[keep], pk[keep]]))
+    points = np.concatenate(rows) if rows else np.empty((0, 3))
     if not len(points):
         _warnings.warn(f"R1 filter with delta={delta} kept no points",
                        EmptyFilterResult, stacklevel=2)
@@ -310,13 +309,7 @@ def project_phase_planes(surface: SurfaceData, delta: float = 1.2) -> list[Stran
     po = surface.phi_out.reshape(n_v, n_phi)
     kl = surface.klass.reshape(n_v, n_phi)
     phis = surface.grid.phi_nodes()
-    strands = []
-    for j, phi in enumerate(phis):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rv = np.abs(vo[:, j] / v[:, j])
-            rp = np.abs(po[:, j] / phi) if phi != 0 else np.full(n_v, np.inf)
-        near = (rv > 1 / delta) & (rv < delta) & (rp > 1 / delta) & (rp < delta)
-        strands.append(Strand(phi=float(phi), v_in=v[:, j], v_out=vo[:, j],
-                              phi_out=po[:, j], klass=kl[:, j],
-                              near_diagonal=near))
-    return strands
+    near = near_diagonal(v, phis, vo, po, delta)
+    return [Strand(phi=float(phi), v_in=v[:, j], v_out=vo[:, j], phi_out=po[:, j],
+                   klass=kl[:, j], near_diagonal=near[:, j])
+            for j, phi in enumerate(phis)]

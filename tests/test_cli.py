@@ -92,6 +92,23 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+def test_cli_rank_deficient_fit_is_machine_readable(tmp_path, capsys):
+    # delta = 1 keeps no sample, so no coefficient is determined
+    rc = run_command(["fit", "--region", "R1", "--grid", "20x20", "--delta", "1.0",
+                      "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "RankDeficientFit"
+    assert "coefficients" in err["message"]
+
+
+def test_cli_fit_rejects_separable_regions(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["fit", "--region", "R2"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_surface_csv_roundtrip(tmp_path):
     surface = sweep_surfaces(GridSpec(n_v=6, n_phi=6), baseline_params(0.3))
     path = write_surface_csv(tmp_path / "s.csv", surface)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vipair.core import (
+    GRAZING_TOL,
     PI,
     SIDE_B,
     SIDE_T,
@@ -190,6 +191,33 @@ def test_next_impact_residual_and_sign(params35, rng):
             assert nxt.velocity_in > 0
         else:
             assert nxt.velocity_in < 0
+
+
+# Zero forcing, from side B at t = 0.6, with just enough speed to pass the top
+# wall: the parabola crosses it at the smaller quadratic root, at a speed far
+# above the grazing tolerance, and falls back to the bottom wall later.
+SHALLOW_PARAMS = NondimParams(restitution=0.5, length=0.35, gravity_term=0.2113)
+SHALLOW_V_IN = math.sqrt(2 * 0.2113 * 0.35) / 0.5 * (1 + 1e-12)
+
+
+def test_shallow_top_crossing_oracle():
+    side, tau, vel = _zero_forcing_oracle(SHALLOW_V_IN, SHALLOW_PARAMS)
+    assert side == SIDE_T
+    assert tau == pytest.approx(1.82011, abs=1e-5)
+    assert abs(vel) == pytest.approx(5.4e-7, rel=0.01)
+    assert abs(vel) > GRAZING_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="the fixed 1e-3 scan grid steps over the shallow "
+                   "crossing and reports the later bottom-wall impact")
+def test_next_impact_finds_shallow_top_crossing():
+    e = ImpactEvent(side=SIDE_B, time=0.6, velocity_in=SHALLOW_V_IN,
+                    phase=float(impact_phase(0.6)))
+    nxt = next_impact(e, SHALLOW_PARAMS, amplitude=0.0)
+    _, tau, vel = _zero_forcing_oracle(SHALLOW_V_IN, SHALLOW_PARAMS)
+    assert nxt.side == SIDE_T
+    assert nxt.time - e.time == pytest.approx(tau, abs=1e-10)
+    assert nxt.velocity_in == pytest.approx(vel, rel=1e-3)
 
 
 def test_no_wall_penetration(params35, rng):
