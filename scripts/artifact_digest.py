@@ -32,6 +32,7 @@ COMMANDS = [
     ("partition", ["partition", "--d", "0.26", "--grid", "40x40"]),
     ("r1-filter", ["r1-filter", "--grid", "30x30"]),
     ("fit", ["fit", "--region", "R1", "--d", "0.35"]),
+    ("fit-R3", ["fit", "--region", "R3", "--d", "0.35"]),
     ("composite", ["composite", "--d", "0.35", "--v0", "0.2", "--phi0", "0.1",
                    "--steps", "8"]),
     ("bifurcation-exact", ["bifurcation", "--kind", "exact", "--d-from", "0.33",

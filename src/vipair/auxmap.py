@@ -8,6 +8,13 @@ every trajectory of the composite map that stays in the box; re-building the
 curves on the converged interval and repeating contracts the box onto the
 attracting domain, whose final size is set by a stable 2-cycle of the bound
 curves.
+
+Region 1's maps have phase degree <= 2 and velocity degree <= 3, so the
+envelopes and the WCS ranges are exact closed forms: each extremum is the
+best of a short list of candidate points (box corners, edge critical points
+and interior critical points; Garloff 1986, Moore, Kearfott & Cloud 2009).
+They enclose the fitted polynomial maps up to floating-point rounding, not
+the exact dynamics.
 """
 
 from __future__ import annotations
@@ -22,8 +29,7 @@ from .fitting import compose
 
 PI = np.pi
 
-ENVELOPE_GRID = 201          # WCS extremization and 2-cycle scan points
-INNER_GRID = 1001            # inner extremum grid; keeps envelope error ~1e-7
+ENVELOPE_GRID = 201          # 2-cycle scan points of the phase envelopes
 WCS_MAX_STEPS = 400
 WCS_TOL = 1e-9
 BISECT_TOL = 1e-12
@@ -85,15 +91,99 @@ def r1_plus(case: str) -> DomainBox:
     return DomainBox(*_R1_PLUS[case], index=1)
 
 
+def _coeff_grid(poly: Poly2D) -> np.ndarray:
+    """Coefficients of a region-1-shaped map as C[i, j] for phi**i * v**j."""
+    grid = np.zeros((3, 4))
+    for (i, j), c in zip(poly.exponents, poly.coeffs):
+        if i > 2 or j > 3:
+            raise ValueError("closed-form ranges need phi-degree <= 2 and v-degree <= 3, "
+                             f"got a phi^{i} v^{j} term")
+        grid[i, j] += c
+    return grid
+
+
+def _phi_candidates(grid: np.ndarray, v, lo: float, hi: float) -> np.ndarray:
+    """Phases in [lo, hi] where f(v, .) = A phi^2 + B phi + C can be extreme,
+    stacked on axis 0: both ends and the vertex -B/2A.  The vertex is clipped
+    into [lo, hi], so one outside repeats an end."""
+    P = np.polynomial.polynomial
+    c, b, a = (P.polyval(v, row) for row in grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.clip(np.nan_to_num(-b / (2.0 * a), nan=lo), lo, hi)
+    return np.stack(np.broadcast_arrays(lo, hi, vertex))
+
+
+def _v_candidates(grid: np.ndarray, phi, lo: float, hi: float) -> np.ndarray:
+    """Velocities in [lo, hi] where the cubic f(., phi) can be extreme,
+    stacked on axis 0: both ends and the two roots of the quadratic
+    derivative, in the cancellation-free form and clipped into [lo, hi].
+    Complex pairs and degenerate cases give some point of [lo, hi], which
+    cannot widen a range."""
+    P = np.polynomial.polynomial
+    _, c1, c2, c3 = (P.polyval(phi, col) for col in grid.T)
+    qa, qb = 3.0 * c3, 2.0 * c2
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * c1, 0.0)), qb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = (np.clip(np.nan_to_num(r, nan=lo), lo, hi) for r in (q / qa, c1 / q))
+        return np.stack(np.broadcast_arrays(lo, hi, *roots))
+
+
+def _rect_range(poly: Poly2D, v_range, phi_range):
+    """Exact range of a region-1-shaped map over a rectangle.
+
+    Returns (min, max, (v, phi) at the min, (v, phi) at the max).  The
+    extremes are taken over the 4 corners, the critical points of the four
+    edges (cubic in v along phi = const, quadratic in phi along v = const)
+    and the interior critical points.  Writing f = A(v) phi^2 + B(v) phi + C(v),
+    those lie at phi* = -B/(2A) with N(v) = 4A^2 C' - 2ABB' + A'B^2 = 0.
+    Where A(v) = 0 an interior extremum extends along the whole line v = const
+    and so also lies on a phi-edge.  Ties go to the earliest candidate, the
+    corners first and the (v_min, phi_min) corner before all others.
+    """
+    P = np.polynomial.polynomial
+    grid = _coeff_grid(poly)
+    (v0, v1), (p0, p1) = v_range, phi_range
+    along_v = _v_candidates(grid, np.array([p0, p1]), v0, v1)
+    along_phi = _phi_candidates(grid, np.array([v0, v1]), p0, p1)
+    c, b, a = grid
+    n = P.polyadd(P.polysub(4.0 * P.polymul(P.polymul(a, a), P.polyder(c)),
+                            2.0 * P.polymul(P.polymul(a, b), P.polyder(b))),
+                  P.polymul(P.polyder(a), P.polymul(b, b)))
+    # nearly real complex pairs count as real: an extra candidate cannot
+    # widen the range, a missed one could shrink it
+    roots = P.polyroots(n)
+    roots = roots.real[np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots))]
+    roots = roots[(roots >= v0) & (roots <= v1)]
+    a_v = P.polyval(roots, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_star = -P.polyval(roots, b) / (2.0 * a_v)
+    inside = (a_v != 0.0) & (phi_star >= p0) & (phi_star <= p1)
+    vs = np.concatenate([along_v.ravel(), np.broadcast_to([v0, v1], along_phi.shape).ravel(),
+                         roots[inside]])
+    ps = np.concatenate([np.broadcast_to([p0, p1], along_v.shape).ravel(), along_phi.ravel(),
+                         phi_star[inside]])
+    vals = poly(vs, ps)
+    lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+    return (float(vals[lo]), float(vals[hi]),
+            (float(vs[lo]), float(ps[lo])), (float(vs[hi]), float(ps[hi])))
+
+
+def _envelope(vals, upper: bool):
+    """Reduce stacked candidate values over axis 0; a float for a scalar."""
+    out = np.max(vals, axis=0) if upper else np.min(vals, axis=0)
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass
 class BoundCurves:
     """Upper/lower bound curves of (f1, g1) on a source box.
 
-    xi branches are closed-form partial evaluations of f1 at the box's phase
-    endpoints when the f1 family does not cross in v on the box (checked by
-    sampling); otherwise both xi branches fall back to sampled envelopes.
-    eta branches are always sampled envelopes: extrema of g1 over the box's
-    v-interval, evaluated at the requested phases.
+    Exact closed-form envelopes of the polynomial maps: xi_U/xi_L are the
+    extremes of f1 over the box's phase interval at a given v (f1 is quadratic
+    in phi), eta_U/eta_L those of g1 over the box's velocity interval at a
+    given phi (g1 is cubic in v); each is the best of a few candidate points.
+    crossing_detected records whether the phase-endpoint branches
+    f1(., phi_min) and f1(., phi_max) cross inside the v-interval.
     """
 
     box: DomainBox
@@ -103,46 +193,37 @@ class BoundCurves:
     crossing_detected: bool = False
 
     def __post_init__(self):
-        self._v_src = np.linspace(self.box.v_min, self.box.v_max, INNER_GRID)
-        self._phi_src = np.linspace(self.box.phi_min, self.box.phi_max, INNER_GRID)
-        lo = self.f1.partial_phi(self.box.phi_min)
-        hi = self.f1.partial_phi(self.box.phi_max)
-        # orientation: whichever branch dominates on the box is the upper one
-        self._xi_u_poly = self._xi_l_poly = None
-        if np.all(lo(self._v_src) >= hi(self._v_src)):
-            self._xi_u_poly, self._xi_l_poly = lo, hi
-        elif np.all(hi(self._v_src) >= lo(self._v_src)):
-            self._xi_u_poly, self._xi_l_poly = hi, lo
-        else:
-            self.crossing_detected = True
+        P = np.polynomial.polynomial
+        self._f_grid = _coeff_grid(self.f1)
+        self._g_grid = _coeff_grid(self.g1)
+        gap = P.polysub(P.polyval(self.box.phi_min, self._f_grid),
+                        P.polyval(self.box.phi_max, self._f_grid))
+        real = P.polyroots(gap)
+        real = real.real[real.imag == 0.0]
+        self.crossing_detected = bool(np.any((real > self.box.v_min)
+                                             & (real < self.box.v_max)))
 
     def xi_u(self, v):
-        if self._xi_u_poly is not None:
-            return self._xi_u_poly(v)
-        return self._xi_env(v, np.max)
+        return self._xi(v, upper=True)
 
     def xi_l(self, v):
-        if self._xi_l_poly is not None:
-            return self._xi_l_poly(v)
-        return self._xi_env(v, np.min)
+        return self._xi(v, upper=False)
 
-    def _xi_env(self, v, reducer):
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        vals = self.f1(v[:, None], self._phi_src[None, :])
-        out = reducer(vals, axis=1)
-        return out if out.shape != (1,) else float(out[0])
+    def _xi(self, v, upper: bool):
+        v = np.asarray(v, dtype=float)
+        phis = _phi_candidates(self._f_grid, v, self.box.phi_min, self.box.phi_max)
+        return _envelope(self.f1(v, phis), upper)
 
     def eta_u(self, phi):
-        return self._eta_env(phi, np.max)
+        return self._eta(phi, upper=True)
 
     def eta_l(self, phi):
-        return self._eta_env(phi, np.min)
+        return self._eta(phi, upper=False)
 
-    def _eta_env(self, phi, reducer):
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        vals = self.g1(self._v_src[None, :], phi[:, None])
-        out = reducer(vals, axis=1)
-        return out if out.shape != (1,) else float(out[0])
+    def _eta(self, phi, upper: bool):
+        phi = np.asarray(phi, dtype=float)
+        vs = _v_candidates(self._g_grid, phi, self.box.v_min, self.box.v_max)
+        return _envelope(self.g1(vs, phi), upper)
 
 
 def build_bound_curves(box: DomainBox, d: float, table: CoeffTable | None = None) -> BoundCurves:
@@ -177,30 +258,23 @@ def _clip_to(interval, lo, hi):
 
 
 def wcs_step(curves: BoundCurves, interval_v, interval_phi) -> WcsRecord:
-    """One worst-case-scenario step: extremal images of the current intervals.
+    """One worst-case-scenario step: exact extremal images of the current
+    intervals.
 
-    The bound curves exist on the source box only, so extremization runs over
-    the intervals intersected with the box; the image values themselves may
-    leave the box (the next update rebuilds the curves there).
+    The new v-interval is the range of f1 over interval_v x the box's phase
+    interval, the new phase interval the range of g1 over the box's velocity
+    interval x interval_phi.  The bound curves exist on the source box only,
+    so the intervals are first intersected with the box; the image values
+    themselves may leave the box (the next update rebuilds the curves there).
     """
     box = curves.box
     iv = _clip_to(interval_v, box.v_min, box.v_max)
     ip = _clip_to(interval_phi, box.phi_min, box.phi_max)
-
-    vv = np.linspace(iv[0], iv[1], ENVELOPE_GRID)
-    up = curves.xi_u(vv)
-    lo = curves.xi_l(vv)
-    new_v = (float(np.min(lo)), float(np.max(up)))
-    arg_u, arg_l = float(vv[np.argmax(up)]), float(vv[np.argmin(lo)])
-
-    pp = np.linspace(ip[0], ip[1], ENVELOPE_GRID)
-    e_up = curves.eta_u(pp)
-    e_lo = curves.eta_l(pp)
-    new_p = (float(np.min(e_lo)), float(np.max(e_up)))
-    parg_u, parg_l = float(pp[np.argmax(e_up)]), float(pp[np.argmin(e_lo)])
-    return WcsRecord(interval_v=new_v, interval_phi=new_p,
-                     argmax_xi_u=arg_u, argmin_xi_l=arg_l,
-                     argmax_eta_u=parg_u, argmin_eta_l=parg_l)
+    v_lo, v_hi, arg_l, arg_u = _rect_range(curves.f1, iv, (box.phi_min, box.phi_max))
+    p_lo, p_hi, parg_l, parg_u = _rect_range(curves.g1, (box.v_min, box.v_max), ip)
+    return WcsRecord(interval_v=(v_lo, v_hi), interval_phi=(p_lo, p_hi),
+                     argmax_xi_u=arg_u[0], argmin_xi_l=arg_l[0],
+                     argmax_eta_u=parg_u[1], argmin_eta_l=parg_l[1])
 
 
 @dataclass
@@ -317,9 +391,9 @@ def second_iterate_v(d: float, phi_min: float, phi_max: float,
 
 def second_iterate_phase(curves: BoundCurves,
                          window: tuple[float, float] | None = None):
-    """Stable 2-cycle of the sampled phase envelopes: p_phi from the
-    composition eta_L(eta_U(.)), q_phi = eta_U(p_phi); slope by central
-    difference."""
+    """Stable 2-cycle of the exact closed-form phase envelopes: p_phi from
+    the composition eta_L(eta_U(.)), scanned on ENVELOPE_GRID nodes of the
+    window; q_phi = eta_U(p_phi); slope by central difference."""
     lo, hi = window if window is not None else (curves.box.phi_min, curves.box.phi_max)
     comp = lambda x: curves.eta_l(curves.eta_u(np.asarray(x, dtype=float)))
     h = 1e-6 * max(hi - lo, 1.0)
@@ -479,8 +553,9 @@ def iterate_updates(case: str, d: float | None = None, n_updates: int | None = N
                 box_v=(fb.v_min - 0.05, fb.v_max + 0.05))
             p_phi, q_phi, slope_p = second_iterate_phase(
                 last_curves, window=(fb.phi_min - 0.05, fb.phi_max + 0.05))
-            cycle = TwoCycle(p_v=p_v, q_v=q_v, p_phi=p_phi, q_phi=q_phi,
-                             slope_v=slope_v, slope_phi=slope_p)
+            cycle = TwoCycle(p_v=float(p_v), q_v=float(q_v), p_phi=float(p_phi),
+                             q_phi=float(q_phi), slope_v=float(slope_v),
+                             slope_phi=float(slope_p))
         except (NoStableRoot, ValueError):
             cycle = None
     return UpdateReport(case=case, d=d, boxes=boxes, histories=histories,

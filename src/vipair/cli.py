@@ -105,10 +105,12 @@ def cmd_fit(args) -> int:
     params = _params(args)
     grid = _grid(args.grid)
     surface = sweep_surfaces(grid, params)
-    fit = fit_region_maps(surface, Region(args.region), delta=args.delta)
+    # the diagonal-proximity filter carves out region 1 only
+    delta = args.delta if args.region == Region.R1.value else None
+    fit = fit_region_maps(surface, Region(args.region), delta=delta)
     reports = {t: {"r_squared": rep.r_squared, "sse": rep.sse, "n": rep.n_samples}
                for t, rep in fit["reports"].items()}
-    payload = {"region": args.region, "d": params.length, "delta": args.delta,
+    payload = {"region": args.region, "d": params.length, "delta": delta,
                "reports": reports}
     artifacts.write_json(out / f"fit_{args.region}.json", payload)
     print(json.dumps(payload))
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="refit region R1 or R3 from a sweep")
     common(p)
     p.add_argument("--region", default="R1", choices=[Region.R1.value, Region.R3.value])
-    p.add_argument("--delta", type=float, default=1.2)
+    p.add_argument("--delta", type=float, default=1.2, help="R1 diagonal-proximity ratio")
     p.add_argument("--grid", default="200x200")
     p.set_defaults(func=cmd_fit)
 

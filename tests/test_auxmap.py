@@ -3,6 +3,7 @@ import pytest
 
 from vipair.auxmap import (
     BoundCurves,
+    _rect_range,
     DomainBox,
     EscapedBox,
     STATEMENT_PART1,
@@ -36,11 +37,14 @@ def test_r1_plus_boxes():
         r1_plus("XX")
 
 
-def _linear_poly2d(c0, cv, cp):
+def _terms_poly2d(terms):
+    """Region-1-shaped Poly2D from {(phi power, v power): coefficient}."""
     exps = tuple(poly2d_exponents(2, 3))
-    coeffs = np.zeros(len(exps))
-    coeffs[0], coeffs[1], coeffs[2] = c0, cp, cv
-    return Poly2D(exponents=exps, coeffs=coeffs)
+    return Poly2D(exponents=exps, coeffs=np.array([terms.get(e, 0.0) for e in exps]))
+
+
+def _linear_poly2d(c0, cv, cp):
+    return _terms_poly2d({(0, 0): c0, (0, 1): cv, (1, 0): cp})
 
 
 def test_bound_curves_orientation_and_domination(table):
@@ -232,3 +236,123 @@ def test_domain_box_validation():
     assert box.contains(0.7, 0.2)
     assert not box.contains(0.95, 0.2)
     assert box.widths == (pytest.approx(0.4), pytest.approx(0.3))
+
+
+# Closed-form ranges and envelopes against dense brute force
+
+BRUTE = 801
+UNDER_COVER = 1e-12
+
+
+def _assert_covers(poly, box):
+    """The range and all four envelopes on box never under-cover a BRUTE x
+    BRUTE evaluation, and the range's extremes are attained inside the box
+    (so it is no wider than the true range); returns their locations."""
+    vs = np.linspace(box.v_min, box.v_max, BRUTE)
+    ps = np.linspace(box.phi_min, box.phi_max, BRUTE)
+    vals = poly(vs[:, None], ps[None, :])
+    lo, hi, arg_lo, arg_hi = _rect_range(poly, (box.v_min, box.v_max),
+                                         (box.phi_min, box.phi_max))
+    assert lo <= vals.min() + UNDER_COVER and hi >= vals.max() - UNDER_COVER
+    for (v, phi), val in ((arg_lo, lo), (arg_hi, hi)):
+        assert box.contains(v, phi) and poly(v, phi) == pytest.approx(val, abs=1e-12)
+    curves = BoundCurves(box=box, d=0.3, f1=poly, g1=poly)
+    assert np.all(curves.xi_u(vs) >= vals.max(axis=1) - UNDER_COVER)
+    assert np.all(curves.xi_l(vs) <= vals.min(axis=1) + UNDER_COVER)
+    assert np.all(curves.eta_u(ps) >= vals.max(axis=0) - UNDER_COVER)
+    assert np.all(curves.eta_l(ps) <= vals.min(axis=0) + UNDER_COVER)
+    return arg_lo, arg_hi
+
+
+@pytest.mark.parametrize("d", [0.35, 0.30, 0.26])
+def test_ranges_never_under_cover_r1_maps(table, d):
+    maps = table.coeffs_for(Region.R1, d)
+    rng = np.random.default_rng(int(d * 1000))
+    for _ in range(20):
+        v_lo, v_hi = np.sort(rng.uniform(0.3, 1.3, 2))
+        p_lo, p_hi = np.sort(rng.uniform(0.0, 1.8, 2))
+        box = DomainBox(v_lo, v_hi, p_lo, p_hi)
+        _assert_covers(maps["v"], box)
+        _assert_covers(maps["phi"], box)
+
+
+def test_ranges_never_under_cover_each_candidate_branch():
+    # concave bump: interior critical point at (0.5, 0.4), and a phi-vertex
+    # inside the box for every v
+    bump = _terms_poly2d({(0, 1): 1.0, (0, 2): -1.0, (1, 0): 0.8, (2, 0): -1.0,
+                          (1, 1): 0.05, (0, 3): 0.02})
+    box = DomainBox(0.0, 1.0, 0.0, 1.0)
+    _, arg_hi = _assert_covers(bump, box)
+    assert 0.0 < arg_hi[0] < 1.0 and 0.0 < arg_hi[1] < 1.0
+    curves = BoundCurves(box=box, d=0.3, f1=bump, g1=bump)
+    assert curves.xi_u(0.5) > max(bump(0.5, 0.0), bump(0.5, 1.0)) + 0.1
+    # A == 0: linear in phi, saddle-only interior
+    linear_phi = _terms_poly2d({(0, 3): 1.0, (0, 1): -1.0, (1, 1): 0.5, (1, 0): -0.2})
+    # convex in v along the phi-edges: edge critical points
+    cubic_edges = _terms_poly2d({(0, 3): -2.0, (0, 2): 3.0, (2, 0): 0.7, (2, 1): -0.4,
+                                 (1, 2): 0.3})
+    rng = np.random.default_rng(11)
+    for poly in (bump, linear_phi, cubic_edges):
+        for _ in range(5):
+            v_lo, v_hi = np.sort(rng.uniform(-0.5, 1.5, 2))
+            p_lo, p_hi = np.sort(rng.uniform(-0.5, 1.5, 2))
+            _assert_covers(poly, DomainBox(v_lo, v_hi, p_lo, p_hi))
+        # zero-width boxes: a phase segment, a velocity segment and a point
+        for box in (DomainBox(0.7, 1.0, 0.4, 0.4), DomainBox(0.45, 0.45, 0.0, 1.0),
+                    DomainBox(0.3, 0.3, 0.6, 0.6)):
+            _assert_covers(poly, box)
+
+
+def test_rect_range_rejects_other_shapes():
+    exps = tuple(poly2d_exponents(3, 3))
+    with pytest.raises(ValueError):
+        _rect_range(Poly2D(exponents=exps, coeffs=np.ones(len(exps))),
+                    (0.0, 1.0), (0.0, 1.0))
+
+
+# iterate_updates with the sampled envelopes (201 x 1001 grids) this module
+# replaced; the closed-form boxes differ from them by the sampling error only
+SAMPLED_BOXES = {
+    "FP": [
+        (0.70, 1.0, 0.20, PI / 3),
+        (0.770697159997028, 0.9018702781812507, 0.32580693210306055, 0.6627194214008811),
+        (0.7793960164281102, 0.865077017381017, 0.33083465561055636, 0.4703162632071143),
+        (0.8061136879368521, 0.8523111962794097, 0.3334665403785104, 0.45124703370559516),
+        (0.8101150420537764, 0.8499643354645058, 0.34216328085601866, 0.403040892899591),
+        (0.8214726782528796, 0.8430923346870369, 0.3441491355054853, 0.3966990559360841),
+        (0.8231652109297952, 0.8419246431989083, 0.35161812475869025, 0.37972964889430294),
+        (0.82805111798101, 0.8382000779965464, 0.35300694593457793, 0.37734009361920506),
+        (0.8287899837462958, 0.8375852081267191, 0.35754867467980356, 0.3706372750778808),
+        (0.8309506419249357, 0.8356935386403543, 0.3583134787338569, 0.3696486870819413),
+        (0.831281778812185, 0.835390377845313, 0.3606894181596396, 0.3667929574772013),
+    ],
+    "PD": [
+        (0.65, 1.0, 0.13, PI / 3),
+        (0.6050860418998947, 1.248002193615724, 0.21179528367665812, 1.7315782607337908),
+    ],
+    "CD": [
+        (0.64, 1.0, 0.08, PI / 3),
+        (0.3466540867725325, 2.0000468023796962, 0.11743908492815125, 5.0420865388782605),
+    ],
+}
+SAMPLED_FP_CYCLE = (0.8312817788133622, 0.8353903778439946, 0.3606894185925231,
+                    0.36679295696346914, 0.16836506134067264, 0.24385855490471897)
+
+
+@pytest.mark.filterwarnings("ignore::vipair.auxmap.EscapedBox")
+@pytest.mark.parametrize("case", ["FP", "PD", "CD"])
+def test_update_sequence_matches_sampled_boxes(table, case):
+    rep = iterate_updates(case, table=table)
+    old = SAMPLED_BOXES[case]
+    assert len(rep.boxes) == len(old)
+    for k, (box, want) in enumerate(zip(rep.boxes, old)):
+        tol = 2e-6 if case == "CD" and k == len(old) - 1 else 5e-7
+        assert np.allclose(box.as_tuple(), want, rtol=0.0, atol=tol)
+    if case == "FP":
+        assert rep.statement_case == STATEMENT_PART1 and not rep.escaped
+        cycle = (rep.two_cycle.p_v, rep.two_cycle.q_v, rep.two_cycle.p_phi,
+                 rep.two_cycle.q_phi, rep.two_cycle.slope_v, rep.two_cycle.slope_phi)
+        assert all(type(x) is float for x in cycle)
+        assert np.allclose(cycle, SAMPLED_FP_CYCLE, rtol=0.0, atol=1e-8)
+    else:
+        assert rep.statement_case == STATEMENT_PART2 and rep.escaped

@@ -102,6 +102,18 @@ def test_cli_rank_deficient_fit_is_machine_readable(tmp_path, capsys):
     assert "coefficients" in err["message"]
 
 
+def test_cli_fit_r3_ignores_r1_delta(tmp_path, capsys):
+    # the R1 diagonal-proximity filter would keep 3 of ~5,600 R3 samples
+    rc = run_command(["fit", "--region", "R3", "--d", "0.35", "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["delta"] is None
+    assert set(payload["reports"]) == {"v", "phi"}
+    for rep in payload["reports"].values():
+        assert 0.0 < rep["r_squared"] <= 1.0 and rep["n"] > 1000
+    assert json.loads((tmp_path / "fit_R3.json").read_text()) == payload
+
+
 def test_cli_fit_rejects_separable_regions(capsys):
     with pytest.raises(SystemExit) as exc:
         run_command(["fit", "--region", "R2"])
