@@ -14,17 +14,21 @@ envelopes and the WCS ranges are exact closed forms: each extremum is the
 best of a short list of candidate points (box corners, edge critical points
 and interior critical points; Garloff 1986, Moore, Kearfott & Cloud 2009).
 They enclose the fitted polynomial maps up to floating-point rounding, not
-the exact dynamics.
+the exact dynamics.  The per-curve invariants (coefficient grid, interior
+critical points, and the edge data of the box's own edges) are computed once
+per box; each WCS step only clips and filters them and builds its candidates
+in Python floats, with the operations of numpy.polynomial.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composite import CoeffTable, Poly1D, Poly2D, Region, load_table
+from .composite import CoeffTable, Poly1D, Poly2D, Region, horner, load_table
 from .fitting import compose
 
 PI = np.pi
@@ -102,35 +106,81 @@ def _coeff_grid(poly: Poly2D) -> np.ndarray:
     return grid
 
 
-def _phi_candidates(grid: np.ndarray, v, lo: float, hi: float) -> np.ndarray:
-    """Phases in [lo, hi] where f(v, .) = A phi^2 + B phi + C can be extreme,
-    stacked on axis 0: both ends and the vertex -B/2A.  The vertex is clipped
-    into [lo, hi], so one outside repeats an end."""
-    P = np.polynomial.polynomial
-    c, b, a = (P.polyval(v, row) for row in grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = np.clip(np.nan_to_num(-b / (2.0 * a), nan=lo), lo, hi)
-    return np.stack(np.broadcast_arrays(lo, hi, vertex))
+def _clipped_ratio(num: float, den: float, lo: float, hi: float) -> float:
+    """np.clip(np.nan_to_num(num / den, nan=lo), lo, hi) for floats and a
+    finite [lo, hi]: a zero divisor gives +-inf or nan as in numpy, nan
+    becomes lo and +-inf clips to an end."""
+    if den == 0.0:
+        x = math.nan if num == 0.0 or num != num else \
+            math.copysign(math.inf, num) * math.copysign(1.0, den)
+    else:
+        x = num / den
+    return lo if x != x else min(max(x, lo), hi)
 
 
-def _v_candidates(grid: np.ndarray, phi, lo: float, hi: float) -> np.ndarray:
-    """Velocities in [lo, hi] where the cubic f(., phi) can be extreme,
-    stacked on axis 0: both ends and the two roots of the quadratic
-    derivative, in the cancellation-free form and clipped into [lo, hi].
-    Complex pairs and degenerate cases give some point of [lo, hi], which
-    cannot widen a range."""
-    P = np.polynomial.polynomial
-    _, c1, c2, c3 = (P.polyval(phi, col) for col in grid.T)
-    qa, qb = 3.0 * c3, 2.0 * c2
-    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * c1, 0.0)), qb))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = (np.clip(np.nan_to_num(r, nan=lo), lo, hi) for r in (q / qa, c1 / q))
-        return np.stack(np.broadcast_arrays(lo, hi, *roots))
+class _Curve:
+    """Invariants of one region-1-shaped map for exact ranges and envelopes.
+
+    Holds the coefficient grid, the interior critical points (v, phi*) with
+    N(v) = 0 and A(v) != 0 (see _rect_range), and the edge data at the
+    velocities v_edges and phases phi_edges, which are a box's own edges and
+    recur on every WCS step.  Per point everything is Python-float arithmetic
+    in the operations and order of numpy.polynomial.polyval, np.clip and
+    np.nan_to_num, so each candidate equals its vectorised counterpart.
+    """
+
+    def __init__(self, poly: Poly2D, v_edges, phi_edges):
+        P = np.polynomial.polynomial
+        self.poly = poly
+        self.grid = _coeff_grid(poly)
+        self._rows = self.grid.tolist()        # coefficients in v of phi^0, phi^1, phi^2
+        self._cols = self.grid.T.tolist()      # coefficients in phi of v^0 .. v^3
+        c, b, a = self.grid
+        n = P.polyadd(P.polysub(4.0 * P.polymul(P.polymul(a, a), P.polyder(c)),
+                                2.0 * P.polymul(P.polymul(a, b), P.polyder(b))),
+                      P.polymul(P.polyder(a), P.polymul(b, b)))
+        # nearly real complex pairs count as real: an extra candidate cannot
+        # widen the range, a missed one could shrink it
+        roots = P.polyroots(n)
+        roots = roots.real[np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots))]
+        a_v = P.polyval(roots, a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_star = -P.polyval(roots, b) / (2.0 * a_v)
+        keep = a_v != 0.0
+        self.interior = list(zip(roots[keep].tolist(), phi_star[keep].tolist()))
+        self._at_v = {float(x): self._vertex_ratio(float(x)) for x in v_edges}
+        self._at_phi = {float(x): self._root_ratios(float(x)) for x in phi_edges}
+
+    def _vertex_ratio(self, v: float):
+        """(-B, 2A) of f(v, .) = A phi^2 + B phi + C."""
+        b, a = (horner(row, v) for row in self._rows[1:])
+        return -b, 2.0 * a
+
+    def _root_ratios(self, phi: float):
+        """The two roots of the quadratic derivative of the cubic f(., phi), as
+        (numerator, divisor) pairs in the cancellation-free form."""
+        c1, c2, c3 = (horner(col, phi) for col in self._cols[1:])
+        qa, qb = 3.0 * c3, 2.0 * c2
+        q = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb - 4.0 * qa * c1, 0.0)), qb))
+        return (q, qa), (c1, q)
+
+    def phi_vertex(self, v: float, lo: float, hi: float) -> float:
+        """The vertex -B/2A of f(v, .), clipped into [lo, hi]; where there is
+        none it gives some point of [lo, hi], which cannot widen a range."""
+        ratio = self._at_v.get(v) or self._vertex_ratio(v)
+        return _clipped_ratio(*ratio, lo, hi)
+
+    def v_roots(self, phi: float, lo: float, hi: float) -> tuple[float, float]:
+        """Both critical points of the cubic f(., phi), clipped into [lo, hi];
+        complex pairs and degenerate cases give some point of [lo, hi]."""
+        r1, r2 = self._at_phi.get(phi) or self._root_ratios(phi)
+        return _clipped_ratio(*r1, lo, hi), _clipped_ratio(*r2, lo, hi)
 
 
-def _rect_range(poly: Poly2D, v_range, phi_range):
+def _rect_range(poly, v_range, phi_range):
     """Exact range of a region-1-shaped map over a rectangle.
 
+    poly is a Poly2D, or its _Curve when many rectangles share edges.
     Returns (min, max, (v, phi) at the min, (v, phi) at the max).  The
     extremes are taken over the 4 corners, the critical points of the four
     edges (cubic in v along phi = const, quadratic in phi along v = const)
@@ -138,34 +188,32 @@ def _rect_range(poly: Poly2D, v_range, phi_range):
     those lie at phi* = -B/(2A) with N(v) = 4A^2 C' - 2ABB' + A'B^2 = 0.
     Where A(v) = 0 an interior extremum extends along the whole line v = const
     and so also lies on a phi-edge.  Ties go to the earliest candidate, the
-    corners first and the (v_min, phi_min) corner before all others.
+    corners first and the (v_min, phi_min) corner before all others.  The
+    candidates are built in Python floats and evaluated in one Poly2D call.
     """
-    P = np.polynomial.polynomial
-    grid = _coeff_grid(poly)
-    (v0, v1), (p0, p1) = v_range, phi_range
-    along_v = _v_candidates(grid, np.array([p0, p1]), v0, v1)
-    along_phi = _phi_candidates(grid, np.array([v0, v1]), p0, p1)
-    c, b, a = grid
-    n = P.polyadd(P.polysub(4.0 * P.polymul(P.polymul(a, a), P.polyder(c)),
-                            2.0 * P.polymul(P.polymul(a, b), P.polyder(b))),
-                  P.polymul(P.polyder(a), P.polymul(b, b)))
-    # nearly real complex pairs count as real: an extra candidate cannot
-    # widen the range, a missed one could shrink it
-    roots = P.polyroots(n)
-    roots = roots.real[np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots))]
-    roots = roots[(roots >= v0) & (roots <= v1)]
-    a_v = P.polyval(roots, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_star = -P.polyval(roots, b) / (2.0 * a_v)
-    inside = (a_v != 0.0) & (phi_star >= p0) & (phi_star <= p1)
-    vs = np.concatenate([along_v.ravel(), np.broadcast_to([v0, v1], along_phi.shape).ravel(),
-                         roots[inside]])
-    ps = np.concatenate([np.broadcast_to([p0, p1], along_v.shape).ravel(), along_phi.ravel(),
-                         phi_star[inside]])
-    vals = poly(vs, ps)
+    (v0, v1), (p0, p1) = map(float, v_range), map(float, phi_range)
+    curve = poly if isinstance(poly, _Curve) else _Curve(poly, (v0, v1), (p0, p1))
+    # along phi = p0, p1: both ends, then the two edge critical points
+    (a0, b0), (a1, b1) = curve.v_roots(p0, v0, v1), curve.v_roots(p1, v0, v1)
+    vs = [v0, v0, v1, v1, a0, a1, b0, b1]
+    ps = [p0, p1] * 4
+    # along v = v0, v1: both ends, then the vertex
+    vs += [v0, v1] * 3
+    ps += [p0, p0, p1, p1, curve.phi_vertex(v0, p0, p1), curve.phi_vertex(v1, p0, p1)]
+    for v, phi in curve.interior:
+        if v0 <= v <= v1 and p0 <= phi <= p1:
+            vs.append(v)
+            ps.append(phi)
+    vals = curve.poly(np.array(vs), np.array(ps))
     lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
-    return (float(vals[lo]), float(vals[hi]),
-            (float(vs[lo]), float(ps[lo])), (float(vs[hi]), float(ps[hi])))
+    return float(vals[lo]), float(vals[hi]), (vs[lo], ps[lo]), (vs[hi], ps[hi])
+
+
+def _stacked(lo: float, hi: float, per_point, k: int, shape) -> np.ndarray:
+    """lo, hi and the k candidates of each point (a k-tuple per point, in C
+    order) stacked on axis 0 over the points' shape."""
+    extra = np.array(per_point, dtype=float).reshape(-1, k).T.reshape((k,) + shape)
+    return np.stack(np.broadcast_arrays(lo, hi, *extra))
 
 
 def _envelope(vals, upper: bool):
@@ -194,14 +242,15 @@ class BoundCurves:
 
     def __post_init__(self):
         P = np.polynomial.polynomial
-        self._f_grid = _coeff_grid(self.f1)
-        self._g_grid = _coeff_grid(self.g1)
-        gap = P.polysub(P.polyval(self.box.phi_min, self._f_grid),
-                        P.polyval(self.box.phi_max, self._f_grid))
+        box = self.box
+        v_edges, phi_edges = (box.v_min, box.v_max), (box.phi_min, box.phi_max)
+        self._f = _Curve(self.f1, v_edges, phi_edges)
+        self._g = _Curve(self.g1, v_edges, phi_edges)
+        gap = P.polysub(P.polyval(box.phi_min, self._f.grid),
+                        P.polyval(box.phi_max, self._f.grid))
         real = P.polyroots(gap)
         real = real.real[real.imag == 0.0]
-        self.crossing_detected = bool(np.any((real > self.box.v_min)
-                                             & (real < self.box.v_max)))
+        self.crossing_detected = bool(np.any((real > box.v_min) & (real < box.v_max)))
 
     def xi_u(self, v):
         return self._xi(v, upper=True)
@@ -211,8 +260,9 @@ class BoundCurves:
 
     def _xi(self, v, upper: bool):
         v = np.asarray(v, dtype=float)
-        phis = _phi_candidates(self._f_grid, v, self.box.phi_min, self.box.phi_max)
-        return _envelope(self.f1(v, phis), upper)
+        lo, hi = self.box.phi_min, self.box.phi_max
+        vertices = [(self._f.phi_vertex(x, lo, hi),) for x in v.ravel().tolist()]
+        return _envelope(self.f1(v, _stacked(lo, hi, vertices, 1, v.shape)), upper)
 
     def eta_u(self, phi):
         return self._eta(phi, upper=True)
@@ -222,8 +272,9 @@ class BoundCurves:
 
     def _eta(self, phi, upper: bool):
         phi = np.asarray(phi, dtype=float)
-        vs = _v_candidates(self._g_grid, phi, self.box.v_min, self.box.v_max)
-        return _envelope(self.g1(vs, phi), upper)
+        lo, hi = self.box.v_min, self.box.v_max
+        roots = [self._g.v_roots(x, lo, hi) for x in phi.ravel().tolist()]
+        return _envelope(self.g1(_stacked(lo, hi, roots, 2, phi.shape), phi), upper)
 
 
 def build_bound_curves(box: DomainBox, d: float, table: CoeffTable | None = None) -> BoundCurves:
@@ -270,8 +321,8 @@ def wcs_step(curves: BoundCurves, interval_v, interval_phi) -> WcsRecord:
     box = curves.box
     iv = _clip_to(interval_v, box.v_min, box.v_max)
     ip = _clip_to(interval_phi, box.phi_min, box.phi_max)
-    v_lo, v_hi, arg_l, arg_u = _rect_range(curves.f1, iv, (box.phi_min, box.phi_max))
-    p_lo, p_hi, parg_l, parg_u = _rect_range(curves.g1, (box.v_min, box.v_max), ip)
+    v_lo, v_hi, arg_l, arg_u = _rect_range(curves._f, iv, (box.phi_min, box.phi_max))
+    p_lo, p_hi, parg_l, parg_u = _rect_range(curves._g, (box.v_min, box.v_max), ip)
     return WcsRecord(interval_v=(v_lo, v_hi), interval_phi=(p_lo, p_hi),
                      argmax_xi_u=arg_u[0], argmin_xi_l=arg_l[0],
                      argmax_eta_u=parg_u[1], argmin_eta_l=parg_l[1])

@@ -120,7 +120,7 @@ def cmd_fit(args) -> int:
 def cmd_composite(args) -> int:
     out = _outdir(args)
     table = load_table(args.table)
-    cmap = CompositeMap(table=table, d=args.d)
+    cmap = CompositeMap(table=table, d=_params(args).length)
     v, phi, regions = cmap.iterate(args.v0, args.phi0, args.steps)
     artifacts.write_trajectory_csv(out / "composite_trajectory.csv", v, phi, regions)
     print(f"{'k':>4} {'v':>12} {'phi':>12}  region")
@@ -149,13 +149,16 @@ def cmd_bifurcation(args) -> int:
 def cmd_compare(args) -> int:
     out = _outdir(args)
     ics = [(args.v0, args.phi0)]
-    records = analysis.compare_exact_vs_composite(ics, args.d, table=load_table(args.table))
+    params = _params(args)
+    d = params.length
+    records = analysis.compare_exact_vs_composite(ics, d, base=params,
+                                                  table=load_table(args.table))
     path = artifacts.write_comparison_csv(out / "comparison.csv", records)
     artifacts.write_plot_script(out / "comparison.gp", path.name,
-                                title=f"exact vs composite trajectories d={args.d}",
+                                title=f"exact vs composite trajectories d={d}",
                                 columns=(5, 6), xlabel="v_k", ylabel="phi_k")
     artifacts.write_json(out / "comparison_meta.json",
-                         _run_metadata(args, initial_conditions=ics))
+                         _run_metadata(args, d=d, initial_conditions=ics))
     print(json.dumps({"written": str(path),
                       "tail_distances": [r.tail_distance for r in records]}))
     return 0

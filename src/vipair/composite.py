@@ -59,9 +59,35 @@ def region_of(v: float, phi: float) -> Region:
     return Region.R3
 
 
+def horner(coeffs, x: float) -> float:
+    """numpy.polynomial.polynomial.polyval(x, coeffs) for a float x: the same
+    operations in the same order, in Python floats (coefficients ascending)."""
+    out = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * x
+    return out
+
+
+def _powers(x: np.ndarray, exponents, scalar: bool) -> dict:
+    """x**e for each distinct exponent e, by ndarray ``**``; Python floats
+    for a 0-d x, where x**0 = 1 and x**1 = x are taken as they are."""
+    if not scalar:
+        return {e: x**e for e in exponents}
+    f = float(x)
+    return {e: 1.0 if e == 0 else f if e == 1 else float(x**e) for e in exponents}
+
+
 @dataclass(frozen=True)
 class Poly2D:
-    """Bivariate polynomial sum(c * phi^i * v^j) over fixed exponent pairs."""
+    """Bivariate polynomial sum(c * phi^i * v^j) over fixed exponent pairs.
+
+    Each distinct power is taken once per call, with ndarray ``**`` for 0-d
+    and n-d input alike (a 0-d call takes x**0 = 1 and x**1 = x as they are).
+    A 0-d call then sums the terms in Python floats, in term order, and equals
+    the same point of an array call bit for bit.  That rests on the powers: a
+    0-d ndarray ``**`` matches the array loop, while Python ``float ** i`` and
+    ``np.float64 ** i`` round differently from it on some inputs for i >= 2.
+    """
 
     exponents: tuple[tuple[int, int], ...]
     coeffs: np.ndarray
@@ -69,11 +95,17 @@ class Poly2D:
     def __call__(self, v, phi):
         v = np.asarray(v, dtype=float)
         phi = np.asarray(phi, dtype=float)
+        scalar = v.ndim == 0 and phi.ndim == 0
+        phi_pow = _powers(phi, {i for i, _ in self.exponents}, scalar)
+        v_pow = _powers(v, {j for _, j in self.exponents}, scalar)
+        if scalar:
+            total = 0.0
+            for (i, j), c in zip(self.exponents, self.coeffs.tolist()):
+                total += c * phi_pow[i] * v_pow[j]
+            return total
         out = np.zeros(np.broadcast(v, phi).shape)
         for (i, j), c in zip(self.exponents, self.coeffs):
-            out += c * phi**i * v**j
-        if out.ndim == 0:
-            return float(out)
+            out += c * phi_pow[i] * v_pow[j]
         return out
 
     def partial_phi(self, phi0: float) -> "Poly1D":
@@ -101,12 +133,11 @@ class Poly1D:
     absolute: bool = False
 
     def __call__(self, x):
-        val = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
-        if self.absolute:
-            val = np.abs(val)
         if np.ndim(x) == 0:
-            return float(val)
-        return val
+            val = horner(self.coeffs.tolist(), float(x))
+        else:
+            val = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
+        return abs(val) if self.absolute else val
 
     def derivative(self) -> "Poly1D":
         if self.absolute:

@@ -3,6 +3,8 @@ import pytest
 
 from vipair.auxmap import (
     BoundCurves,
+    _Curve,
+    _coeff_grid,
     _rect_range,
     DomainBox,
     EscapedBox,
@@ -356,3 +358,145 @@ def test_update_sequence_matches_sampled_boxes(table, case):
         assert np.allclose(cycle, SAMPLED_FP_CYCLE, rtol=0.0, atol=1e-8)
     else:
         assert rep.statement_case == STATEMENT_PART2 and rep.escaped
+
+
+# Frozen reference: the numpy.polynomial candidate helpers, range and
+# envelopes that preceded the Python-float candidates, kept verbatim apart
+# from evaluating the map through _old_poly2d (the term loop of that time).
+# The production code must return bit-identical results.
+
+def _old_poly2d(poly, v, phi):
+    v = np.asarray(v, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    out = np.zeros(np.broadcast(v, phi).shape)
+    for (i, j), c in zip(poly.exponents, poly.coeffs):
+        out += c * phi**i * v**j
+    return out
+
+
+def _old_phi_candidates(grid, v, lo, hi):
+    P = np.polynomial.polynomial
+    c, b, a = (P.polyval(v, row) for row in grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.clip(np.nan_to_num(-b / (2.0 * a), nan=lo), lo, hi)
+    return np.stack(np.broadcast_arrays(lo, hi, vertex))
+
+
+def _old_v_candidates(grid, phi, lo, hi):
+    P = np.polynomial.polynomial
+    _, c1, c2, c3 = (P.polyval(phi, col) for col in grid.T)
+    qa, qb = 3.0 * c3, 2.0 * c2
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * c1, 0.0)), qb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = (np.clip(np.nan_to_num(r, nan=lo), lo, hi) for r in (q / qa, c1 / q))
+        return np.stack(np.broadcast_arrays(lo, hi, *roots))
+
+
+def _old_rect_range(poly, v_range, phi_range):
+    P = np.polynomial.polynomial
+    grid = _coeff_grid(poly)
+    (v0, v1), (p0, p1) = v_range, phi_range
+    along_v = _old_v_candidates(grid, np.array([p0, p1]), v0, v1)
+    along_phi = _old_phi_candidates(grid, np.array([v0, v1]), p0, p1)
+    c, b, a = grid
+    n = P.polyadd(P.polysub(4.0 * P.polymul(P.polymul(a, a), P.polyder(c)),
+                            2.0 * P.polymul(P.polymul(a, b), P.polyder(b))),
+                  P.polymul(P.polyder(a), P.polymul(b, b)))
+    roots = P.polyroots(n)
+    roots = roots.real[np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots))]
+    roots = roots[(roots >= v0) & (roots <= v1)]
+    a_v = P.polyval(roots, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_star = -P.polyval(roots, b) / (2.0 * a_v)
+    inside = (a_v != 0.0) & (phi_star >= p0) & (phi_star <= p1)
+    vs = np.concatenate([along_v.ravel(), np.broadcast_to([v0, v1], along_phi.shape).ravel(),
+                         roots[inside]])
+    ps = np.concatenate([np.broadcast_to([p0, p1], along_v.shape).ravel(), along_phi.ravel(),
+                         phi_star[inside]])
+    vals = _old_poly2d(poly, vs, ps)
+    lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+    return (float(vals[lo]), float(vals[hi]),
+            (float(vs[lo]), float(ps[lo])), (float(vs[hi]), float(ps[hi])))
+
+
+def _old_envelopes(poly, box, vs, ps):
+    """(xi_u, xi_l, eta_u, eta_l) at the velocities vs and phases ps."""
+    grid = _coeff_grid(poly)
+    fx = _old_poly2d(poly, vs, _old_phi_candidates(grid, vs, box.phi_min, box.phi_max))
+    gy = _old_poly2d(poly, _old_v_candidates(grid, ps, box.v_min, box.v_max), ps)
+    return fx.max(axis=0), fx.min(axis=0), gy.max(axis=0), gy.min(axis=0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_same_as_frozen(poly, box, rng):
+    v_range, phi_range = (box.v_min, box.v_max), (box.phi_min, box.phi_max)
+    # every edge candidate, bit for bit (signed zeros included), at the box's
+    # edges, at sampled points and at v = 0 / phi = 0, where linear maps give
+    # 0/0 and x/0 divisions
+    curve = _Curve(poly, v_range, phi_range)
+    vs = np.concatenate([[box.v_min, box.v_max, 0.0], rng.uniform(*v_range, 10)])
+    ps = np.concatenate([[box.phi_min, box.phi_max, 0.0], rng.uniform(*phi_range, 10)])
+    for v in vs:
+        old = _old_phi_candidates(curve.grid, v, *phi_range)[2]
+        assert _bits(curve.phi_vertex(float(v), *phi_range)) == _bits(old)
+    for phi in ps:
+        old = _old_v_candidates(curve.grid, phi, *v_range)[2:]
+        assert _bits(curve.v_roots(float(phi), *v_range)) == _bits(old)
+    want = _old_rect_range(poly, v_range, phi_range)
+    assert _rect_range(poly, v_range, phi_range) == want
+    # through the per-box invariants, as wcs_step calls it: sub-intervals of
+    # one coordinate against the box's full other interval
+    assert _rect_range(curve, v_range, phi_range) == want
+    sub_v = tuple(np.sort(rng.uniform(*v_range, 2)))
+    sub_phi = tuple(np.sort(rng.uniform(*phi_range, 2)))
+    assert _rect_range(curve, sub_v, phi_range) == _old_rect_range(poly, sub_v, phi_range)
+    assert _rect_range(curve, v_range, sub_phi) == _old_rect_range(poly, v_range, sub_phi)
+    curves = BoundCurves(box=box, d=0.3, f1=poly, g1=poly)
+    vs = np.concatenate([[box.v_min, box.v_max], rng.uniform(*v_range, 30)])
+    ps = np.concatenate([[box.phi_min, box.phi_max], rng.uniform(*phi_range, 30)])
+    got = (curves.xi_u(vs), curves.xi_l(vs), curves.eta_u(ps), curves.eta_l(ps))
+    for new, old in zip(got, _old_envelopes(poly, box, vs, ps)):
+        assert np.array_equal(new, old, equal_nan=True)
+    for k in (0, 5):   # a scalar is a float equal to the array's element
+        got = (curves.xi_u(vs[k]), curves.xi_l(vs[k]), curves.eta_u(ps[k]), curves.eta_l(ps[k]))
+        old = _old_envelopes(poly, box, vs[k:k + 1], ps[k:k + 1])
+        assert all(type(x) is float for x in got)
+        assert got == tuple(float(x[0]) for x in old)
+
+
+def test_ranges_match_frozen_numpy_polynomial_code(table):
+    rng = np.random.default_rng(2024)
+    polys = []
+    for d in (0.26, 0.30, 0.35):
+        maps = table.coeffs_for(Region.R1, d)
+        polys += [maps["v"], maps["phi"]]
+    for poly in polys:
+        for _ in range(15):
+            v_lo, v_hi = np.sort(rng.uniform(0.3, 1.3, 2))
+            p_lo, p_hi = np.sort(rng.uniform(0.0, 1.8, 2))
+            _assert_same_as_frozen(poly, DomainBox(v_lo, v_hi, p_lo, p_hi), rng)
+    # the synthetic maps of test_ranges_never_under_cover_each_candidate_branch
+    # (interior extremum, A == 0, cubic edges), and linear maps, whose zero
+    # divisors reach the nan and +-inf branches of the clip
+    synthetic = [
+        _terms_poly2d({(0, 1): 1.0, (0, 2): -1.0, (1, 0): 0.8, (2, 0): -1.0,
+                       (1, 1): 0.05, (0, 3): 0.02}),
+        _terms_poly2d({(0, 3): 1.0, (0, 1): -1.0, (1, 1): 0.5, (1, 0): -0.2}),
+        _terms_poly2d({(0, 3): -2.0, (0, 2): 3.0, (2, 0): 0.7, (2, 1): -0.4, (1, 2): 0.3}),
+        _linear_poly2d(0.5, 0.3, -0.2),
+        _linear_poly2d(0.5, 0.0, -0.2),
+        _linear_poly2d(0.0, 0.0, 0.0),
+    ]
+    for poly in synthetic:
+        for _ in range(10):
+            v_lo, v_hi = np.sort(rng.uniform(-0.5, 1.5, 2))
+            p_lo, p_hi = np.sort(rng.uniform(-0.5, 1.5, 2))
+            _assert_same_as_frozen(poly, DomainBox(v_lo, v_hi, p_lo, p_hi), rng)
+    # zero-width boxes: a phase segment, a velocity segment and a point
+    for poly in polys + synthetic:
+        for box in (DomainBox(0.7, 1.0, 0.4, 0.4), DomainBox(0.45, 0.45, 0.0, 1.0),
+                    DomainBox(0.3, 0.3, 0.6, 0.6)):
+            _assert_same_as_frozen(poly, box, rng)

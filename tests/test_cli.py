@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +88,38 @@ def test_cli_aux_domain(tmp_path, capsys):
     assert len(report["boxes"]) == 11
 
 
+def _baseline_config(tmp_path, d):
+    """A config file with the baseline parameters of `--d d`."""
+    p = baseline_params(d)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"nondimensional": {
+        "restitution": p.restitution, "length": p.length,
+        "gravity_term": p.gravity_term, "general_phase": p.general_phase}}))
+    return str(path)
+
+
+def test_cli_composite_reads_config(tmp_path, capsys):
+    argv = ["composite", "--v0", "0.8", "--phi0", "0.35", "--out", str(tmp_path)]
+    outputs = []
+    for extra in (["--config", _baseline_config(tmp_path, 0.30)], ["--d", "0.30"], []):
+        assert run_command(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
+def test_cli_compare_reads_config(tmp_path, capsys):
+    runs = []
+    for sub, extra in (("cfg", ["--config", _baseline_config(tmp_path, 0.30)]),
+                       ("d", ["--d", "0.30"])):
+        assert run_command(["compare", "--out", str(tmp_path / sub)] + extra) == 0
+        runs.append(json.loads(capsys.readouterr().out)["tail_distances"])
+    assert runs[0] == runs[1] and runs[0][0] > 1e-3   # d = 0.35 gives 3.2e-5
+    assert ((tmp_path / "cfg" / "comparison.csv").read_bytes()
+            == (tmp_path / "d" / "comparison.csv").read_bytes())
+    meta = json.loads((tmp_path / "cfg" / "comparison_meta.json").read_text())
+    assert meta["d"] == 0.30
+
+
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     rc = run_command(["composite", "--d", "0.35", "--v0", "0.2", "--phi0", "0.1",
                       "--table", "no_such_table", "--out", str(tmp_path)])
@@ -142,3 +178,48 @@ def test_artifacts_are_reproducible(tmp_path):
             == (tmp_path / "b" / "surface.csv").read_bytes())
     assert ((tmp_path / "a" / "surface.gp").read_bytes()
             == (tmp_path / "b" / "surface.gp").read_bytes())
+
+
+# sha256 of every file `case --name FP|PD|CD --out case-<name>` writes, and of
+# its stdout, as `python scripts/artifact_digest.py` prints them
+CASE_DIGESTS = {
+    "case-CD/aux_report.json": "790b48d169139b4f54e06c35ad9a10bb88b7a8e691db6e6f7f297e3101a3e295",
+    "case-CD/stdout.txt": "62c3c17868a436bbef8af96e77d9cb4e5e463143eda4e708cf82aaf81ce566a1",
+    "case-CD/trajectory.csv": "019340a88652483f7ff8f4c9f12f34e30e1b4296b6e0a1e9a17c1c8a7755910b",
+    "case-CD/trajectory.gp": "1c4da8c4813667f2c0dc06ecb0e148e0e82aa37dff6aa4316ae222c31dc1e22e",
+    "case-CD/widths.csv": "cb3849e11b95c120b59eedb38027e851b3547149bd12f078d32cf7d076698f61",
+    "case-CD/widths.gp": "082f6bc6a9e0320c1afdc96a1dfdd1d9e6b126aec5af66ccae9277ee748b6d59",
+    "case-FP/aux_report.json": "9398c07b3d354f38d27bbfe28958e6a57dd111a2f18860d95fd4e1949e1c5964",
+    "case-FP/stdout.txt": "265c6881c8086cd816fc7cb60721312a40914fce4034fe184c17b43fc09fd080",
+    "case-FP/trajectory.csv": "66ccd8745d09ec808c8c7873173c037e187f9f2c7874138f167f3fa28e1c0463",
+    "case-FP/trajectory.gp": "f1df66fceb5a5542825c49255a6db2bf39fa12766fe4563d5ea669bb4afe382f",
+    "case-FP/widths.csv": "fd0c993261e2744a32090515be5f78e069ea6c13d387a0a9ff1e487190dabfc4",
+    "case-FP/widths.gp": "e05a19760aface584cbfd0c76a27dbc1d1157222cddfc99b737c1c906a975247",
+    "case-PD/aux_report.json": "e63d414680a1e6e15f3c13b1eacb06518383910f6dccaff3bb37408eaa3f3f74",
+    "case-PD/stdout.txt": "ed9bd885874a6f9e2ce8eb6aa284c955bd076486c40d04438c6397004f1bbc8d",
+    "case-PD/trajectory.csv": "a4d2d8db8171110a948d821db6a8f8bcbb2a3d2175563bcb92058e0509af4283",
+    "case-PD/trajectory.gp": "7a29ed17b685c13271cb34fa7b63dae7774baf046dfe13302bed7abf6c5dfc13",
+    "case-PD/widths.csv": "708846219c1ef5dbb45d1cb64b7245e59ba7c3ecfbbbf0ffb7ce81ce2b6a79e9",
+    "case-PD/widths.gp": "82e5e6031554f037342a293a788878ca0801628f119903d48a5caa2d2db345cd",
+}
+
+
+def test_case_artifacts_keep_their_bytes(tmp_path, monkeypatch):
+    """The case presets write the same bytes as the digest command set did.
+
+    Host-dependent, like the calibrated-table checksum test: the digests were
+    taken with Python 3.11.7 and numpy 2.4.6 on x86-64, and another libm or
+    numpy build may round a power or a root differently.  On a failure
+    elsewhere, compare with the digest script's output at the previous commit
+    on the same machine before suspecting the change.
+    """
+    monkeypatch.chdir(tmp_path)   # the stdout lists the relative artifact paths
+    for name in ("FP", "PD", "CD"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_command(["case", "--name", name, "--out", f"case-{name}"]) == 0
+        (tmp_path / f"case-{name}" / "stdout.txt").write_text(stdout.getvalue())
+    got = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.rglob("*") if path.is_file()}
+    assert got == CASE_DIGESTS

@@ -8,6 +8,8 @@ from vipair.composite import (
     CoeffTableError,
     CompositeMap,
     InsufficientData,
+    Poly2D,
+    REGION_SHAPES,
     Region,
     composite_step,
     detect_attractor,
@@ -151,6 +153,44 @@ def test_poly_partial_evaluation(table):
     poly_p = f1.partial_v(0.8)
     for p in (0.2, 0.4):
         assert poly_p(p) == pytest.approx(f1(0.8, p), abs=1e-12)
+
+
+def _term_loop(poly, v, phi):
+    """Poly2D evaluation as a plain term loop, each power taken per term."""
+    v = np.asarray(v, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    out = np.zeros(np.broadcast(v, phi).shape)
+    for (i, j), c in zip(poly.exponents, poly.coeffs):
+        out += c * phi**i * v**j
+    return out
+
+
+def test_scalar_call_equals_array_call(table):
+    # a 0-d call takes the Python-float path and must equal the array path
+    # bit for bit, for every region shape (R5's v-map carries |.|)
+    rng = np.random.default_rng(77)
+    v = np.concatenate([rng.uniform(-0.5, 2.0, 300), [0.0, -0.0, 1.0, -1.0, 1e3]])
+    phi = np.concatenate([rng.uniform(-0.5, 3.5, 300), [0.0, -0.0, 1.0, 1e3, -1e3]])
+    for d in (0.26, 0.30, 0.35):
+        for region in REGION_SHAPES:
+            for fmap in table.coeffs_for(region, d).values():
+                if isinstance(fmap, Poly2D):
+                    array = fmap(v, phi)
+                    assert np.array_equal(array, _term_loop(fmap, v, phi))
+                    scalar = [fmap(a, b) for a, b in zip(v.tolist(), phi.tolist())]
+                    for k in (0, 7, 300):
+                        assert fmap(v[k], phi[k]) == fmap(np.array([v[k]]),
+                                                          np.array([phi[k]]))[0]
+                else:
+                    x = v if fmap.variable == "v" else phi
+                    array = fmap(x)
+                    old = np.polynomial.polynomial.polyval(x, fmap.coeffs)
+                    assert np.array_equal(array, np.abs(old) if fmap.absolute else old)
+                    scalar = [fmap(a) for a in x.tolist()]
+                    assert fmap(x[3]) == fmap(np.array([x[3]]))[0]
+                assert all(type(s) is float for s in scalar)
+                assert np.array_equal(np.array(scalar), array)
+    assert table.coeffs_for(Region.R5, 0.35)["v"].absolute
 
 
 def test_table_serialization_roundtrip(table, tmp_path):
