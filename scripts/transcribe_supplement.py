@@ -147,7 +147,6 @@ def main():
         name="supplement",
         d_range=(0.26, 0.35),
         entries=entries,
-        abs_flags={(Region.R5, "v"): True},
         metadata={"source": "verbatim transcription of the published listings",
                   "note": ("reference only: the printed rounding loses digits "
                            "to cancellation when evaluated at a concrete d")},

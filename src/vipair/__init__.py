@@ -36,9 +36,7 @@ from .composite import (
     CompositeMap,
     CoeffTable,
     Region,
-    composite_step,
     detect_attractor,
-    iterate_composite,
     load_table,
     region_of,
 )

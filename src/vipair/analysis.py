@@ -4,19 +4,20 @@ composite trajectory comparison, and the three case presets."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import auxmap
-from .composite import (AttractorClass, CoeffTable, CompositeMap, ExtrapolationWarning,
-                        detect_attractor, load_table)
+from .composite import (TAIL_FRACTION, AttractorClass, CoeffTable, CompositeMap,
+                        ExtrapolationWarning, detect_attractor, load_table)
 from .core import NondimParams, baseline_params
 from .returnmap import ReturnClass, first_return_B
 
 SCAN_STEPS = 400
 SCAN_DISCARD = 300
 DEFAULT_SEED_STATE = (0.43, 0.26)
+CASE_START = (0.2, 0.1)    # start state of every case preset's trajectory
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,7 @@ def _iterate_exact(v0: float, phi0: float, p: NondimParams, n_steps: int):
 
 def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
                      base: NondimParams | None = None,
-                     table: CoeffTable | None = None, *,
-                     seed: tuple[float, float] = DEFAULT_SEED_STATE,
-                     n_steps: int = SCAN_STEPS, discard: int = SCAN_DISCARD
-                     ) -> list[BifurcationSample]:
+                     table: CoeffTable | None = None) -> list[BifurcationSample]:
     """Continuation scan of the exact or composite map over a d range.
 
     The attracting state at each d seeds the next one; OTHER-classified
@@ -71,22 +69,23 @@ def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
                           f"[{lo}, {hi}]; extrapolating the coefficient polynomials",
                           ExtrapolationWarning, stacklevel=2)
     samples: list[BifurcationSample] = []
-    state = seed
+    state = DEFAULT_SEED_STATE
     with warnings.catch_warnings():  # counted once above, not once per map
         warnings.simplefilter("ignore", ExtrapolationWarning)
         for d in ds:
             if kind == "exact":
                 p = base.replace(length=d)
-                v, phi, ok = _iterate_exact(state[0], state[1], p, n_steps)
+                v, phi, ok = _iterate_exact(state[0], state[1], p, SCAN_STEPS)
             else:
-                v, phi, _ = CompositeMap(table=table, d=d).iterate(state[0], state[1], n_steps)
+                v, phi, _ = CompositeMap(table=table, d=d).iterate(state[0], state[1],
+                                                                    SCAN_STEPS)
                 ok = np.isfinite(v).all() and np.isfinite(phi).all()
-            if not ok or len(v) <= discard:
+            if not ok or len(v) <= SCAN_DISCARD:
                 samples.append(BifurcationSample(d=d, tail_v=np.empty(0),
                                                  tail_phi=np.empty(0), classification=None))
-                state = seed
+                state = DEFAULT_SEED_STATE
                 continue
-            tail_v, tail_phi = v[discard:], phi[discard:]
+            tail_v, tail_phi = v[SCAN_DISCARD:], phi[SCAN_DISCARD:]
             cls = detect_attractor(v, phi)
             samples.append(BifurcationSample(d=d, tail_v=tail_v, tail_phi=tail_phi,
                                              classification=cls))
@@ -136,8 +135,7 @@ class ComparisonRecord:
 def compare_exact_vs_composite(initial_conditions, d: float,
                                base: NondimParams | None = None,
                                table: CoeffTable | None = None, *,
-                               n_steps: int = SCAN_STEPS,
-                               tail_fraction: float = 0.1) -> list[ComparisonRecord]:
+                               n_steps: int = SCAN_STEPS) -> list[ComparisonRecord]:
     """Run both maps from shared initial conditions and measure the Hausdorff
     distance between their trajectory tails."""
     base = base if base is not None else baseline_params(d)
@@ -145,7 +143,7 @@ def compare_exact_vs_composite(initial_conditions, d: float,
     table = table if table is not None else load_table()
     cmap = CompositeMap(table=table, d=d)
     records = []
-    n_tail = max(int(n_steps * tail_fraction), 2)
+    n_tail = max(int(n_steps * TAIL_FRACTION), 2)
     for (v0, phi0) in initial_conditions:
         ev, ep, _ = _iterate_exact(v0, phi0, p, n_steps)
         cv, cp, regions = cmap.iterate(v0, phi0, n_steps)
@@ -159,43 +157,25 @@ def compare_exact_vs_composite(initial_conditions, d: float,
 
 
 @dataclass
-class CasePreset:
-    name: str
-    d: float
-    n_updates: int
-    initial_condition: tuple[float, float] = (0.2, 0.1)
-
-
-CASE_PRESETS = {name: CasePreset(name=name, d=d, n_updates=auxmap.CASE_UPDATES[name])
-                for name, d in auxmap.CASE_D.items()}
-
-
-@dataclass
 class CaseResult:
-    """Bundled artifacts of one case run."""
+    """Bundled artifacts of one case run; the case name and d are the report's."""
 
-    preset: CasePreset
     trajectory_v: np.ndarray
     trajectory_phi: np.ndarray
     trajectory_regions: np.ndarray
     classification: AttractorClass
     aux_report: auxmap.UpdateReport
-    metadata: dict = field(default_factory=dict)
 
 
-def run_case_preset(case: str, table: CoeffTable | None = None, *,
-                    n_steps: int = SCAN_STEPS) -> CaseResult:
+def run_case_preset(case: str, table: CoeffTable | None = None) -> CaseResult:
     """Composite trajectory plus the full auxiliary-domain update report for
     one of the named cases (FP, PD, CD)."""
-    if case not in CASE_PRESETS:
-        raise ValueError(f"case must be one of {sorted(CASE_PRESETS)}, got {case!r}")
-    preset = CASE_PRESETS[case]
+    if case not in auxmap.CASE_D:
+        raise ValueError(f"case must be one of {sorted(auxmap.CASE_D)}, got {case!r}")
     table = table if table is not None else load_table()
-    cmap = CompositeMap(table=table, d=preset.d)
-    v, phi, regions = cmap.iterate(*preset.initial_condition, n_steps)
+    cmap = CompositeMap(table=table, d=auxmap.CASE_D[case])
+    v, phi, regions = cmap.iterate(*CASE_START, SCAN_STEPS)
     cls = detect_attractor(v, phi)
-    report = auxmap.iterate_updates(case, preset.d, preset.n_updates, table)
-    return CaseResult(preset=preset, trajectory_v=v, trajectory_phi=phi,
-                      trajectory_regions=regions, classification=cls,
-                      aux_report=report,
-                      metadata={"table": table.name, "n_steps": n_steps})
+    report = auxmap.iterate_updates(case, table=table)
+    return CaseResult(trajectory_v=v, trajectory_phi=phi, trajectory_regions=regions,
+                      classification=cls, aux_report=report)

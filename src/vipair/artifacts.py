@@ -21,12 +21,7 @@ FLOAT_FMT = "%.17g"
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    return FLOAT_FMT % x
+    return FLOAT_FMT % float(x)      # NaN prints as "nan"
 
 
 def _json_default(obj):
@@ -44,23 +39,28 @@ def write_json(path: Path, payload: dict):
     return path
 
 
-def write_surface_csv(path: Path, surface: SurfaceData):
-    """Columns: v_k, phi_k, class, v_next, phi_next, n_intermediate."""
+def _write_csv(path: Path, rows):
+    """Write rows (the header first, if any) as one CSV file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["v_k", "phi_k", "class", "v_next", "phi_next", "n_intermediate"])
-        for i in range(len(surface)):
-            ok = not np.isnan(surface.v_out[i])
-            w.writerow([
-                _fmt(surface.v_in[i]), _fmt(surface.phi_in[i]),
-                surface.klass[i].value,
-                _fmt(surface.v_out[i]) if ok else "",
-                _fmt(surface.phi_out[i]) if ok else "",
-                int(surface.n_intermediate[i]),
-            ])
+        csv.writer(fh).writerows(rows)
     return path
+
+
+def write_surface_csv(path: Path, surface: SurfaceData):
+    """Columns: v_k, phi_k, class, v_next, phi_next, n_intermediate."""
+    rows = [["v_k", "phi_k", "class", "v_next", "phi_next", "n_intermediate"]]
+    for i in range(len(surface)):
+        ok = not np.isnan(surface.v_out[i])
+        rows.append([
+            _fmt(surface.v_in[i]), _fmt(surface.phi_in[i]),
+            surface.klass[i].value,
+            _fmt(surface.v_out[i]) if ok else "",
+            _fmt(surface.phi_out[i]) if ok else "",
+            int(surface.n_intermediate[i]),
+        ])
+    return _write_csv(path, rows)
 
 
 def read_surface_csv(path: Path):
@@ -83,7 +83,9 @@ def write_surface_json(path: Path, surface: SurfaceData):
             "gravity_term": surface.params.gravity_term,
             "general_phase": surface.params.general_phase,
         },
-        "grid": surface.metadata,
+        "grid": {"n_v": surface.grid.n_v, "n_phi": surface.grid.n_phi,
+                 "v_range": list(surface.grid.v_range),
+                 "phi_range": list(surface.grid.phi_range)},
         "class_counts": {k.value: n for k, n in surface.class_counts().items()},
     }
     return write_json(path, payload)
@@ -91,60 +93,36 @@ def write_surface_json(path: Path, surface: SurfaceData):
 
 def write_partition_csv(path: Path, labels: np.ndarray):
     """Label matrix raster, one grid row per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in labels:
-            w.writerow(list(row))
-    return path
+    return _write_csv(path, labels)
 
 
 def write_trajectory_csv(path: Path, v, phi, regions):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "v", "phi", "region"])
-        for k, (a, b, r) in enumerate(zip(v, phi, regions)):
-            w.writerow([k, _fmt(a), _fmt(b), getattr(r, "value", r)])
-    return path
+    return _write_csv(path, [["k", "v", "phi", "region"]] + [
+        [k, _fmt(a), _fmt(b), r.value] for k, (a, b, r) in enumerate(zip(v, phi, regions))])
 
 
 def write_bifurcation_csv(path: Path, samples: list[BifurcationSample]):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["d", "v", "phi", "classification"])
-        for s in samples:
-            label = str(s.classification) if s.classification else "GAP"
-            if len(s.tail_v):
-                for a, b in zip(s.tail_v, s.tail_phi):
-                    w.writerow([_fmt(s.d), _fmt(a), _fmt(b), label])
-            else:
-                w.writerow([_fmt(s.d), "", "", label])
-    return path
+    rows = [["d", "v", "phi", "classification"]]
+    for s in samples:
+        label = str(s.classification) if s.classification else "GAP"
+        rows += [[_fmt(s.d), _fmt(a), _fmt(b), label] for a, b in zip(s.tail_v, s.tail_phi)]
+        if not len(s.tail_v):
+            rows.append([_fmt(s.d), "", "", label])
+    return _write_csv(path, rows)
 
 
 def write_comparison_csv(path: Path, records: list[ComparisonRecord]):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["d", "v0", "phi0", "k", "exact_v", "exact_phi",
-                    "composite_v", "composite_phi", "region", "tail_distance"])
-        for rec in records:
-            n = min(len(rec.exact_v), len(rec.composite_v))
-            for k in range(n):
-                w.writerow([
-                    _fmt(rec.d), _fmt(rec.v0), _fmt(rec.phi0), k,
-                    _fmt(rec.exact_v[k]), _fmt(rec.exact_phi[k]),
-                    _fmt(rec.composite_v[k]), _fmt(rec.composite_phi[k]),
-                    getattr(rec.composite_regions[k], "value", rec.composite_regions[k]),
-                    _fmt(rec.tail_distance),
-                ])
-    return path
+    rows = [["d", "v0", "phi0", "k", "exact_v", "exact_phi",
+             "composite_v", "composite_phi", "region", "tail_distance"]]
+    for rec in records:
+        for k in range(min(len(rec.exact_v), len(rec.composite_v))):
+            rows.append([
+                _fmt(rec.d), _fmt(rec.v0), _fmt(rec.phi0), k,
+                _fmt(rec.exact_v[k]), _fmt(rec.exact_phi[k]),
+                _fmt(rec.composite_v[k]), _fmt(rec.composite_phi[k]),
+                rec.composite_regions[k].value, _fmt(rec.tail_distance),
+            ])
+    return _write_csv(path, rows)
 
 
 def aux_report_payload(report: UpdateReport) -> dict:
@@ -174,14 +152,8 @@ def write_aux_report(path: Path, report: UpdateReport):
 
 
 def write_widths_csv(path: Path, report: UpdateReport):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["N", "v_width", "phi_width"])
-        for row in report.widths_table():
-            w.writerow([int(row[0]), _fmt(row[1]), _fmt(row[2])])
-    return path
+    return _write_csv(path, [["N", "v_width", "phi_width"]] + [
+        [int(row[0]), _fmt(row[1]), _fmt(row[2])] for row in report.widths_table()])
 
 
 def write_case_result(outdir: Path, result: CaseResult):
@@ -194,10 +166,10 @@ def write_case_result(outdir: Path, result: CaseResult):
     widths = write_widths_csv(outdir / "widths.csv", result.aux_report)
     plots = [
         write_plot_script(outdir / "trajectory.gp", traj.name,
-                          title=f"case {result.preset.name} trajectory",
+                          title=f"case {result.aux_report.case} trajectory",
                           columns=(2, 3), xlabel="v_k", ylabel="phi_k"),
         write_plot_script(outdir / "widths.gp", widths.name,
-                          title=f"case {result.preset.name} box widths",
+                          title=f"case {result.aux_report.case} box widths",
                           columns=(1, 2), xlabel="N", ylabel="width",
                           extra=["set logscale y"]),
     ]
@@ -206,7 +178,7 @@ def write_case_result(outdir: Path, result: CaseResult):
 
 def write_plot_script(path: Path, data_file: str, *, title: str,
                       columns: tuple[int, int], xlabel: str, ylabel: str,
-                      extra: list[str] | None = None, style: str = "points"):
+                      extra: list[str] | None = None):
     """A minimal gnuplot script next to its data artifact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -216,7 +188,7 @@ def write_plot_script(path: Path, data_file: str, *, title: str,
         f'set ylabel "{ylabel}"',
         "set datafile separator comma",
         *(extra or []),
-        f'plot "{data_file}" every ::1 using {columns[0]}:{columns[1]} with {style} notitle',
+        f'plot "{data_file}" every ::1 using {columns[0]}:{columns[1]} with points notitle',
     ]
     path.write_text("\n".join(lines) + "\n")
     return path

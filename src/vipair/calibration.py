@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .composite import REGION_SHAPES, CoeffTable, Region, region_of
+from .composite import REGION_SHAPES, CoeffTable, Region, region_samples
 from .core import NondimParams, baseline_params
 from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_coeff_in_d,
                       fit_poly2d_scaled, scaled_fit_2d,
@@ -29,7 +29,7 @@ from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_coeff_in_d,
                       poly2d_exponents)
 from .returnmap import GridSpec, ReturnClass, near_diagonal, sweep_surfaces, _sweep_points
 
-D_GRID_DEFAULT = np.round(np.arange(0.26, 0.35001, 0.005), 4)
+D_GRID = np.round(np.arange(0.26, 0.35001, 0.005), 4)
 R1_FIT_GRID = 72
 R1_DELTA = 1.2
 R1_MIN_SAMPLES = 160
@@ -163,10 +163,9 @@ def calibrate_r3(base: NondimParams, log=None):
     vks, pks, vns, pns = [], [], [], []
     for d in R3_POOL_D:
         surface = sweep_surfaces(R3_GRID, base.replace(length=d))
-        vk, pk, vn, pn = surface.class_samples(ReturnClass.BB)
-        in_r3 = np.array([region_of(v, p) == Region.R3 for v, p in zip(vk, pk)])
-        vks.append(vk[in_r3]); pks.append(pk[in_r3])
-        vns.append(vn[in_r3]); pns.append(pn[in_r3])
+        vk, pk, vn, pn = region_samples(surface, ReturnClass.BB, Region.R3)
+        vks.append(vk); pks.append(pk)
+        vns.append(vn); pns.append(pn)
     vk = np.concatenate(vks); pk = np.concatenate(pks)
     vn = np.concatenate(vns); pn = np.concatenate(pns)
 
@@ -209,19 +208,16 @@ def _d_poly_terms(d_grid, stable_rows, transform, exps, degree):
     return terms, err
 
 
-def build_calibrated_table(base: NondimParams | None = None, d_grid=None,
-                           log=print) -> CoeffTable:
-    """Run the full calibration and assemble the coefficient table."""
+def build_calibrated_table(base: NondimParams | None = None, log=print) -> CoeffTable:
+    """Run the full calibration over D_GRID and assemble the coefficient table."""
     base = base if base is not None else baseline_params(0.30)
-    d_grid = np.asarray(d_grid if d_grid is not None else D_GRID_DEFAULT, dtype=float)
 
     entries: dict = {}
-    abs_flags: dict = {}
     meta_fit: dict = {}
 
-    rows_b, rows_a, exps1, transform1, deltas = calibrate_r1(d_grid, base, log)
-    terms_b, err_b = _d_poly_terms(d_grid, rows_b, transform1, exps1, D_POLY_DEGREE)
-    terms_a, err_a = _d_poly_terms(d_grid, rows_a, transform1, exps1, D_POLY_DEGREE)
+    rows_b, rows_a, exps1, transform1, deltas = calibrate_r1(D_GRID, base, log)
+    terms_b, err_b = _d_poly_terms(D_GRID, rows_b, transform1, exps1, D_POLY_DEGREE)
+    terms_a, err_a = _d_poly_terms(D_GRID, rows_a, transform1, exps1, D_POLY_DEGREE)
     entries[Region.R1] = {"v": terms_b, "phi": terms_a}
     meta_fit["R1"] = {"delta": R1_DELTA, "relaxed_deltas": deltas,
                       "grid": R1_FIT_GRID, "d_poly_max_err": max(err_b, err_a)}
@@ -229,20 +225,19 @@ def build_calibrated_table(base: NondimParams | None = None, d_grid=None,
         log(f"R1 d-poly representation error: {max(err_b, err_a):.2e}")
 
     for region in (Region.R2, Region.R4, Region.R5):
-        rows_b, rows_a, t_v, t_p = calibrate_separable(region, d_grid, base, log)
+        rows_b, rows_a, t_v, t_p = calibrate_separable(region, D_GRID, base, log)
         deg_v = REGION_SHAPES[region]["v"][2]
         deg_p = REGION_SHAPES[region]["phi"][2]
         exps_v = [(0, k) for k in range(deg_v + 1)]
         exps_p = [(k, 0) for k in range(deg_p + 1)]
-        terms_v, err_v = _d_poly_terms(d_grid, rows_b, t_v, exps_v, D_POLY_DEGREE)
-        terms_p, err_p = _d_poly_terms(d_grid, rows_a, t_p, exps_p, D_POLY_DEGREE)
+        terms_v, err_v = _d_poly_terms(D_GRID, rows_b, t_v, exps_v, D_POLY_DEGREE)
+        terms_p, err_p = _d_poly_terms(D_GRID, rows_a, t_p, exps_p, D_POLY_DEGREE)
         entries[region] = {"v": terms_v, "phi": terms_p}
         rec = SEPARABLE_RECIPE[region]
         meta_fit[region.value] = {"phi_row": rec["phi_row"], "v_col": rec["v_col"],
                                   "d_poly_max_err": max(err_v, err_p)}
         if log:
             log(f"{region.value} d-poly representation error: {max(err_v, err_p):.2e}")
-    abs_flags[(Region.R5, "v")] = True
 
     cb, exps_f, ca, exps_g = calibrate_r3(base, log)
     entries[Region.R3] = {
@@ -253,12 +248,11 @@ def build_calibrated_table(base: NondimParams | None = None, d_grid=None,
 
     return CoeffTable(
         name="calibrated",
-        d_range=(float(d_grid.min()), float(d_grid.max())),
+        d_range=(float(D_GRID.min()), float(D_GRID.max())),
         entries=entries,
-        abs_flags=abs_flags,
         metadata={
             "source": "refit of the event-driven exact map",
-            "d_grid": [float(d) for d in d_grid],
+            "d_grid": [float(d) for d in D_GRID],
             "d_poly_degree": D_POLY_DEGREE,
             "recipe": meta_fit,
             "base_params": {"restitution": base.restitution,

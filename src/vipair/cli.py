@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,6 +25,11 @@ from .fitting import RankDeficientFit
 from .returnmap import GridSpec, partition_by_class, r1_filter, sweep_surfaces
 
 DEFAULT_OUT_ENV = "VIPAIR_OUT"
+
+# Relative tolerance of a run's r, gbar and psi against the table's.  README's
+# example config writes gbar = 0.2113, the baseline 0.21132... rounded to four
+# digits (1.5e-4 off); 1e-3 admits such rounding and no real parameter change.
+TABLE_PARAM_RTOL = 1e-3
 
 
 def _run_metadata(args, **extra) -> dict:
@@ -49,6 +55,19 @@ def _params(args):
     if getattr(args, "config", None):
         return load_config(args.config).params
     return baseline_params(args.d)
+
+
+def _table_params(args, table):
+    """The run's parameters, refused unless r, gbar and psi are the ones the
+    table was fitted at: its metadata's base_params, else the baseline set."""
+    params = _params(args)
+    fitted = table.metadata.get("base_params") or vars(baseline_params(params.length))
+    for key in ("restitution", "gravity_term", "general_phase"):
+        got, want = getattr(params, key), fitted[key]
+        if not math.isclose(got, want, rel_tol=TABLE_PARAM_RTOL):
+            raise ConfigError(f"{key} {got} differs from the {want} that table "
+                              f"{table.name!r} was fitted at")
+    return params
 
 
 def _grid(spec: str, v_max: float = 1.0, phi_max: float = np.pi) -> GridSpec:
@@ -120,12 +139,12 @@ def cmd_fit(args) -> int:
 def cmd_composite(args) -> int:
     out = _outdir(args)
     table = load_table(args.table)
-    cmap = CompositeMap(table=table, d=_params(args).length)
+    cmap = CompositeMap(table=table, d=_table_params(args, table).length)
     v, phi, regions = cmap.iterate(args.v0, args.phi0, args.steps)
     artifacts.write_trajectory_csv(out / "composite_trajectory.csv", v, phi, regions)
     print(f"{'k':>4} {'v':>12} {'phi':>12}  region")
     for k in range(len(v)):
-        print(f"{k:>4} {v[k]:>12.6f} {phi[k]:>12.6f}  {getattr(regions[k], 'value', regions[k])}")
+        print(f"{k:>4} {v[k]:>12.6f} {phi[k]:>12.6f}  {regions[k].value}")
     return 0
 
 
@@ -133,7 +152,7 @@ def cmd_bifurcation(args) -> int:
     out = _outdir(args)
     table = load_table(args.table) if args.kind == "composite" else None
     samples = analysis.bifurcation_scan(args.kind, args.d_from, args.d_to, args.step,
-                                        base=baseline_params(args.d_from), table=table)
+                                        table=table)
     path = artifacts.write_bifurcation_csv(out / f"bifurcation_{args.kind}.csv", samples)
     artifacts.write_plot_script(out / f"bifurcation_{args.kind}.gp", path.name,
                                 title=f"bifurcation diagram ({args.kind} map)",
@@ -149,10 +168,10 @@ def cmd_bifurcation(args) -> int:
 def cmd_compare(args) -> int:
     out = _outdir(args)
     ics = [(args.v0, args.phi0)]
-    params = _params(args)
+    table = load_table(args.table)
+    params = _table_params(args, table)
     d = params.length
-    records = analysis.compare_exact_vs_composite(ics, d, base=params,
-                                                  table=load_table(args.table))
+    records = analysis.compare_exact_vs_composite(ics, d, base=params, table=table)
     path = artifacts.write_comparison_csv(out / "comparison.csv", records)
     artifacts.write_plot_script(out / "comparison.gp", path.name,
                                 title=f"exact vs composite trajectories d={d}",
@@ -199,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="vibro-impact pair return-map toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, d_default=0.35):
-        p.add_argument("--d", type=float, default=d_default, help="dimensionless length")
+    def common(p):
+        p.add_argument("--d", type=float, default=0.35, help="dimensionless length")
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help=f"output directory (default $" + DEFAULT_OUT_ENV + " or runs/)")
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import fit_poly1d, fit_poly2d
+from .fitting import fit_poly2d
 
 PI = np.pi
 
@@ -159,12 +159,9 @@ REGION_SHAPES = {
 }
 
 
-def _canonical_payload(regions_dict: dict) -> str:
-    return json.dumps(regions_dict, sort_keys=True, separators=(",", ":"))
-
-
 def table_checksum(regions_dict: dict) -> str:
-    return "sha256:" + hashlib.sha256(_canonical_payload(regions_dict).encode()).hexdigest()
+    canonical = json.dumps(regions_dict, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class ExtrapolationWarning(UserWarning):
@@ -173,6 +170,12 @@ class ExtrapolationWarning(UserWarning):
 
 class CoeffTableError(ValueError):
     pass
+
+
+def _absolute(region: Region, target: str) -> bool:
+    """Whether the region's target map carries the |.| wrapper (REGION_SHAPES)."""
+    shape = REGION_SHAPES[region][target]
+    return shape[0] == "1d" and shape[3]
 
 
 @dataclass
@@ -187,32 +190,32 @@ class CoeffTable:
     name: str
     d_range: tuple[float, float]
     entries: dict
-    abs_flags: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, payload: dict, verify_checksum: bool = True) -> "CoeffTable":
+    def from_dict(cls, payload: dict) -> "CoeffTable":
         regions = payload["regions"]
-        if verify_checksum:
-            expected = payload.get("checksum")
-            actual = table_checksum(regions)
-            if expected != actual:
-                raise CoeffTableError(
-                    f"coefficient table {payload.get('name')!r} checksum mismatch: "
-                    f"file says {expected}, content is {actual}")
-        entries, abs_flags = {}, {}
+        expected = payload.get("checksum")
+        actual = table_checksum(regions)
+        if expected != actual:
+            raise CoeffTableError(
+                f"coefficient table {payload.get('name')!r} checksum mismatch: "
+                f"file says {expected}, content is {actual}")
+        entries = {}
         for rname, targets in regions.items():
             region = Region(rname)
             entries[region] = {}
             for tname, spec in targets.items():
+                absolute = _absolute(region, tname)
+                if spec.get("absolute", False) != absolute:
+                    raise CoeffTableError(f"coefficient table {payload.get('name')!r}: "
+                                          f"{rname} {tname}-map 'absolute' must be {absolute}")
                 entries[region][tname] = [
                     (tuple(item["exponents"]), np.asarray(item["d_poly"], dtype=float))
                     for item in spec["terms"]
                 ]
-                abs_flags[(region, tname)] = bool(spec.get("absolute", False))
         return cls(name=payload["name"], d_range=tuple(payload["d_range"]),
-                   entries=entries, abs_flags=abs_flags,
-                   metadata=payload.get("metadata", {}))
+                   entries=entries, metadata=payload.get("metadata", {}))
 
     def to_dict(self) -> dict:
         regions = {}
@@ -220,7 +223,7 @@ class CoeffTable:
             regions[region.value] = {}
             for tname, terms in targets.items():
                 regions[region.value][tname] = {
-                    "absolute": self.abs_flags.get((region, tname), False),
+                    "absolute": _absolute(region, tname),
                     "terms": [{"exponents": list(exp), "d_poly": list(map(float, poly))}
                               for exp, poly in terms],
                 }
@@ -253,13 +256,12 @@ class CoeffTable:
             if shape[0] == "2d":
                 out[tname] = Poly2D(exponents=exps, coeffs=vals)
             else:
-                _, variable, degree, _ = shape
+                _, variable, degree, absolute = shape
                 coeffs = np.zeros(degree + 1)
                 for (i, j), val in zip(exps, vals):
                     power = j if variable == "v" else i
                     coeffs[power] += val
-                out[tname] = Poly1D(variable=variable, coeffs=coeffs,
-                                    absolute=self.abs_flags.get((region, tname), False))
+                out[tname] = Poly1D(variable=variable, coeffs=coeffs, absolute=absolute)
         return out
 
 
@@ -283,7 +285,6 @@ class CompositeMap:
 
     table: CoeffTable
     d: float
-    phi_reset: float = PHI_RESET
 
     def __post_init__(self):
         self._maps = {region: self.table.coeffs_for(region, self.d)
@@ -292,7 +293,7 @@ class CompositeMap:
     def step(self, v: float, phi: float) -> tuple[float, float, Region]:
         region = region_of(v, phi)
         if region == Region.RESET:
-            return v, self.phi_reset, region
+            return v, PHI_RESET, region
         maps = self._maps[region]
         fmap, gmap = maps["v"], maps["phi"]
         if isinstance(fmap, Poly2D):
@@ -315,21 +316,6 @@ class CompositeMap:
         return v, phi, regions
 
 
-def composite_step(v: float, phi: float, d: float,
-                   table: CoeffTable | None = None) -> tuple[float, float]:
-    """One application of the composite map at dimensionless length d."""
-    table = table if table is not None else load_table()
-    vn, pn, _ = CompositeMap(table=table, d=d).step(v, phi)
-    return vn, pn
-
-
-def iterate_composite(v0: float, phi0: float, d: float, n_steps: int,
-                      table: CoeffTable | None = None):
-    """Trajectory arrays (v, phi, regions) of the composite map."""
-    table = table if table is not None else load_table()
-    return CompositeMap(table=table, d=d).iterate(v0, phi0, n_steps)
-
-
 @dataclass(frozen=True)
 class AttractorClass:
     """Tail classification: kind "FP", "PD" (with period) or "CD"."""
@@ -345,65 +331,63 @@ class InsufficientData(ValueError):
     pass
 
 
-def detect_attractor(v, phi, p_max: int = 16, tol: float = 1e-4,
-                     tail_fraction: float = 0.1) -> AttractorClass:
+TAIL_FRACTION = 0.1     # share of a trajectory taken as its tail
+MAX_PERIOD = 16
+PERIOD_TOL = 1e-4
+
+
+def detect_attractor(v, phi) -> AttractorClass:
     """Classify the tail of a trajectory as FP, PD(p) or CD.
 
-    FP: the last tail_fraction of states repeat with period 1 within tol
-    (sup-norm over both coordinates); PD(p): smallest p <= p_max that
-    matches; CD: no period matches.
+    FP: the last TAIL_FRACTION of states repeat with period 1 within
+    PERIOD_TOL (sup-norm over both coordinates); PD(p): smallest
+    p <= MAX_PERIOD that matches; CD: no period matches.
     """
     v = np.asarray(v, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if len(v) < 4 * p_max:
-        raise InsufficientData(f"need at least {4 * p_max} states, got {len(v)}")
-    n_tail = max(int(len(v) * tail_fraction), 2 * p_max)
+    if len(v) < 4 * MAX_PERIOD:
+        raise InsufficientData(f"need at least {4 * MAX_PERIOD} states, got {len(v)}")
+    n_tail = max(int(len(v) * TAIL_FRACTION), 2 * MAX_PERIOD)
     tv, tp = v[-n_tail:], phi[-n_tail:]
-    for period in range(1, p_max + 1):
+    for period in range(1, MAX_PERIOD + 1):
         dv = np.abs(tv[period:] - tv[:-period])
         dp = np.abs(tp[period:] - tp[:-period])
-        if dv.max() < tol and dp.max() < tol:
+        if dv.max() < PERIOD_TOL and dp.max() < PERIOD_TOL:
             return AttractorClass(kind="FP" if period == 1 else "PD", period=period)
     return AttractorClass(kind="CD", period=0)
 
 
-def fit_region_maps(surface, region: Region, *, delta: float | None = None,
-                    curve_fixed_phi: float | None = None,
-                    curve_fixed_v: float | None = None):
-    """Refit one region's maps from a swept surface (see returnmap.sweep_surfaces).
+def region_samples(surface, klass, region: Region):
+    """Arrays (v_in, phi_in, v_out, phi_out) of one return class inside one region."""
+    vk, pk, vn, pn = surface.class_samples(klass)
+    inside = np.array([region_of(v, p) == region for v, p in zip(vk, pk)])
+    return vk[inside], pk[inside], vn[inside], pn[inside]
 
-    2D regions (R1, R3) fit all class-matching samples inside the region,
-    optionally restricted by the diagonal-proximity ratio filter ``delta``.
-    Separable regions fit representative curves: the v-map along the row of
-    constant phase ``curve_fixed_phi`` and the phi-map along the column of
-    constant velocity ``curve_fixed_v``.
+
+def fit_region_maps(surface, region: Region, *, delta: float | None = None):
+    """Refit one 2D region's maps (R1, R3) from a swept surface (see
+    returnmap.sweep_surfaces).
+
+    The fit takes every class-matching sample inside the region, optionally
+    restricted by the diagonal-proximity ratio filter ``delta``.  The
+    separable regions R2, R4 and R5 are fitted along representative curves
+    that one sweep does not provide; ``vipair calibrate`` refits them.
 
     Returns {"v": map, "phi": map, "reports": {...}}.
     """
     from .returnmap import ReturnClass, near_diagonal
 
-    want = ReturnClass.BTB if region in (Region.R1, Region.R2, Region.R4) else ReturnClass.BB
     shape = REGION_SHAPES[region]
-    if shape["v"][0] == "2d":
-        vk, pk, vn, pn = surface.class_samples(want)
-        in_region = np.array([region_of(v, p) == region for v, p in zip(vk, pk)])
-        vk, pk, vn, pn = vk[in_region], pk[in_region], vn[in_region], pn[in_region]
-        if delta is not None:
-            keep = near_diagonal(vk, pk, vn, pn, delta)
-            vk, pk, vn, pn = vk[keep], pk[keep], vn[keep], pn[keep]
-        cv, ev, rep_v = fit_poly2d(vk, pk, vn, *shape["v"][1:3])
-        cp, ep, rep_p = fit_poly2d(vk, pk, pn, *shape["phi"][1:3])
-        return {"v": Poly2D(tuple(ev), cv), "phi": Poly2D(tuple(ep), cp),
-                "reports": {"v": rep_v, "phi": rep_p}}
-
-    if curve_fixed_phi is None or curve_fixed_v is None:
-        raise ValueError(f"separable region {region.value} needs representative "
-                         "curve_fixed_phi and curve_fixed_v")
-    vk, pk, vn, pn = surface.class_samples(want)
-    row = np.isclose(pk, curve_fixed_phi, atol=1e-9)
-    col = np.isclose(vk, curve_fixed_v, atol=1e-9)
-    cf, rep_f = fit_poly1d(vk[row], vn[row], shape["v"][2])
-    cg, rep_g = fit_poly1d(pk[col], pn[col], shape["phi"][2])
-    return {"v": Poly1D("v", cf, absolute=shape["v"][3]),
-            "phi": Poly1D("phi", cg),
-            "reports": {"v": rep_f, "phi": rep_g}}
+    if shape["v"][0] != "2d":
+        raise ValueError(f"separable region {region.value} is fitted along representative "
+                         "curves that one sweep does not provide; `vipair calibrate` "
+                         "refits it")
+    want = ReturnClass.BTB if region == Region.R1 else ReturnClass.BB
+    vk, pk, vn, pn = region_samples(surface, want, region)
+    if delta is not None:
+        keep = near_diagonal(vk, pk, vn, pn, delta)
+        vk, pk, vn, pn = vk[keep], pk[keep], vn[keep], pn[keep]
+    cv, ev, rep_v = fit_poly2d(vk, pk, vn, *shape["v"][1:3])
+    cp, ep, rep_p = fit_poly2d(vk, pk, pn, *shape["phi"][1:3])
+    return {"v": Poly2D(tuple(ev), cv), "phi": Poly2D(tuple(ep), cp),
+            "reports": {"v": rep_v, "phi": rep_p}}

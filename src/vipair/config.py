@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import NondimParams, PhysicalParams, nondimensionalize
@@ -13,7 +13,7 @@ SCHEMA_VERSION = 1
 _PHYSICAL_KEYS = {"capsule_mass", "capsule_length", "forcing_frequency",
                   "forcing_norm", "incline", "restitution", "gravity", "ball_mass"}
 _NONDIM_KEYS = {"restitution", "length", "gravity_term", "general_phase"}
-_TOP_KEYS = {"schema_version", "physical", "nondimensional", "options"}
+_TOP_KEYS = {"schema_version", "physical", "nondimensional"}
 
 
 class ConfigError(ValueError):
@@ -25,8 +25,6 @@ class RunConfig:
     """Validated run configuration with the derived nondimensional block."""
 
     params: NondimParams
-    options: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
     physical: PhysicalParams | None = None
 
 
@@ -73,8 +71,4 @@ def parse_config(payload: dict) -> RunConfig:
         except (TypeError, ValueError) as err:
             raise ConfigError(f"invalid nondimensional block: {err}") from err
 
-    options = payload.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("'options' must be an object")
-    return RunConfig(params=params, options=options, schema_version=version,
-                     physical=physical)
+    return RunConfig(params=params, physical=physical)

@@ -429,8 +429,7 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
 
 
 def next_impact(event: ImpactEvent, p: NondimParams, *, amplitude: float = 1.0,
-                scan_step: float = SCAN_STEP, horizon: float = HORIZON,
-                grazing_tol: float = GRAZING_TOL) -> ImpactEvent:
+                horizon: float = HORIZON, grazing_tol: float = GRAZING_TOL) -> ImpactEvent:
     """Earliest impact after `event`: side, time, signed pre-impact velocity, phase.
 
     Raises:
@@ -439,8 +438,8 @@ def next_impact(event: ImpactEvent, p: NondimParams, *, amplitude: float = 1.0,
     """
     side_code = np.array([1 if event.side == SIDE_B else -1])
     s, t, v, st = next_impact_batch(side_code, [event.time], [event.velocity_in], p,
-                                    amplitude=amplitude, scan_step=scan_step,
-                                    horizon=horizon, grazing_tol=grazing_tol)
+                                    amplitude=amplitude, horizon=horizon,
+                                    grazing_tol=grazing_tol)
     if st[0] == 1:
         raise NoImpactWithinHorizon(
             f"no impact within {horizon} time units after t={event.time}")

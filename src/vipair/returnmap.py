@@ -9,7 +9,7 @@ reason code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -85,7 +85,7 @@ class SurfaceData:
     """
 
     params: NondimParams
-    grid: GridSpec
+    grid: GridSpec | None        # None for a point set (first_return_B, curve samples)
     v_in: np.ndarray
     phi_in: np.ndarray
     klass: np.ndarray            # object array of ReturnClass
@@ -94,7 +94,6 @@ class SurfaceData:
     n_intermediate: np.ndarray
     t_events: np.ndarray         # (n, 2, 2): [k][0]=time, [k][1]=velocity
     reason: np.ndarray           # object array of str
-    metadata: dict = field(default_factory=dict)
 
     @property
     def d(self) -> float:
@@ -147,9 +146,6 @@ def sweep_surfaces(grid: GridSpec, p: NondimParams) -> SurfaceData:
     V, P = np.meshgrid(vs, ps, indexing="ij")
     surface = _sweep_points(V.ravel(), P.ravel(), p)
     surface.grid = grid
-    surface.metadata.update({"n_v": grid.n_v, "n_phi": grid.n_phi,
-                             "v_range": list(grid.v_range),
-                             "phi_range": list(grid.phi_range)})
     return surface
 
 
@@ -214,8 +210,7 @@ def _sweep_points(v_in, phi_in, p: NondimParams) -> SurfaceData:
         if legs > _MAX_T_IMPACTS + 2:
             break
 
-    grid = GridSpec(n_v=2, n_phi=2)  # placeholder for point sets; sweeps overwrite
-    return SurfaceData(params=p, grid=grid, v_in=v_in, phi_in=phi_in, klass=klass,
+    return SurfaceData(params=p, grid=None, v_in=v_in, phi_in=phi_in, klass=klass,
                        v_out=v_out, phi_out=phi_out, n_intermediate=n_inter,
                        t_events=t_events, reason=reason)
 

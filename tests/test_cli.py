@@ -120,6 +120,27 @@ def test_cli_compare_reads_config(tmp_path, capsys):
     assert meta["d"] == 0.30
 
 
+def test_cli_refuses_config_the_table_was_not_fitted_at(tmp_path, capsys):
+    # the composite map only exists at its table's r, gbar and psi
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"nondimensional": {
+        "restitution": 0.8, "length": 0.35, "gravity_term": 0.05}}))
+    for argv in (["composite", "--v0", "0.2", "--phi0", "0.1"], ["compare"]):
+        assert run_command(argv + ["--config", str(path), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "restitution" in err["message"]
+
+
+def test_cli_runs_readme_example_config(tmp_path, capsys):
+    # README's example rounds gbar to 0.2113
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"nondimensional": {
+        "restitution": 0.5, "length": 0.35, "gravity_term": 0.2113}}))
+    for argv in (["composite", "--v0", "0.2", "--phi0", "0.1"], ["compare"]):
+        assert run_command(argv + ["--config", str(path), "--out", str(tmp_path)]) == 0
+
+
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     rc = run_command(["composite", "--d", "0.35", "--v0", "0.2", "--phi0", "0.1",
                       "--table", "no_such_table", "--out", str(tmp_path)])
@@ -180,6 +201,19 @@ def test_artifacts_are_reproducible(tmp_path):
             == (tmp_path / "b" / "surface.gp").read_bytes())
 
 
+def _run_and_hash(tmp_path, commands) -> dict:
+    """Run each (label, argv) with `--out <label>` from tmp_path, keep its stdout
+    as <label>/stdout.txt, and return the sha256 of every file by relative path."""
+    for label, argv in commands:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_command(argv + ["--out", label]) == 0
+        (tmp_path / label / "stdout.txt").write_text(stdout.getvalue())
+    return {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.rglob("*") if path.is_file()}
+
+
 # sha256 of every file `case --name FP|PD|CD --out case-<name>` writes, and of
 # its stdout, as `python scripts/artifact_digest.py` prints them
 CASE_DIGESTS = {
@@ -214,12 +248,45 @@ def test_case_artifacts_keep_their_bytes(tmp_path, monkeypatch):
     on the same machine before suspecting the change.
     """
     monkeypatch.chdir(tmp_path)   # the stdout lists the relative artifact paths
-    for name in ("FP", "PD", "CD"):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert run_command(["case", "--name", name, "--out", f"case-{name}"]) == 0
-        (tmp_path / f"case-{name}" / "stdout.txt").write_text(stdout.getvalue())
-    got = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in tmp_path.rglob("*") if path.is_file()}
+    got = _run_and_hash(tmp_path, [(f"case-{name}", ["case", "--name", name])
+                                   for name in ("FP", "PD", "CD")])
     assert got == CASE_DIGESTS
+
+
+# small runs of the CSV writers that CASE_DIGESTS does not reach
+CSV_COMMANDS = [
+    ("sweep", ["sweep", "--d", "0.3", "--grid", "8x8"]),
+    ("partition", ["partition", "--d", "0.3", "--grid", "8x8"]),
+    ("composite", ["composite", "--d", "0.35", "--v0", "0.2", "--phi0", "0.1",
+                   "--steps", "8"]),
+    ("bifurcation", ["bifurcation", "--kind", "composite", "--d-from", "0.26",
+                     "--d-to", "0.25", "--step", "0.005"]),
+]
+CSV_DIGESTS = {
+    "bifurcation/bifurcation_composite.csv": "4d51873642855b2c083a0d6ed517eca31ef12ebf3a8b3afc6f5aeaaf6dc7f8cb",
+    "bifurcation/bifurcation_composite.gp": "f4064d4a5ec125d1476a4988a6a6f7c21979e5e14478477cf15ac5f32e48a7e1",
+    "bifurcation/bifurcation_composite_meta.json": "8fb8711eb692e2c10d56c7f027e4cbac5ccfc155e4a247f8cbd451c8f2d52c7f",
+    "bifurcation/stdout.txt": "a603b0c6513eca2947388791ab7f3be52464e03293823dfa5060978cf4a977d3",
+    "composite/composite_trajectory.csv": "02fc0b9a2f4a60003b535fd84a5300158ac801195d31e9a78dcf2ccdee6cbf43",
+    "composite/stdout.txt": "02dc537a9d0561efebfa60c6e5ae35aaacbf443fde1ce5bdbe3ad89b62551c6b",
+    "partition/partition.csv": "c224886552b03a9f51c78d3f75d2ef4075f63988e9e7649cc4358d96a266ae6a",
+    "partition/stdout.txt": "063a833613425ebf197dff58c4081518aa6af94b8ebcc8c58a49acd0e042d387",
+    "sweep/stdout.txt": "22cda7fbd79ab6d04bf0513a145d2cc877b50f480176b6c8c7ca3aa13bf920ed",
+    "sweep/surface.csv": "7d1d5334713ca384d37f97527a22b624c900c1ac19c91185ca3b1cec2e286112",
+    "sweep/surface.gp": "b32b65df140f8d190a79450f41c34b74d5dc9339df835db47d71d37624fd2e59",
+    "sweep/surface.json": "47e8013695fc127e3c967b2e4f53e216e7ef41339b7a15695e19d40c8e28375c",
+}
+
+
+def test_csv_artifacts_keep_their_bytes(tmp_path, monkeypatch):
+    """Small sweep, partition, composite and bifurcation runs write the same
+    bytes as before.
+
+    Host-dependent, like the calibrated-table checksum test: the digests were
+    taken with Python 3.11.7 and numpy 2.4.6 on x86-64, and another libm or
+    numpy build may round a power or a root differently.  On a failure
+    elsewhere, compare with the same runs at the previous commit on the same
+    machine before suspecting the change.
+    """
+    monkeypatch.chdir(tmp_path)   # the stdout lists the relative artifact paths
+    assert _run_and_hash(tmp_path, CSV_COMMANDS) == CSV_DIGESTS

@@ -11,11 +11,11 @@ from vipair.composite import (
     Poly2D,
     REGION_SHAPES,
     Region,
-    composite_step,
+    _data_path,
     detect_attractor,
     fit_region_maps,
-    iterate_composite,
     region_of,
+    table_checksum,
 )
 from vipair.returnmap import GridSpec, sweep_surfaces
 
@@ -74,9 +74,25 @@ def test_checksum_guards_against_drift(table):
     assert clean.name == table.name
 
 
+def test_absolute_flag_must_match_region_shape(table):
+    # the |.| wrapper belongs to R5's v-map only; a file that claims it
+    # elsewhere is refused even when its checksum is consistent
+    payload = table.to_dict()
+    payload["regions"]["R2"]["v"]["absolute"] = True
+    payload["checksum"] = table_checksum(payload["regions"])
+    with pytest.raises(CoeffTableError, match="absolute"):
+        CoeffTable.from_dict(payload)
+
+
+@pytest.mark.parametrize("name", ["calibrated", "supplement"])
+def test_to_dict_reproduces_shipped_checksum(name):
+    payload = json.loads(_data_path(name).read_text())
+    assert CoeffTable.from_dict(payload).to_dict()["checksum"] == payload["checksum"]
+
+
 def test_reset_rule(table):
     for d in (0.26, 0.30, 0.35):
-        v, phi = composite_step(0.5, 3.5, d, table)
+        v, phi, _ = CompositeMap(table=table, d=d).step(0.5, 3.5)
         assert (v, phi) == (0.5, 1.2)
     # a reset lands back inside [0, pi]
     cm = CompositeMap(table=table, d=0.35)
@@ -88,7 +104,7 @@ def test_reset_rule(table):
 def test_composite_route_and_fixed_point(table):
     """From (0.2, 0.1) at d=0.35 the map chatters in R3, is lifted by R4,
     crosses R2 into R1 and settles on the fixed point of the exact map."""
-    v, phi, regions = iterate_composite(0.2, 0.1, 0.35, 400, table)
+    v, phi, regions = CompositeMap(table=table, d=0.35).iterate(0.2, 0.1, 400)
     names = [r.value for r in regions[:-1]]
     route = [n for i, n in enumerate(names) if i == 0 or n != names[i - 1]]
     assert route[0] == "R3"
@@ -99,12 +115,12 @@ def test_composite_route_and_fixed_point(table):
 
 
 def test_composite_attractor_classes(table):
-    v, phi, _ = iterate_composite(0.2, 0.1, 0.35, 400, table)
+    v, phi, _ = CompositeMap(table=table, d=0.35).iterate(0.2, 0.1, 400)
     assert str(detect_attractor(v, phi)) == "FP"
-    v, phi, _ = iterate_composite(0.2, 0.1, 0.30, 400, table)
+    v, phi, _ = CompositeMap(table=table, d=0.30).iterate(0.2, 0.1, 400)
     cls = detect_attractor(v, phi)
     assert (cls.kind, cls.period) == ("PD", 2)
-    v, phi, _ = iterate_composite(0.2, 0.1, 0.26, 400, table)
+    v, phi, _ = CompositeMap(table=table, d=0.26).iterate(0.2, 0.1, 400)
     assert detect_attractor(v, phi).kind == "CD"
 
 
@@ -139,9 +155,10 @@ def test_refit_agrees_with_shipped_table(surface35, table):
         assert np.sqrt(np.mean(diff**2)) <= 0.02
 
 
-def test_fit_region_separable_requires_curves(surface35):
+@pytest.mark.parametrize("region", ["R2", "R4", "R5"])
+def test_fit_region_separable_requires_curves(surface35, region):
     with pytest.raises(ValueError, match="representative"):
-        fit_region_maps(surface35, Region.R2)
+        fit_region_maps(surface35, Region(region))
 
 
 def test_poly_partial_evaluation(table):
