@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import BifurcationSample, CaseResult, ComparisonRecord
 from .auxmap import UpdateReport
-from .returnmap import SurfaceData
+from .returnmap import ReturnClass, SurfaceData
 
 FLOAT_FMT = "%.17g"
 
@@ -55,7 +55,7 @@ def write_surface_csv(path: Path, surface: SurfaceData):
         ok = not np.isnan(surface.v_out[i])
         rows.append([
             _fmt(surface.v_in[i]), _fmt(surface.phi_in[i]),
-            surface.klass[i].value,
+            ReturnClass(surface.klass[i]).name,
             _fmt(surface.v_out[i]) if ok else "",
             _fmt(surface.phi_out[i]) if ok else "",
             int(surface.n_intermediate[i]),
@@ -86,7 +86,7 @@ def write_surface_json(path: Path, surface: SurfaceData):
         "grid": {"n_v": surface.grid.n_v, "n_phi": surface.grid.n_phi,
                  "v_range": list(surface.grid.v_range),
                  "phi_range": list(surface.grid.phi_range)},
-        "class_counts": {k.value: n for k, n in surface.class_counts().items()},
+        "class_counts": {k.name: n for k, n in surface.class_counts().items()},
     }
     return write_json(path, payload)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .composite import REGION_SHAPES, CoeffTable, Region, region_samples
+from .composite import R1_BOX, REGION_SHAPES, CoeffTable, Region, region_samples
 from .core import NondimParams, baseline_params
 from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_coeff_in_d,
                       fit_poly2d_scaled, scaled_fit_2d,
@@ -72,8 +72,6 @@ R3_TRIM_SIGMA = 3.0
 
 def _r1_samples(d: float, base: NondimParams, delta: float):
     """Filtered BTB samples of the return surface over the R1 box."""
-    from .composite import R1_BOX
-
     grid = GridSpec(n_v=R1_FIT_GRID, n_phi=R1_FIT_GRID,
                     v_range=(R1_BOX[0], R1_BOX[1]), phi_range=(R1_BOX[2], R1_BOX[3]))
     surface = sweep_surfaces(grid, base.replace(length=d))

@@ -87,7 +87,7 @@ def cmd_sweep(args) -> int:
     artifacts.write_plot_script(out / "surface.gp", "surface.csv",
                                 title=f"first-return surface d={surface.d}",
                                 columns=(1, 2), xlabel="v_k", ylabel="phi_k")
-    counts = {k.value: n for k, n in surface.class_counts().items()}
+    counts = {k.name: n for k, n in surface.class_counts().items()}
     print(json.dumps({"written": str(out / "surface.csv"), "classes": counts}))
     return 0
 
@@ -104,8 +104,12 @@ def cmd_partition(args) -> int:
 
 
 def cmd_r1_filter(args) -> int:
-    out = _outdir(args)
+    if args.step <= 0:
+        raise ConfigError(f"step must be positive, got {args.step}")
     d_values = [round(d, 6) for d in np.arange(args.d_from, args.d_to + 1e-9, args.step)]
+    if not d_values:
+        raise ConfigError(f"no d values from {args.d_from} up to {args.d_to}")
+    out = _outdir(args)
     grid = _grid(args.grid)
     result = r1_filter(d_values, args.delta, grid, baseline_params(d_values[0]))
     payload = {
@@ -137,6 +141,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_composite(args) -> int:
+    if args.steps < 0:
+        raise ConfigError(f"steps must be nonnegative, got {args.steps}")
     out = _outdir(args)
     table = load_table(args.table)
     cmap = CompositeMap(table=table, d=_table_params(args, table).length)

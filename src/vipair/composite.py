@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .fitting import fit_poly2d
+from .returnmap import ReturnClass, near_diagonal
 
 PI = np.pi
 
@@ -375,8 +376,6 @@ def fit_region_maps(surface, region: Region, *, delta: float | None = None):
 
     Returns {"v": map, "phi": map, "reports": {...}}.
     """
-    from .returnmap import ReturnClass, near_diagonal
-
     shape = REGION_SHAPES[region]
     if shape["v"][0] != "2d":
         raise ValueError(f"separable region {region.value} is fitted along representative "

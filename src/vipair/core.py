@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,11 @@ START_OFFSET = 1e-9
 HORIZON = 40.0
 TIME_TOL = 1e-12
 GRAZING_TOL = 1e-8
+
+# next_impact_batch row statuses.
+STATUS_OK = 0
+STATUS_NO_IMPACT = 1
+STATUS_GRAZING = 2
 
 # Largest chunk of the sample grid's construction (it fixes the grid's floats)
 # and largest scan window, in grid intervals.
@@ -116,8 +121,7 @@ class NondimParams:
             raise ValueError(f"gravity term must be nonnegative, got {self.gravity_term}")
 
     def replace(self, **kw) -> "NondimParams":
-        from dataclasses import replace as _replace
-        return _replace(self, **kw)
+        return replace(self, **kw)
 
 
 # Baseline parameterization used throughout the study: r = 0.5, ||F|| = 5 N,
@@ -305,8 +309,9 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
         times, velocities: impact times and signed pre-impact velocities.
 
     Returns:
-        (new_sides, new_times, new_velocities, status) with status 0 = ok,
-        1 = no impact within horizon, 2 = grazing crossing.
+        (new_sides, new_times, new_velocities, status) with status
+        STATUS_OK, STATUS_NO_IMPACT (none within the horizon) or
+        STATUS_GRAZING (a grazing crossing).
     """
     sides = np.asarray(sides, dtype=np.int8)
     t0 = np.asarray(times, dtype=float)
@@ -401,7 +406,7 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
     out_side = np.zeros(n, dtype=np.int8)
     out_t = np.full(n, np.nan)
     out_v = np.full(n, np.nan)
-    status = np.ones(n, dtype=np.int8)  # no impact unless a crossing was found
+    status = np.full(n, STATUS_NO_IMPACT, dtype=np.int8)
     ev_rows = np.flatnonzero(hit_at >= 0)
     if ev_rows.size:
         is_b = hit_b[ev_rows]
@@ -423,7 +428,7 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
         out_t[ev_rows] = t0[ev_rows] + t_star
         out_v[ev_rows] = zdot
         graze = np.abs(zdot) < grazing_tol
-        status[ev_rows] = np.where(graze, 2, 0).astype(np.int8)
+        status[ev_rows] = np.where(graze, STATUS_GRAZING, STATUS_OK)
 
     return out_side, out_t, out_v, status
 
@@ -440,10 +445,10 @@ def next_impact(event: ImpactEvent, p: NondimParams, *, amplitude: float = 1.0,
     s, t, v, st = next_impact_batch(side_code, [event.time], [event.velocity_in], p,
                                     amplitude=amplitude, horizon=horizon,
                                     grazing_tol=grazing_tol)
-    if st[0] == 1:
+    if st[0] == STATUS_NO_IMPACT:
         raise NoImpactWithinHorizon(
             f"no impact within {horizon} time units after t={event.time}")
-    if st[0] == 2:
+    if st[0] == STATUS_GRAZING:
         raise GrazingImpact(
             f"grazing crossing (|Zdot|={abs(v[0]):.2e}) at t={t[0]}")
     return ImpactEvent(side=SIDE_B if s[0] > 0 else SIDE_T, time=float(t[0]),

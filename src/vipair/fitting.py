@@ -10,6 +10,7 @@ scaled and conditioning matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -79,13 +80,6 @@ def fit_poly2d(v, phi, target, deg_phi: int, deg_v: int):
     return coeffs, exponents, report
 
 
-def fit_poly1d(x, target, degree: int):
-    """Fit a single-variable polynomial (coefficients ascending); (coeffs, report)."""
-    x = np.asarray(x, dtype=float)
-    design = np.column_stack([x**k for k in range(degree + 1)])
-    return lstsq_fit(design, target)
-
-
 def compose(outer, inner) -> np.ndarray:
     """Coefficients (ascending) of outer(inner(x)), by Horner's rule on the
     coefficient arrays."""
@@ -124,12 +118,6 @@ def cheb_to_monomial_matrix(degree: int, window: tuple[float, float]) -> np.ndar
     return T
 
 
-def fit_poly1d_stable(x, target, degree: int, window: tuple[float, float]):
-    """Chebyshev-basis fit converted exactly to raw monomial coefficients."""
-    cheb, report = cheb_fit_1d(x, target, degree, window)
-    return cheb_to_monomial_matrix(degree, window) @ cheb, report
-
-
 def scaled_fit_2d(v, phi, target, deg_phi: int, deg_v: int,
                   v_window: tuple[float, float], phi_window: tuple[float, float]):
     """polyNM least squares in box-scaled coordinates; (scaled coeffs, report)."""
@@ -149,8 +137,6 @@ def scaled_to_monomial_matrix_2d(deg_phi: int, deg_v: int,
                                  phi_window: tuple[float, float]) -> np.ndarray:
     """Constant matrix T with raw_coeffs = T @ scaled_coeffs, both aligned
     with poly2d_exponents(deg_phi, deg_v)."""
-    from math import comb
-
     exponents = poly2d_exponents(deg_phi, deg_v)
     index = {exp: k for k, exp in enumerate(exponents)}
     v0, s_v = 0.5 * (v_window[0] + v_window[1]), 0.5 * (v_window[1] - v_window[0])

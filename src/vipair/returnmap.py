@@ -9,14 +9,17 @@ reason code.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
 from .core import (
     PI,
     SIDE_T,
+    STATUS_NO_IMPACT,
+    STATUS_OK,
     ImpactEvent,
     NondimParams,
     impact_phase,
@@ -24,20 +27,20 @@ from .core import (
 )
 
 
-class ReturnClass(Enum):
-    BB = "BB"
-    BTB = "BTB"
-    BTTB = "BTTB"
-    OTHER = "OTHER"
+class ReturnClass(IntEnum):
+    """Class code of a first return: its number of top impacts, else OTHER."""
+
+    BB = 0
+    BTB = 1
+    BTTB = 2
+    OTHER = 3
 
 
-_CLASS_BY_TCOUNT = np.array([ReturnClass.BB, ReturnClass.BTB, ReturnClass.BTTB], dtype=object)
+# Reason codes are next_impact_batch's statuses plus MANY_T_IMPACTS; REASONS
+# holds the printed string of each.
+MANY_T_IMPACTS = 3
+REASONS = ("", "no_impact_within_horizon", "grazing", "many_t_impacts")
 _MAX_T_IMPACTS = 2
-
-REASON_NONE = ""
-REASON_MANY_T = "many_t_impacts"
-REASON_GRAZING = "grazing"
-REASON_NO_IMPACT = "no_impact_within_horizon"
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class ReturnSample:
     v_out: float | None = None
     phi_out: float | None = None
     intermediate_events: tuple[ImpactEvent, ...] = ()
-    reason: str = REASON_NONE
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,12 @@ class SurfaceData:
     grid: GridSpec | None        # None for a point set (first_return_B, curve samples)
     v_in: np.ndarray
     phi_in: np.ndarray
-    klass: np.ndarray            # object array of ReturnClass
+    klass: np.ndarray            # int8 ReturnClass codes
     v_out: np.ndarray            # NaN where class is OTHER
     phi_out: np.ndarray
     n_intermediate: np.ndarray
     t_events: np.ndarray         # (n, 2, 2): [k][0]=time, [k][1]=velocity
-    reason: np.ndarray           # object array of str
+    reason: np.ndarray           # int8 reason codes, see REASONS
 
     @property
     def d(self) -> float:
@@ -103,19 +106,18 @@ class SurfaceData:
         return len(self.v_in)
 
     def sample(self, idx: int) -> ReturnSample:
-        events = []
-        for k in range(int(self.n_intermediate[idx])):
-            t = self.t_events[idx, k, 0]
-            v = self.t_events[idx, k, 1]
-            events.append(ImpactEvent(side=SIDE_T, time=float(t), velocity_in=float(v),
-                                      phase=float(impact_phase(t, self.params.general_phase))))
-        out_ok = self.klass[idx] != ReturnClass.OTHER
+        # a start with more than two top impacts keeps the first two
+        events = tuple(
+            ImpactEvent(side=SIDE_T, time=float(t), velocity_in=float(v),
+                        phase=float(impact_phase(t, self.params.general_phase)))
+            for t, v in self.t_events[idx, :self.n_intermediate[idx]])
+        klass = ReturnClass(self.klass[idx])
+        out_ok = klass != ReturnClass.OTHER
         return ReturnSample(
-            v_in=float(self.v_in[idx]), phi_in=float(self.phi_in[idx]),
-            klass=self.klass[idx],
+            v_in=float(self.v_in[idx]), phi_in=float(self.phi_in[idx]), klass=klass,
             v_out=float(self.v_out[idx]) if out_ok else None,
             phi_out=float(self.phi_out[idx]) if out_ok else None,
-            intermediate_events=tuple(events), reason=str(self.reason[idx]))
+            intermediate_events=events, reason=REASONS[self.reason[idx]])
 
     def class_samples(self, klass: ReturnClass):
         """Arrays (v_in, phi_in, v_out, phi_out) of one class."""
@@ -123,10 +125,8 @@ class SurfaceData:
         return self.v_in[m], self.phi_in[m], self.v_out[m], self.phi_out[m]
 
     def class_counts(self) -> dict:
-        out = {k: 0 for k in ReturnClass}
-        for k in self.klass:
-            out[k] += 1
-        return out
+        counts = np.bincount(self.klass, minlength=len(ReturnClass))
+        return {k: int(n) for k, n in zip(ReturnClass, counts)}
 
 
 def first_return_B(v: float, phi: float, p: NondimParams) -> ReturnSample:
@@ -150,7 +150,11 @@ def sweep_surfaces(grid: GridSpec, p: NondimParams) -> SurfaceData:
 
 
 def _sweep_points(v_in, phi_in, p: NondimParams) -> SurfaceData:
-    """Chain the batched event solver until each point returns to B or fails."""
+    """Chain the batched event solver until each point returns to B or fails.
+
+    A row stops at its third top impact at the latest, so the chain ends
+    within three legs.
+    """
     n = len(v_in)
     v_in = np.asarray(v_in, dtype=float)
     phi_in = np.asarray(phi_in, dtype=float)
@@ -159,57 +163,37 @@ def _sweep_points(v_in, phi_in, p: NondimParams) -> SurfaceData:
     times = (phi_in - p.general_phase) / PI
     vels = v_in.copy()
 
-    klass = np.empty(n, dtype=object)
-    reason = np.empty(n, dtype=object)
-    reason[:] = REASON_NONE
+    reason = np.where(v_in > 0, STATUS_OK, STATUS_NO_IMPACT).astype(np.int8)
     v_out = np.full(n, np.nan)
     phi_out = np.full(n, np.nan)
     n_inter = np.zeros(n, dtype=np.int64)
     t_events = np.full((n, 2, 2), np.nan)
 
     active = np.flatnonzero(v_in > 0)
-    bad = np.flatnonzero(v_in <= 0)
-    klass[bad] = ReturnClass.OTHER
-    reason[bad] = REASON_NO_IMPACT
-
-    legs = 0
     while active.size:
         s, t, v, st = next_impact_batch(sides[active], times[active], vels[active], p)
-        no_hit = st == 1
-        graze = st == 2
-        idx = active
-        klass[idx[no_hit]] = ReturnClass.OTHER
-        reason[idx[no_hit]] = REASON_NO_IMPACT
-        klass[idx[graze]] = ReturnClass.OTHER
-        reason[idx[graze]] = REASON_GRAZING
-
-        ok = st == 0
+        reason[active] = st
+        ok = st == STATUS_OK
         back_b = ok & (s > 0)
-        done = idx[back_b]
+        done = active[back_b]
         v_out[done] = v[back_b]
         phi_out[done] = impact_phase(t[back_b], p.general_phase)
-        klass[done] = _CLASS_BY_TCOUNT[n_inter[done]]
 
         to_t = ok & (s < 0)
-        cont = idx[to_t]
+        cont = active[to_t]
         k = n_inter[cont]
-        store = k < 2
-        t_events[cont[store], k[store], 0] = t[to_t][store]
-        t_events[cont[store], k[store], 1] = v[to_t][store]
+        many = k == _MAX_T_IMPACTS
+        reason[cont[many]] = MANY_T_IMPACTS
         n_inter[cont] += 1
-        overflow = n_inter[cont] > _MAX_T_IMPACTS
-        klass[cont[overflow]] = ReturnClass.OTHER
-        reason[cont[overflow]] = REASON_MANY_T
 
-        cont = cont[~overflow]
-        sides[cont] = -1
-        times[cont] = t[to_t][~overflow]
-        vels[cont] = v[to_t][~overflow]
-        active = cont
-        legs += 1
-        if legs > _MAX_T_IMPACTS + 2:
-            break
+        active, k, t, v = cont[~many], k[~many], t[to_t][~many], v[to_t][~many]
+        t_events[active, k, 0] = t
+        t_events[active, k, 1] = v
+        sides[active] = -1
+        times[active] = t
+        vels[active] = v
 
+    klass = np.where(reason == STATUS_OK, n_inter, ReturnClass.OTHER).astype(np.int8)
     return SurfaceData(params=p, grid=None, v_in=v_in, phi_in=phi_in, klass=klass,
                        v_out=v_out, phi_out=phi_out, n_intermediate=n_inter,
                        t_events=t_events, reason=reason)
@@ -217,7 +201,7 @@ def _sweep_points(v_in, phi_in, p: NondimParams) -> SurfaceData:
 
 def partition_by_class(surface: SurfaceData) -> np.ndarray:
     """Class-label raster over the grid, shape (n_v, n_phi), values 'BB'...'OTHER'."""
-    labels = np.array([k.value for k in surface.klass], dtype=object)
+    labels = np.array([k.name for k in ReturnClass], dtype=object)[surface.klass]
     return labels.reshape(surface.grid.n_v, surface.grid.n_phi)
 
 
@@ -256,10 +240,8 @@ def r1_filter(d_values, delta: float, grid: GridSpec, base: NondimParams,
     unioned over the given d values; returns the point set and its
     axis-aligned bounding box.
     """
-    import warnings as _warnings
-
     if delta <= 1.0:
-        _warnings.warn("delta <= 1 keeps nothing (open interval collapses)",
+        warnings.warn("delta <= 1 keeps nothing (open interval collapses)",
                        EmptyFilterResult, stacklevel=2)
     rows = []
     for d in d_values:
@@ -270,7 +252,7 @@ def r1_filter(d_values, delta: float, grid: GridSpec, base: NondimParams,
         rows.append(np.column_stack([np.full(keep.sum(), float(d)), vk[keep], pk[keep]]))
     points = np.concatenate(rows) if rows else np.empty((0, 3))
     if not len(points):
-        _warnings.warn(f"R1 filter with delta={delta} kept no points",
+        warnings.warn(f"R1 filter with delta={delta} kept no points",
                        EmptyFilterResult, stacklevel=2)
         box = (np.nan,) * 4
     else:

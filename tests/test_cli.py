@@ -11,7 +11,7 @@ from vipair.artifacts import read_surface_csv, write_surface_csv
 from vipair.cli import run_command
 from vipair.config import ConfigError, load_config, parse_config
 from vipair.core import baseline_params
-from vipair.returnmap import GridSpec, sweep_surfaces
+from vipair.returnmap import GridSpec, ReturnClass, sweep_surfaces
 
 
 def test_config_minimal_nondimensional(tmp_path):
@@ -149,6 +149,27 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["r1-filter", "--d-from", "0.35", "--d-to", "0.26"], "no d values"),
+    (["r1-filter", "--step", "0"], "step must be positive"),
+    (["composite", "--v0", "0.2", "--phi0", "0.1", "--steps", "-1"],
+     "steps must be nonnegative"),
+])
+def test_cli_rejects_empty_ranges_with_error_json(tmp_path, capsys, argv, message):
+    assert run_command(argv + ["--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert message in err["message"]
+
+
+def test_cli_compare_survives_three_top_impacts(tmp_path, capsys):
+    # the exact map's first return from this start meets three top impacts
+    rc = run_command(["compare", "--d", "0.35", "--v0", "1.6", "--phi0", "4.898754646275609",
+                      "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "comparison.csv").exists()
+
+
 def test_cli_rank_deficient_fit_is_machine_readable(tmp_path, capsys):
     # delta = 1 keeps no sample, so no coefficient is determined
     rc = run_command(["fit", "--region", "R1", "--grid", "20x20", "--delta", "1.0",
@@ -186,7 +207,7 @@ def test_surface_csv_roundtrip(tmp_path):
     assert np.array_equal(p, surface.phi_in)
     assert np.array_equal(vo, surface.v_out, equal_nan=True)
     assert np.array_equal(po, surface.phi_out, equal_nan=True)
-    assert list(k) == [c.value for c in surface.klass]
+    assert list(k) == [ReturnClass(c).name for c in surface.klass]
     assert np.array_equal(n, surface.n_intermediate)
 
 

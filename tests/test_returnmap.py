@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vipair.core import PI, SIDE_T, baseline_params, event_on_b, next_impact
+from vipair.core import PI, SIDE_T, NondimParams, baseline_params, event_on_b, next_impact
 from vipair.returnmap import (
     EmptyFilterResult,
     GridSpec,
@@ -26,6 +26,24 @@ def test_first_return_classes(params35):
     assert s.klass == ReturnClass.BTB
     assert len(s.intermediate_events) == 1
     assert s.intermediate_events[0].side == SIDE_T
+
+
+@pytest.mark.parametrize("v, phi, p, reason, n_events", [
+    # a start without upward speed never leaves the bottom wall
+    (-0.1, 0.3, baseline_params(0.35), "no_impact_within_horizon", 0),
+    # a slow start that finds no wall within the solver horizon
+    (0.06666666666666667, 3.1948399867014845, NondimParams(0.9, 2.0, 0.0),
+     "no_impact_within_horizon", 0),
+    # a third top impact before the return; the first two are kept
+    (1.6, 4.898754646275609, baseline_params(0.35), "many_t_impacts", 2),
+])
+def test_first_return_other_reasons(v, phi, p, reason, n_events):
+    s = first_return_B(v, phi, p)
+    assert s.klass == ReturnClass.OTHER
+    assert s.reason == reason
+    assert s.v_out is None and s.phi_out is None
+    assert len(s.intermediate_events) == n_events
+    assert all(e.side == SIDE_T for e in s.intermediate_events)
 
 
 def test_first_return_matches_manual_chaining(params35, rng):
@@ -65,12 +83,14 @@ def test_sweep_determinism(params35):
     b = sweep_surfaces(g, params35)
     assert np.array_equal(a.v_out, b.v_out, equal_nan=True)
     assert np.array_equal(a.phi_out, b.phi_out, equal_nan=True)
-    assert all(x == y for x, y in zip(a.klass, b.klass))
+    assert np.array_equal(a.klass, b.klass)
+    assert np.array_equal(a.reason, b.reason)
 
 
 def test_classification_total(params35):
     surf = sweep_surfaces(GridSpec(n_v=20, n_phi=20), params35)
-    assert all(k in ReturnClass for k in surf.klass)
+    assert surf.klass.dtype == np.int8 and surf.reason.dtype == np.int8
+    assert np.isin(surf.klass, list(ReturnClass)).all()
     counts = surf.class_counts()
     assert sum(counts.values()) == len(surf)
 
@@ -98,7 +118,7 @@ def test_partition_raster(params35):
     surf = sweep_surfaces(GridSpec(n_v=12, n_phi=9), params35)
     labels = partition_by_class(surf)
     assert labels.shape == (12, 9)
-    valid = {k.value for k in ReturnClass}
+    valid = {k.name for k in ReturnClass}
     assert set(labels.ravel()) <= valid
 
 
@@ -138,7 +158,7 @@ def test_phase_plane_strands(surface35):
     # small-slope near-diagonal BTB points cluster below pi/2
     small_slope_phis = []
     for s in strands:
-        btb = np.array([k == ReturnClass.BTB for k in s.klass])
+        btb = s.klass == ReturnClass.BTB
         pts = s.near_diagonal & btb
         if not pts.any():
             continue

@@ -1,0 +1,18 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_unused_defaulted_parameters():
+    # the three psi/base parameters stay for fitting the paper's operating point
+    labels = [line.split()[-1] for line in _load("unused_params").unused()]
+    assert labels == ["build_calibrated_table.base", "baseline_params.psi",
+                      "nondimensionalize.psi"]
