@@ -6,7 +6,9 @@ temporary directory, with a relative ``--out`` so that no absolute path can
 leak into an artifact.  The output is one ``sha256  relative/path`` line per
 file, sorted by path; a command's standard output counts as the file
 ``<label>/stdout.txt``.  Two checkouts that print the same lines write the
-same bytes on this command set.
+same bytes on this command set.  The script exits nonzero when a ``.json``
+artifact or a stdout line that opens with ``{`` is not strict JSON (NaN and
+Infinity are not JSON).
 
 Run from the repository root:  python scripts/artifact_digest.py
 Compare two checkouts:         diff <(python a/scripts/artifact_digest.py) \\
@@ -16,6 +18,7 @@ Compare two checkouts:         diff <(python a/scripts/artifact_digest.py) \\
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -31,6 +34,9 @@ COMMANDS = [
     ("sweep", ["sweep", "--d", "0.26", "--grid", "60x60"]),
     ("partition", ["partition", "--d", "0.26", "--grid", "40x40"]),
     ("r1-filter", ["r1-filter", "--grid", "30x30"]),
+    # delta = 1 keeps no point, so the bounding box has no finite edge
+    ("r1-filter-empty", ["r1-filter", "--delta", "1.0", "--grid", "10x10",
+                         "--d-from", "0.35", "--d-to", "0.35"]),
     ("fit", ["fit", "--region", "R1", "--d", "0.35"]),
     ("fit-R3", ["fit", "--region", "R3", "--d", "0.35"]),
     ("composite", ["composite", "--d", "0.35", "--v0", "0.2", "--phi0", "0.1",
@@ -40,6 +46,9 @@ COMMANDS = [
     ("bifurcation-composite", ["bifurcation", "--kind", "composite", "--d-from", "0.26",
                                "--d-to", "0.25", "--step", "0.001"]),
     ("compare", ["compare", "--d", "0.35"]),
+    # its composite trajectory diverges to NaN
+    ("compare-diverging", ["compare", "--d", "0.35", "--v0", "1.6",
+                           "--phi0", "4.898754646275609"]),
     ("aux-domain", ["aux-domain", "--case", "PD"]),
     ("case-FP", ["case", "--name", "FP"]),
     ("case-PD", ["case", "--name", "PD"]),
@@ -74,6 +83,30 @@ def digest_lines(workdir: Path) -> list[str]:
     return lines
 
 
+def _refuse(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def non_strict_json(workdir: Path) -> list[str]:
+    """Relative paths of the .json artifacts and stdout files holding text
+    that strict JSON cannot parse."""
+    bad = []
+    for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            texts = [text]
+        elif path.name == "stdout.txt":
+            texts = [line for line in text.splitlines() if line.startswith("{")]
+        else:
+            continue
+        try:
+            for item in texts:
+                json.loads(item, parse_constant=_refuse)
+        except ValueError:
+            bad.append(path.relative_to(workdir).as_posix())
+    return bad
+
+
 def main() -> None:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="vipair-digest-") as tmp:
@@ -81,8 +114,11 @@ def main() -> None:
         try:
             run_all(Path(tmp))
             print("\n".join(digest_lines(Path(tmp))))
+            bad = non_strict_json(Path(tmp))
         finally:
             os.chdir(cwd)
+    if bad:
+        raise SystemExit("not strict JSON: " + ", ".join(bad))
 
 
 if __name__ == "__main__":

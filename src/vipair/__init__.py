@@ -51,7 +51,6 @@ from .auxmap import (
     second_iterate_phase,
     second_iterate_v,
     statement61_case,
-    update_region,
     wcs_step,
 )
 from .analysis import (

@@ -1,14 +1,16 @@
 """CSV/JSON artifact writers and plot-script emission.
 
 Numbers serialize with 17 significant digits so every double round-trips;
-plot scripts are plain gnuplot files referencing the data artifacts, with no
-timestamps so identical runs produce identical bytes.
+JSON is strict, with every non-finite number written as null; plot scripts
+are plain gnuplot files referencing the data artifacts, with no timestamps
+so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +26,28 @@ def _fmt(x) -> str:
     return FLOAT_FMT % float(x)      # NaN prints as "nan"
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)}")
+def _strict(obj):
+    """obj with numpy values as Python ones and non-finite floats as None."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(x) for x in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def dumps(payload, **kwargs) -> str:
+    """Strict JSON text of payload: NaN and infinities become null."""
+    return json.dumps(_strict(payload), allow_nan=False, **kwargs)
 
 
 def write_json(path: Path, payload: dict):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, default=_json_default))
+    path.write_text(dumps(payload, indent=1))
     return path
 
 

@@ -14,10 +14,9 @@ envelopes and the WCS ranges are exact closed forms: each extremum is the
 best of a short list of candidate points (box corners, edge critical points
 and interior critical points; Garloff 1986, Moore, Kearfott & Cloud 2009).
 They enclose the fitted polynomial maps up to floating-point rounding, not
-the exact dynamics.  The per-curve invariants (coefficient grid, interior
-critical points, and the edge data of the box's own edges) are computed once
-per box; each WCS step only clips and filters them and builds its candidates
-in Python floats, with the operations of numpy.polynomial.
+the exact dynamics.  The per-curve invariants (coefficient grid and interior
+critical points) are computed once per box; each WCS step builds its edge
+candidates in Python floats, with the operations of numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ ROOT_SCAN = 1e-3
 
 class NoStableRoot(RuntimeError):
     pass
-
-
-class NonContracting(Warning):
-    """The updated box equals the previous one (fixed point of the update)."""
 
 
 class EscapedBox(Warning):
@@ -121,15 +116,14 @@ def _clipped_ratio(num: float, den: float, lo: float, hi: float) -> float:
 class _Curve:
     """Invariants of one region-1-shaped map for exact ranges and envelopes.
 
-    Holds the coefficient grid, the interior critical points (v, phi*) with
-    N(v) = 0 and A(v) != 0 (see _rect_range), and the edge data at the
-    velocities v_edges and phases phi_edges, which are a box's own edges and
-    recur on every WCS step.  Per point everything is Python-float arithmetic
-    in the operations and order of numpy.polynomial.polyval, np.clip and
-    np.nan_to_num, so each candidate equals its vectorised counterpart.
+    Holds the coefficient grid and the interior critical points (v, phi*)
+    with N(v) = 0 and A(v) != 0 (see _rect_range).  Per point everything is
+    Python-float arithmetic in the operations and order of
+    numpy.polynomial.polyval, np.clip and np.nan_to_num, so each candidate
+    equals its vectorised counterpart.
     """
 
-    def __init__(self, poly: Poly2D, v_edges, phi_edges):
+    def __init__(self, poly: Poly2D):
         P = np.polynomial.polynomial
         self.poly = poly
         self.grid = _coeff_grid(poly)
@@ -148,39 +142,29 @@ class _Curve:
             phi_star = -P.polyval(roots, b) / (2.0 * a_v)
         keep = a_v != 0.0
         self.interior = list(zip(roots[keep].tolist(), phi_star[keep].tolist()))
-        self._at_v = {float(x): self._vertex_ratio(float(x)) for x in v_edges}
-        self._at_phi = {float(x): self._root_ratios(float(x)) for x in phi_edges}
 
-    def _vertex_ratio(self, v: float):
-        """(-B, 2A) of f(v, .) = A phi^2 + B phi + C."""
+    def phi_vertex(self, v: float, lo: float, hi: float) -> float:
+        """The vertex -B/2A of f(v, .) = A phi^2 + B phi + C, clipped into
+        [lo, hi]; where there is none it gives some point of [lo, hi], which
+        cannot widen a range."""
         b, a = (horner(row, v) for row in self._rows[1:])
-        return -b, 2.0 * a
+        return _clipped_ratio(-b, 2.0 * a, lo, hi)
 
-    def _root_ratios(self, phi: float):
-        """The two roots of the quadratic derivative of the cubic f(., phi), as
-        (numerator, divisor) pairs in the cancellation-free form."""
+    def v_roots(self, phi: float, lo: float, hi: float) -> tuple[float, float]:
+        """Both critical points of the cubic f(., phi), the roots of its
+        quadratic derivative in the cancellation-free form, clipped into
+        [lo, hi]; complex pairs and degenerate cases give some point of
+        [lo, hi]."""
         c1, c2, c3 = (horner(col, phi) for col in self._cols[1:])
         qa, qb = 3.0 * c3, 2.0 * c2
         q = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb - 4.0 * qa * c1, 0.0)), qb))
-        return (q, qa), (c1, q)
-
-    def phi_vertex(self, v: float, lo: float, hi: float) -> float:
-        """The vertex -B/2A of f(v, .), clipped into [lo, hi]; where there is
-        none it gives some point of [lo, hi], which cannot widen a range."""
-        ratio = self._at_v.get(v) or self._vertex_ratio(v)
-        return _clipped_ratio(*ratio, lo, hi)
-
-    def v_roots(self, phi: float, lo: float, hi: float) -> tuple[float, float]:
-        """Both critical points of the cubic f(., phi), clipped into [lo, hi];
-        complex pairs and degenerate cases give some point of [lo, hi]."""
-        r1, r2 = self._at_phi.get(phi) or self._root_ratios(phi)
-        return _clipped_ratio(*r1, lo, hi), _clipped_ratio(*r2, lo, hi)
+        return _clipped_ratio(q, qa, lo, hi), _clipped_ratio(c1, q, lo, hi)
 
 
-def _rect_range(poly, v_range, phi_range):
-    """Exact range of a region-1-shaped map over a rectangle.
+def _rect_range(curve: _Curve, v_range, phi_range):
+    """Exact range of a region-1-shaped map (held by its _Curve) over a
+    rectangle.
 
-    poly is a Poly2D, or its _Curve when many rectangles share edges.
     Returns (min, max, (v, phi) at the min, (v, phi) at the max).  The
     extremes are taken over the 4 corners, the critical points of the four
     edges (cubic in v along phi = const, quadratic in phi along v = const)
@@ -192,7 +176,6 @@ def _rect_range(poly, v_range, phi_range):
     candidates are built in Python floats and evaluated in one Poly2D call.
     """
     (v0, v1), (p0, p1) = map(float, v_range), map(float, phi_range)
-    curve = poly if isinstance(poly, _Curve) else _Curve(poly, (v0, v1), (p0, p1))
     # along phi = p0, p1: both ends, then the two edge critical points
     (a0, b0), (a1, b1) = curve.v_roots(p0, v0, v1), curve.v_roots(p1, v0, v1)
     vs = [v0, v0, v1, v1, a0, a1, b0, b1]
@@ -235,17 +218,15 @@ class BoundCurves:
     """
 
     box: DomainBox
-    d: float
     f1: Poly2D
     g1: Poly2D
-    crossing_detected: bool = False
+    crossing_detected: bool = field(init=False)
 
     def __post_init__(self):
         P = np.polynomial.polynomial
         box = self.box
-        v_edges, phi_edges = (box.v_min, box.v_max), (box.phi_min, box.phi_max)
-        self._f = _Curve(self.f1, v_edges, phi_edges)
-        self._g = _Curve(self.g1, v_edges, phi_edges)
+        self._f = _Curve(self.f1)
+        self._g = _Curve(self.g1)
         gap = P.polysub(P.polyval(box.phi_min, self._f.grid),
                         P.polyval(box.phi_max, self._f.grid))
         real = P.polyroots(gap)
@@ -281,7 +262,7 @@ def build_bound_curves(box: DomainBox, d: float, table: CoeffTable | None = None
     """Bound curves of the region-1 maps on a box at dimensionless length d."""
     table = table if table is not None else load_table()
     maps = table.coeffs_for(Region.R1, d)
-    return BoundCurves(box=box, d=d, f1=maps["v"], g1=maps["phi"])
+    return BoundCurves(box=box, f1=maps["v"], g1=maps["phi"])
 
 
 @dataclass(frozen=True)
@@ -386,17 +367,6 @@ def generic_cobweb(curves: BoundCurves, start: tuple[float, float], steps: int =
     return orbit, extrema
 
 
-def update_region(curves: BoundCurves, box: DomainBox) -> tuple[DomainBox, WcsHistory]:
-    """One update: run the WCS iteration to its limit and adopt the limiting
-    intervals as the next box."""
-    history = iterate_wcs(curves)
-    new_box = DomainBox(*history.final.as_tuple(), index=box.index + 1)
-    if _same_bounds(new_box.as_tuple(), box.as_tuple()):
-        warnings.warn("update produced the same box (non-contracting)",
-                      NonContracting, stacklevel=2)
-    return new_box, history
-
-
 @dataclass(frozen=True)
 class TwoCycle:
     """Alternating 2-cycle of the bound maps: p <= q per coordinate, with the
@@ -414,22 +384,20 @@ class TwoCycle:
             raise ValueError(f"cycle values out of order: {self}")
 
 
-def second_iterate_v(d: float, phi_min: float, phi_max: float,
-                     table: CoeffTable | None = None,
-                     box_v: tuple[float, float] | None = None):
+def second_iterate_v(curves: BoundCurves,
+                     window: tuple[float, float] | None = None):
     """Closed-form second-iterate velocity map and its stable 2-cycle.
 
-    Composes f1 at the two phase endpoints into a degree-9 polynomial by
-    exact coefficient arithmetic, locates the stable fixed point inside
-    box_v (defaulting to the full real axis scan window), and returns
+    Composes f1 at the box's two phase endpoints into a degree-9 polynomial
+    by exact coefficient arithmetic, locates the stable fixed point inside
+    the window (by default the box's velocity interval), and returns
     (polynomial, p_v, q_v, slope at the fixed point).
     """
-    table = table if table is not None else load_table()
-    f1 = table.coeffs_for(Region.R1, d)["v"]
-    inner = f1.partial_phi(phi_max)      # lower branch applied first
-    outer = f1.partial_phi(phi_min)
+    box = curves.box
+    inner = curves.f1.partial_phi(box.phi_max)      # lower branch applied first
+    outer = curves.f1.partial_phi(box.phi_min)
     composed = Poly1D("v", compose(outer.coeffs, inner.coeffs))
-    lo, hi = box_v if box_v is not None else (0.0, 1.5)
+    lo, hi = window if window is not None else (box.v_min, box.v_max)
     deriv = composed.derivative()
     root, slope = _stable_root(lambda x: composed(x) - x,
                                np.arange(lo, hi + ROOT_SCAN, ROOT_SCAN),
@@ -574,15 +542,13 @@ def iterate_updates(case: str, d: float | None = None, n_updates: int | None = N
     histories: list[WcsHistory] = []
     crossing = False
     escaped = False
-    last_curves = None
+    curves = None
     trust = _trust_region(case)
     for _ in range(n_updates - 1):
         curves = build_bound_curves(current, d, table)
         crossing = crossing or curves.crossing_detected
-        last_curves = curves
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonContracting)
-            new_box, history = update_region(curves, current)
+        history = iterate_wcs(curves)
+        new_box = DomainBox(*history.final.as_tuple(), index=current.index + 1)
         histories.append(history)
         boxes.append(new_box)
         if not _inside_trust(new_box, trust):
@@ -596,14 +562,13 @@ def iterate_updates(case: str, d: float | None = None, n_updates: int | None = N
 
     statement = statement61_case(histories[-1]) if histories else STATEMENT_INDETERMINATE
     cycle = None
-    if last_curves is not None and not escaped:
+    if curves is not None and not escaped:
         try:
             fb = boxes[-1]
             _, p_v, q_v, slope_v = second_iterate_v(
-                d, last_curves.box.phi_min, last_curves.box.phi_max, table,
-                box_v=(fb.v_min - 0.05, fb.v_max + 0.05))
+                curves, window=(fb.v_min - 0.05, fb.v_max + 0.05))
             p_phi, q_phi, slope_p = second_iterate_phase(
-                last_curves, window=(fb.phi_min - 0.05, fb.phi_max + 0.05))
+                curves, window=(fb.phi_min - 0.05, fb.phi_max + 0.05))
             cycle = TwoCycle(p_v=float(p_v), q_v=float(q_v), p_phi=float(p_phi),
                              q_phi=float(q_phi), slope_v=float(slope_v),
                              slope_phi=float(slope_p))

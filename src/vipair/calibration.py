@@ -91,18 +91,21 @@ def calibrate_r1(d_grid, base: NondimParams, log=None):
     rows_b, rows_a, deltas = [], [], {}
     v_win = (R1_FIT_WINDOW[0], R1_FIT_WINDOW[1])
     p_win = (R1_FIT_WINDOW[2], R1_FIT_WINDOW[3])
+    # both region-1 maps have this shape, so one basis change serves both
+    _, deg_phi, deg_v = REGION_SHAPES[Region.R1]["v"]
     for d in d_grid:
         vk, pk, vn, pn, used = _r1_samples(d, base, R1_DELTA)
-        b, rep_b = scaled_fit_2d(vk, pk, vn, 2, 3, v_win, p_win)
-        a, rep_a = scaled_fit_2d(vk, pk, pn, 2, 3, v_win, p_win)
+        b, rep_b = scaled_fit_2d(vk, pk, vn, deg_phi, deg_v, v_win, p_win)
+        a, rep_a = scaled_fit_2d(vk, pk, pn, deg_phi, deg_v, v_win, p_win)
         rows_b.append(b)
         rows_a.append(a)
         deltas[float(d)] = used
         if log:
             log(f"R1 d={d}: n={len(vk)} delta={used:.2f} "
                 f"delta-set rmse=({rep_b.rmse:.2e},{rep_a.rmse:.2e})")
-    transform = scaled_to_monomial_matrix_2d(2, 3, v_win, p_win)
-    return np.array(rows_b), np.array(rows_a), poly2d_exponents(2, 3), transform, deltas
+    transform = scaled_to_monomial_matrix_2d(deg_phi, deg_v, v_win, p_win)
+    return (np.array(rows_b), np.array(rows_a), poly2d_exponents(deg_phi, deg_v),
+            transform, deltas)
 
 
 def _curve_samples(d: float, base: NondimParams, region: Region):
@@ -167,22 +170,20 @@ def calibrate_r3(base: NondimParams, log=None):
     vk = np.concatenate(vks); pk = np.concatenate(pks)
     vn = np.concatenate(vns); pn = np.concatenate(pns)
 
-    exps_f = poly2d_exponents(3, 5)
-    exps_g = poly2d_exponents(4, 5)
-
     v_win = (0.0, 0.63)
     p_win = (0.0, float(np.pi))
 
-    def trimmed(deg_phi, deg_v, exps, target):
-        c, _, rep = fit_poly2d_scaled(vk, pk, target, deg_phi, deg_v, v_win, p_win)
+    def trimmed(target, tname):
+        _, deg_phi, deg_v = REGION_SHAPES[Region.R3][tname]
+        c, exps, rep = fit_poly2d_scaled(vk, pk, target, deg_phi, deg_v, v_win, p_win)
         resid = design_matrix(vk, pk, exps) @ c - target
         keep = np.abs(resid) < R3_TRIM_SIGMA * resid.std()
         c, _, rep = fit_poly2d_scaled(vk[keep], pk[keep], target[keep],
                                       deg_phi, deg_v, v_win, p_win)
-        return c, rep, keep.sum()
+        return c, exps, rep, keep.sum()
 
-    cb, rep_b, nb = trimmed(3, 5, exps_f, vn)
-    ca, rep_a, na = trimmed(4, 5, exps_g, pn)
+    cb, exps_f, rep_b, nb = trimmed(vn, "v")
+    ca, exps_g, rep_a, na = trimmed(pn, "phi")
     if log:
         log(f"R3 pooled: n=({nb},{na}) of {len(vk)} rmse=({rep_b.rmse:.2e},{rep_a.rmse:.2e})")
     return cb, exps_f, ca, exps_g

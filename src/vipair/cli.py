@@ -8,7 +8,6 @@ JSON on failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -88,7 +87,7 @@ def cmd_sweep(args) -> int:
                                 title=f"first-return surface d={surface.d}",
                                 columns=(1, 2), xlabel="v_k", ylabel="phi_k")
     counts = {k.name: n for k, n in surface.class_counts().items()}
-    print(json.dumps({"written": str(out / "surface.csv"), "classes": counts}))
+    print(artifacts.dumps({"written": str(out / "surface.csv"), "classes": counts}))
     return 0
 
 
@@ -98,8 +97,8 @@ def cmd_partition(args) -> int:
     surface = sweep_surfaces(grid, _params(args))
     labels = partition_by_class(surface)
     artifacts.write_partition_csv(out / "partition.csv", labels)
-    print(json.dumps({"written": str(out / "partition.csv"),
-                      "shape": list(labels.shape)}))
+    print(artifacts.dumps({"written": str(out / "partition.csv"),
+                           "shape": list(labels.shape)}))
     return 0
 
 
@@ -119,7 +118,7 @@ def cmd_r1_filter(args) -> int:
         "n_points": int(len(result.points)),
     }
     artifacts.write_json(out / "r1_filter.json", payload)
-    print(json.dumps(payload))
+    print(artifacts.dumps(payload))
     return 0
 
 
@@ -136,7 +135,7 @@ def cmd_fit(args) -> int:
     payload = {"region": args.region, "d": params.length, "delta": delta,
                "reports": reports}
     artifacts.write_json(out / f"fit_{args.region}.json", payload)
-    print(json.dumps(payload))
+    print(artifacts.dumps(payload))
     return 0
 
 
@@ -167,7 +166,7 @@ def cmd_bifurcation(args) -> int:
     artifacts.write_json(out / f"bifurcation_{args.kind}_meta.json",
                          _run_metadata(args, seed_state=list(analysis.DEFAULT_SEED_STATE),
                                        first_period_doubling_d=pd_d))
-    print(json.dumps({"written": str(path), "first_period_doubling_d": pd_d}))
+    print(artifacts.dumps({"written": str(path), "first_period_doubling_d": pd_d}))
     return 0
 
 
@@ -184,8 +183,8 @@ def cmd_compare(args) -> int:
                                 columns=(5, 6), xlabel="v_k", ylabel="phi_k")
     artifacts.write_json(out / "comparison_meta.json",
                          _run_metadata(args, d=d, initial_conditions=ics))
-    print(json.dumps({"written": str(path),
-                      "tail_distances": [r.tail_distance for r in records]}))
+    print(artifacts.dumps({"written": str(path),
+                           "tail_distances": [r.tail_distance for r in records]}))
     return 0
 
 
@@ -195,8 +194,8 @@ def cmd_aux_domain(args) -> int:
                                     table=load_table(args.table))
     artifacts.write_aux_report(out / "aux_report.json", report)
     artifacts.write_widths_csv(out / "widths.csv", report)
-    print(json.dumps(artifacts.aux_report_payload(report)["boxes"][-1]
-                     | {"statement": report.statement_case, "escaped": report.escaped}))
+    print(artifacts.dumps(artifacts.aux_report_payload(report)["boxes"][-1]
+                          | {"statement": report.statement_case, "escaped": report.escaped}))
     return 0
 
 
@@ -204,9 +203,9 @@ def cmd_case(args) -> int:
     out = _outdir(args)
     result = analysis.run_case_preset(args.name, table=load_table(args.table))
     written = artifacts.write_case_result(out, result)
-    print(json.dumps({"case": args.name,
-                      "classification": str(result.classification),
-                      "written": [str(p) for p in written]}))
+    print(artifacts.dumps({"case": args.name,
+                           "classification": str(result.classification),
+                           "written": [str(p) for p in written]}))
     return 0
 
 
@@ -214,8 +213,8 @@ def cmd_calibrate(args) -> int:
     table = build_calibrated_table(log=print if args.verbose else None)
     path = Path(args.out or "calibrated_coefficients.json")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(table.to_dict(), indent=1))
-    print(json.dumps({"written": str(path)}))
+    path.write_text(artifacts.dumps(table.to_dict(), indent=1))
+    print(artifacts.dumps({"written": str(path)}))
     return 0
 
 
@@ -311,7 +310,7 @@ def run_command(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError, RankDeficientFit) as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
+        print(artifacts.dumps({"error": type(err).__name__, "message": str(err)}),
               file=sys.stderr)
         return 2
 

@@ -60,9 +60,10 @@ def region_of(v: float, phi: float) -> Region:
     return Region.R3
 
 
-def horner(coeffs, x: float) -> float:
-    """numpy.polynomial.polynomial.polyval(x, coeffs) for a float x: the same
-    operations in the same order, in Python floats (coefficients ascending)."""
+def horner(coeffs, x):
+    """numpy.polynomial.polynomial.polyval(x, coeffs) for a float or an array
+    x: the same operations in the same order (coefficients ascending), in
+    Python floats for a float x."""
     out = coeffs[-1] + x * 0
     for c in coeffs[-2::-1]:
         out = c + out * x
@@ -84,10 +85,11 @@ class Poly2D:
 
     Each distinct power is taken once per call, with ndarray ``**`` for 0-d
     and n-d input alike (a 0-d call takes x**0 = 1 and x**1 = x as they are).
-    A 0-d call then sums the terms in Python floats, in term order, and equals
-    the same point of an array call bit for bit.  That rests on the powers: a
-    0-d ndarray ``**`` matches the array loop, while Python ``float ** i`` and
-    ``np.float64 ** i`` round differently from it on some inputs for i >= 2.
+    One loop sums the terms in term order, in Python floats for a 0-d call and
+    elementwise for arrays, so a 0-d call equals the same point of an array
+    call bit for bit.  That rests on the powers: a 0-d ndarray ``**`` matches
+    the array loop, while Python ``float ** i`` and ``np.float64 ** i`` round
+    differently from it on some inputs for i >= 2.
     """
 
     exponents: tuple[tuple[int, int], ...]
@@ -99,15 +101,10 @@ class Poly2D:
         scalar = v.ndim == 0 and phi.ndim == 0
         phi_pow = _powers(phi, {i for i, _ in self.exponents}, scalar)
         v_pow = _powers(v, {j for _, j in self.exponents}, scalar)
-        if scalar:
-            total = 0.0
-            for (i, j), c in zip(self.exponents, self.coeffs.tolist()):
-                total += c * phi_pow[i] * v_pow[j]
-            return total
-        out = np.zeros(np.broadcast(v, phi).shape)
-        for (i, j), c in zip(self.exponents, self.coeffs):
-            out += c * phi_pow[i] * v_pow[j]
-        return out
+        total = 0.0
+        for (i, j), c in zip(self.exponents, self.coeffs.tolist()):
+            total += c * phi_pow[i] * v_pow[j]
+        return total
 
     def partial_phi(self, phi0: float) -> "Poly1D":
         """Collapse phi to a constant, leaving an exact polynomial in v."""
@@ -134,10 +131,8 @@ class Poly1D:
     absolute: bool = False
 
     def __call__(self, x):
-        if np.ndim(x) == 0:
-            val = horner(self.coeffs.tolist(), float(x))
-        else:
-            val = np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
+        x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+        val = horner(self.coeffs.tolist(), x)
         return abs(val) if self.absolute else val
 
     def derivative(self) -> "Poly1D":

@@ -226,7 +226,8 @@ def test_criterion_8_property_suites(table, sweep35, rng):
                 failures.append("reset left phase outside [0, pi]")
 
     # degree-9 composition vs nested evaluation
-    composed, *_ = auxmap.second_iterate_v(0.35, 0.2, PI / 3, table, box_v=(0.6, 1.0))
+    composed, *_ = auxmap.second_iterate_v(
+        auxmap.build_bound_curves(auxmap.DomainBox(0.6, 1.0, 0.2, PI / 3), 0.35, table))
     f1 = table.coeffs_for(Region.R1, 0.35)["v"]
     inner = f1.partial_phi(PI / 3)
     outer = f1.partial_phi(0.2)

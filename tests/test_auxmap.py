@@ -19,7 +19,6 @@ from vipair.auxmap import (
     second_iterate_phase,
     second_iterate_v,
     statement61_case,
-    update_region,
     wcs_step,
 )
 from vipair.composite import Poly2D, Region
@@ -71,7 +70,7 @@ def test_degenerate_phase_box_collapses_xi():
     f1 = _linear_poly2d(0.5, 0.3, -0.2)
     g1 = _linear_poly2d(0.3, 0.1, 0.5)
     box = DomainBox(0.7, 1.0, 0.4, 0.4)
-    curves = BoundCurves(box=box, d=0.3, f1=f1, g1=g1)
+    curves = BoundCurves(box=box, f1=f1, g1=g1)
     vs = np.linspace(0.7, 1.0, 9)
     assert np.allclose(curves.xi_u(vs), curves.xi_l(vs))
 
@@ -81,7 +80,7 @@ def test_wcs_step_constant_curves():
     f1 = _linear_poly2d(0.5, 0.0, -0.2)
     g1 = _linear_poly2d(0.3, 0.0, 0.4)
     box = DomainBox(0.0, 1.0, 0.0, 1.0)
-    curves = BoundCurves(box=box, d=0.3, f1=f1, g1=g1)
+    curves = BoundCurves(box=box, f1=f1, g1=g1)
     rec = wcs_step(curves, (0.0, 1.0), (0.0, 1.0))
     assert rec.interval_v == (pytest.approx(0.3), pytest.approx(0.5))
     assert rec.interval_phi == (pytest.approx(0.3), pytest.approx(0.7))
@@ -107,7 +106,7 @@ def test_generic_cobweb_matches_wcs_for_decreasing_curves():
     f1 = _linear_poly2d(1.2, -0.5, -0.1)
     g1 = _linear_poly2d(1.0, -0.1, -0.5)
     box = DomainBox(0.2, 1.0, 0.2, 1.0)
-    curves = BoundCurves(box=box, d=0.3, f1=f1, g1=g1)
+    curves = BoundCurves(box=box, f1=f1, g1=g1)
     hist = iterate_wcs(curves)
     orbit, extrema = generic_cobweb(curves, (0.5, 0.5), steps=400)
     assert extrema[0] == pytest.approx(hist.final.interval_v[0], abs=1e-6)
@@ -118,7 +117,7 @@ def test_generic_cobweb_period_two_from_cycle_point():
     f1 = _linear_poly2d(1.2, -0.5, -0.1)
     g1 = _linear_poly2d(1.0, -0.1, -0.5)
     box = DomainBox(0.2, 1.0, 0.2, 1.0)
-    curves = BoundCurves(box=box, d=0.3, f1=f1, g1=g1)
+    curves = BoundCurves(box=box, f1=f1, g1=g1)
     # starting at the fixed point of xi_L(xi_U(.)) (upper branch applied
     # first) makes the orbit exactly period 2
     xi_u, xi_l = curves.xi_u, curves.xi_l
@@ -137,7 +136,8 @@ def test_generic_cobweb_period_two_from_cycle_point():
 def test_update_region_contracts_fp(table):
     box = r1_plus("FP")
     curves = build_bound_curves(box, 0.35, table)
-    new_box, hist = update_region(curves, box)
+    hist = iterate_wcs(curves)
+    new_box = DomainBox(*hist.final.as_tuple(), index=box.index + 1)
     assert hist.converged
     assert new_box.index == 2
     assert new_box.v_min > box.v_min and new_box.v_max < box.v_max
@@ -182,8 +182,8 @@ def test_iterate_updates_pd_cd_escape(table):
 
 
 def test_second_iterate_composition(table, rng):
-    composed, p_v, q_v, slope = second_iterate_v(0.35, 0.2, PI / 3, table,
-                                                 box_v=(0.6, 1.0))
+    composed, p_v, q_v, slope = second_iterate_v(
+        build_bound_curves(DomainBox(0.6, 1.0, 0.2, PI / 3), 0.35, table))
     assert composed.degree == 9
     f1 = table.coeffs_for(Region.R1, 0.35)["v"]
     inner = f1.partial_phi(PI / 3)
@@ -197,8 +197,8 @@ def test_second_iterate_composition(table, rng):
 def test_second_iterate_v_near_composite_fixed_point(table):
     rep = iterate_updates("FP", table=table)
     fb = rep.final_box
-    _, p_v, q_v, _ = second_iterate_v(0.35, fb.phi_min, fb.phi_max, table,
-                                      box_v=(fb.v_min - 0.05, fb.v_max + 0.05))
+    _, p_v, q_v, _ = second_iterate_v(build_bound_curves(fb, 0.35, table),
+                                      window=(fb.v_min - 0.05, fb.v_max + 0.05))
     assert p_v == pytest.approx(fb.v_min, abs=5e-3)
     assert q_v == pytest.approx(fb.v_max, abs=5e-3)
 
@@ -207,7 +207,7 @@ def test_second_iterate_phase_constant_envelopes():
     f1 = _linear_poly2d(0.5, 0.0, -0.2)
     g1 = _linear_poly2d(0.3, 0.4, 0.0)   # eta_U = 0.7, eta_L = 0.3 constants
     box = DomainBox(0.0, 1.0, 0.0, 1.0)
-    curves = BoundCurves(box=box, d=0.3, f1=f1, g1=g1)
+    curves = BoundCurves(box=box, f1=f1, g1=g1)
     p_phi, q_phi, slope = second_iterate_phase(curves)
     assert p_phi == pytest.approx(0.3, abs=1e-6)
     assert q_phi == pytest.approx(0.7, abs=1e-6)
@@ -221,7 +221,7 @@ def test_statement_cases(table):
     # extremizers excluded at every step
     f1 = _linear_poly2d(0.7, -0.2, -0.1)
     g1 = _linear_poly2d(0.7, -0.1, -0.2)
-    curves = BoundCurves(box=DomainBox(0.0, 1.0, 0.0, 1.0), d=0.3, f1=f1, g1=g1)
+    curves = BoundCurves(box=DomainBox(0.0, 1.0, 0.0, 1.0), f1=f1, g1=g1)
     hist = iterate_wcs(curves)
     assert statement61_case(hist) == STATEMENT_PART1
 
@@ -253,12 +253,12 @@ def _assert_covers(poly, box):
     vs = np.linspace(box.v_min, box.v_max, BRUTE)
     ps = np.linspace(box.phi_min, box.phi_max, BRUTE)
     vals = poly(vs[:, None], ps[None, :])
-    lo, hi, arg_lo, arg_hi = _rect_range(poly, (box.v_min, box.v_max),
+    lo, hi, arg_lo, arg_hi = _rect_range(_Curve(poly), (box.v_min, box.v_max),
                                          (box.phi_min, box.phi_max))
     assert lo <= vals.min() + UNDER_COVER and hi >= vals.max() - UNDER_COVER
     for (v, phi), val in ((arg_lo, lo), (arg_hi, hi)):
         assert box.contains(v, phi) and poly(v, phi) == pytest.approx(val, abs=1e-12)
-    curves = BoundCurves(box=box, d=0.3, f1=poly, g1=poly)
+    curves = BoundCurves(box=box, f1=poly, g1=poly)
     assert np.all(curves.xi_u(vs) >= vals.max(axis=1) - UNDER_COVER)
     assert np.all(curves.xi_l(vs) <= vals.min(axis=1) + UNDER_COVER)
     assert np.all(curves.eta_u(ps) >= vals.max(axis=0) - UNDER_COVER)
@@ -286,7 +286,7 @@ def test_ranges_never_under_cover_each_candidate_branch():
     box = DomainBox(0.0, 1.0, 0.0, 1.0)
     _, arg_hi = _assert_covers(bump, box)
     assert 0.0 < arg_hi[0] < 1.0 and 0.0 < arg_hi[1] < 1.0
-    curves = BoundCurves(box=box, d=0.3, f1=bump, g1=bump)
+    curves = BoundCurves(box=box, f1=bump, g1=bump)
     assert curves.xi_u(0.5) > max(bump(0.5, 0.0), bump(0.5, 1.0)) + 0.1
     # A == 0: linear in phi, saddle-only interior
     linear_phi = _terms_poly2d({(0, 3): 1.0, (0, 1): -1.0, (1, 1): 0.5, (1, 0): -0.2})
@@ -308,7 +308,7 @@ def test_ranges_never_under_cover_each_candidate_branch():
 def test_rect_range_rejects_other_shapes():
     exps = tuple(poly2d_exponents(3, 3))
     with pytest.raises(ValueError):
-        _rect_range(Poly2D(exponents=exps, coeffs=np.ones(len(exps))),
+        _rect_range(_Curve(Poly2D(exponents=exps, coeffs=np.ones(len(exps)))),
                     (0.0, 1.0), (0.0, 1.0))
 
 
@@ -436,7 +436,7 @@ def _assert_same_as_frozen(poly, box, rng):
     # every edge candidate, bit for bit (signed zeros included), at the box's
     # edges, at sampled points and at v = 0 / phi = 0, where linear maps give
     # 0/0 and x/0 divisions
-    curve = _Curve(poly, v_range, phi_range)
+    curve = _Curve(poly)
     vs = np.concatenate([[box.v_min, box.v_max, 0.0], rng.uniform(*v_range, 10)])
     ps = np.concatenate([[box.phi_min, box.phi_max, 0.0], rng.uniform(*phi_range, 10)])
     for v in vs:
@@ -446,15 +446,15 @@ def _assert_same_as_frozen(poly, box, rng):
         old = _old_v_candidates(curve.grid, phi, *v_range)[2:]
         assert _bits(curve.v_roots(float(phi), *v_range)) == _bits(old)
     want = _old_rect_range(poly, v_range, phi_range)
-    assert _rect_range(poly, v_range, phi_range) == want
-    # through the per-box invariants, as wcs_step calls it: sub-intervals of
+    assert _rect_range(_Curve(poly), v_range, phi_range) == want
+    # through one curve's invariants, as wcs_step calls it: sub-intervals of
     # one coordinate against the box's full other interval
     assert _rect_range(curve, v_range, phi_range) == want
     sub_v = tuple(np.sort(rng.uniform(*v_range, 2)))
     sub_phi = tuple(np.sort(rng.uniform(*phi_range, 2)))
     assert _rect_range(curve, sub_v, phi_range) == _old_rect_range(poly, sub_v, phi_range)
     assert _rect_range(curve, v_range, sub_phi) == _old_rect_range(poly, v_range, sub_phi)
-    curves = BoundCurves(box=box, d=0.3, f1=poly, g1=poly)
+    curves = BoundCurves(box=box, f1=poly, g1=poly)
     vs = np.concatenate([[box.v_min, box.v_max], rng.uniform(*v_range, 30)])
     ps = np.concatenate([[box.phi_min, box.phi_max], rng.uniform(*phi_range, 30)])
     got = (curves.xi_u(vs), curves.xi_l(vs), curves.eta_u(ps), curves.eta_l(ps))

@@ -170,6 +170,30 @@ def test_cli_compare_survives_three_top_impacts(tmp_path, capsys):
     assert (tmp_path / "comparison.csv").exists()
 
 
+def _strict_loads(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, key", [
+    # the composite trajectory from this start diverges to NaN
+    (["compare", "--d", "0.35", "--v0", "1.6", "--phi0", "4.898754646275609"],
+     "tail_distances"),
+    # delta = 1 keeps no point, so the bounding box has no finite edge
+    (["r1-filter", "--delta", "1.0", "--grid", "10x10", "--d-from", "0.35",
+      "--d-to", "0.35"], "bounding_box"),
+], ids=["compare", "r1-filter"])
+def test_cli_writes_non_finite_numbers_as_null(tmp_path, capsys, argv, key):
+    assert run_command(argv + ["--out", str(tmp_path)]) == 0
+    payload = _strict_loads(capsys.readouterr().out)
+    assert payload[key] and all(x is None for x in payload[key])
+    written = sorted(tmp_path.glob("*.json"))
+    assert written
+    for path in written:
+        _strict_loads(path.read_text())
+
+
 def test_cli_rank_deficient_fit_is_machine_readable(tmp_path, capsys):
     # delta = 1 keeps no sample, so no coefficient is determined
     rc = run_command(["fit", "--region", "R1", "--grid", "20x20", "--delta", "1.0",

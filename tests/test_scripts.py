@@ -16,3 +16,13 @@ def test_no_unused_defaulted_parameters():
     labels = [line.split()[-1] for line in _load("unused_params").unused()]
     assert labels == ["build_calibrated_table.base", "baseline_params.psi",
                       "nondimensionalize.psi"]
+
+
+def test_digest_flags_non_strict_json(tmp_path):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "ok.json").write_text('{"x": null}')
+    (tmp_path / "run" / "bad.json").write_text('{"x": NaN}')
+    (tmp_path / "run" / "stdout.txt").write_text('  k  v\n{"d": [Infinity]}\n')
+    (tmp_path / "run" / "data.csv").write_text("nan\n")
+    assert _load("artifact_digest").non_strict_json(tmp_path) == ["run/bad.json",
+                                                                 "run/stdout.txt"]
