@@ -53,7 +53,8 @@ COMMANDS = [
     ("case-FP", ["case", "--name", "FP"]),
     ("case-PD", ["case", "--name", "PD"]),
     ("case-CD", ["case", "--name", "CD"]),
-    ("calibrate", ["calibrate"]),
+    # --verbose prints each region's per-d sample counts and fit residuals
+    ("calibrate", ["calibrate", "--verbose"]),
 ]
 
 

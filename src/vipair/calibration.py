@@ -11,7 +11,9 @@ table refitted from the event-driven exact map with the same structure:
 * R3: one d-independent fit pooled across the d range (the surface does not
   move with d), trimmed once to shed the steep transition sheet.
 * R2/R4/R5: separable single-variable fits along fixed representative rows
-  and columns of the surfaces, per d, then d-polynomials.
+  and columns of the surfaces, per d, then d-polynomials.  One d's six
+  curves are swept as one batch; that is exact, because each row of a sweep
+  depends on that row alone (tests/test_returnmap.py checks it bit for bit).
 
 Every fit is ordinary least squares through an orthogonal decomposition; the
 recipe parameters are recorded in the table metadata.
@@ -108,23 +110,29 @@ def calibrate_r1(d_grid, base: NondimParams, log=None):
             transform, deltas)
 
 
-def _curve_samples(d: float, base: NondimParams, region: Region):
-    """Representative-curve samples for one separable region at one d."""
-    rec = SEPARABLE_RECIPE[region]
-    p = base.replace(length=d)
-    v_nodes = np.linspace(*rec["v_window"], CURVE_POINTS)
-    s_row = _sweep_points(v_nodes, np.full_like(v_nodes, rec["phi_row"]), p)
-    mask = s_row.klass == rec["klass"]
-    row = (s_row.v_in[mask], s_row.v_out[mask])
-
-    phi_nodes = np.linspace(*rec["phi_window"], CURVE_POINTS)
-    s_col = _sweep_points(np.full_like(phi_nodes, rec["v_col"]), phi_nodes, p)
-    mask = s_col.klass == rec["klass"]
-    p_out = s_col.phi_out[mask]
-    if rec["unwrap"]:
-        p_out = unwrap_phase(p_out)
-    col = (s_col.phi_in[mask], p_out)
-    return row, col
+def _curve_samples(d: float, base: NondimParams):
+    """{region: ((v_in, v_out), (phi_in, phi_out))} of every separable region
+    at one d, from one sweep of all six representative curves."""
+    v_parts, phi_parts = [], []
+    for rec in SEPARABLE_RECIPE.values():
+        v_nodes = np.linspace(*rec["v_window"], CURVE_POINTS)
+        phi_nodes = np.linspace(*rec["phi_window"], CURVE_POINTS)
+        v_parts += [v_nodes, np.full_like(phi_nodes, rec["v_col"])]
+        phi_parts += [np.full_like(v_nodes, rec["phi_row"]), phi_nodes]
+    s = _sweep_points(np.concatenate(v_parts), np.concatenate(phi_parts),
+                      base.replace(length=d))
+    samples = {}
+    for k, (region, rec) in enumerate(SEPARABLE_RECIPE.items()):
+        row = slice(2 * k * CURVE_POINTS, (2 * k + 1) * CURVE_POINTS)
+        col = slice(row.stop, row.stop + CURVE_POINTS)
+        mask = s.klass[row] == rec["klass"]
+        v_curve = (s.v_in[row][mask], s.v_out[row][mask])
+        mask = s.klass[col] == rec["klass"]
+        p_out = s.phi_out[col][mask]
+        if rec["unwrap"]:
+            p_out = unwrap_phase(p_out)
+        samples[region] = (v_curve, (s.phi_in[col][mask], p_out))
+    return samples
 
 
 def unwrap_phase(phi):
@@ -139,14 +147,15 @@ def unwrap_phase(phi):
     return np.where(phi > np.pi, phi - 2.0 * np.pi, phi)
 
 
-def calibrate_separable(region: Region, d_grid, base: NondimParams, log=None):
-    """Per-d curve fits of a separable region, coefficient rows (ascending)."""
+def calibrate_separable(region: Region, d_grid, curves, log=None):
+    """Per-d curve fits of a separable region, coefficient rows (ascending);
+    ``curves`` holds one _curve_samples result per d of ``d_grid``."""
     deg_v = REGION_SHAPES[region]["v"][2]
     deg_p = REGION_SHAPES[region]["phi"][2]
     rec = SEPARABLE_RECIPE[region]
     rows_b, rows_a = [], []
-    for d in d_grid:
-        (v_in, v_out), (p_in, p_out) = _curve_samples(d, base, region)
+    for d, samples in zip(d_grid, curves):
+        (v_in, v_out), (p_in, p_out) = samples[region]
         cb, rep_b = cheb_fit_1d(v_in, v_out, deg_v, rec["v_window"])
         ca, rep_a = cheb_fit_1d(p_in, p_out, deg_p, rec["phi_window"])
         rows_b.append(cb)
@@ -223,8 +232,9 @@ def build_calibrated_table(base: NondimParams | None = None, log=print) -> Coeff
     if log:
         log(f"R1 d-poly representation error: {max(err_b, err_a):.2e}")
 
+    curves = [_curve_samples(d, base) for d in D_GRID]
     for region in (Region.R2, Region.R4, Region.R5):
-        rows_b, rows_a, t_v, t_p = calibrate_separable(region, D_GRID, base, log)
+        rows_b, rows_a, t_v, t_p = calibrate_separable(region, D_GRID, curves, log)
         deg_v = REGION_SHAPES[region]["v"][2]
         deg_p = REGION_SHAPES[region]["phi"][2]
         exps_v = [(0, k) for k in range(deg_v + 1)]

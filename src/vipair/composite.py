@@ -356,7 +356,7 @@ def detect_attractor(v, phi) -> AttractorClass:
 def region_samples(surface, klass, region: Region):
     """Arrays (v_in, phi_in, v_out, phi_out) of one return class inside one region."""
     vk, pk, vn, pn = surface.class_samples(klass)
-    inside = np.array([region_of(v, p) == region for v, p in zip(vk, pk)])
+    inside = np.array([region_of(v, p) == region for v, p in zip(vk, pk)], dtype=bool)
     return vk[inside], pk[inside], vn[inside], pn[inside]
 
 

@@ -15,9 +15,10 @@ from vipair.composite import (
     detect_attractor,
     fit_region_maps,
     region_of,
+    region_samples,
     table_checksum,
 )
-from vipair.returnmap import GridSpec, sweep_surfaces
+from vipair.returnmap import GridSpec, ReturnClass, sweep_surfaces
 
 
 def test_region_dispatch_examples():
@@ -159,6 +160,13 @@ def test_refit_agrees_with_shipped_table(surface35, table):
 def test_fit_region_separable_requires_curves(surface35, region):
     with pytest.raises(ValueError, match="representative"):
         fit_region_maps(surface35, Region(region))
+
+
+def test_region_samples_of_an_empty_class(params35):
+    # no start in this corner returns without a top impact
+    surface = sweep_surfaces(GridSpec(2, 2, (1.2, 1.3), (0.1, 0.2)), params35)
+    assert surface.class_counts()[ReturnClass.BB] == 0
+    assert [len(a) for a in region_samples(surface, ReturnClass.BB, Region.R3)] == [0] * 4
 
 
 def test_poly_partial_evaluation(table):

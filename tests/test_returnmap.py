@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from vipair.returnmap import (
     EmptyFilterResult,
     GridSpec,
     ReturnClass,
+    SurfaceData,
+    _sweep_points,
     first_return_B,
     partition_by_class,
     project_phase_planes,
@@ -85,6 +89,28 @@ def test_sweep_determinism(params35):
     assert np.array_equal(a.phi_out, b.phi_out, equal_nan=True)
     assert np.array_equal(a.klass, b.klass)
     assert np.array_equal(a.reason, b.reason)
+
+
+@pytest.mark.parametrize("d", [0.26, 0.30, 0.35])
+def test_batched_rows_equal_separate_sweeps(d):
+    # the set sizes straddle core._SCALAR_ROWS = 8, so both skip paths run;
+    # bytes compare NaN equal to NaN
+    rng = np.random.default_rng(round(d * 1000))
+    p = baseline_params(d)
+    sets = [(rng.uniform(-0.05, 1.8, n), rng.uniform(0.0, 2 * PI, n))
+            for n in (1, 5, 8, 9, 160, 700)]
+    whole = _sweep_points(np.concatenate([v for v, _ in sets]),
+                          np.concatenate([phi for _, phi in sets]), p)
+    assert len(np.unique(whole.klass)) == len(ReturnClass)
+    start = 0
+    for v, phi in sets:
+        part = _sweep_points(v, phi, p)
+        rows = slice(start, start + len(v))
+        start = rows.stop
+        for f in fields(SurfaceData):
+            a, b = getattr(part, f.name), getattr(whole, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b[rows].tobytes(), f.name
 
 
 def test_classification_total(params35):
