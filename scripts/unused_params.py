@@ -12,7 +12,8 @@ method on it, as an accumulator's ``history.records.append(...)`` does.
 
 Calls are matched by the called name alone, so a same-named function
 elsewhere can hide a dead parameter; a call through an alias or a variable
-is not seen.  Each printed line is ``path:line  Owner.param``.
+is not seen.  Each printed line is ``path:line  Owner.param``.  A second
+section lists the defaulted parameters that only calls under ``tests/`` set.
 
 Run from the repository root:  python scripts/unused_params.py
 """
@@ -78,11 +79,11 @@ def definitions():
     return out
 
 
-def calls_and_stores():
-    """Every call's (name, positional count, starred-from index, keywords, has **),
-    and the attribute names assigned or mutated anywhere."""
+def calls_and_stores(callers):
+    """Every call's (name, positional count, starred-from index, keywords, has **)
+    under the caller directories, and the attribute names assigned or mutated there."""
     calls, stores = [], set()
-    for base in CALLERS:
+    for base in callers:
         for path in sorted(base.rglob("*.py")):
             for node in ast.walk(_parse(path)):
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
@@ -103,8 +104,8 @@ def calls_and_stores():
     return calls, stores
 
 
-def unused() -> list[str]:
-    calls, stores = calls_and_stores()
+def _unset(callers) -> list[str]:
+    calls, stores = calls_and_stores(callers)
     lines = []
     for name, label, positional, defaulted, is_dataclass, where in definitions():
         for param in defaulted:
@@ -122,9 +123,24 @@ def unused() -> list[str]:
     return lines
 
 
+def unused() -> list[str]:
+    """Defaulted parameters that no call sets."""
+    return _unset(CALLERS)
+
+
+def set_only_by_tests() -> list[str]:
+    """Defaulted parameters that only calls under ``tests/`` set."""
+    never = set(unused())
+    return [line for line in _unset([c for c in CALLERS if c.name != "tests"])
+            if line not in never]
+
+
 def main() -> None:
     lines = unused()
     print("\n".join(lines) if lines else "no unused defaulted parameters")
+    lines = set_only_by_tests()
+    print("\nset only by tests:")
+    print("\n".join(lines) if lines else "none")
 
 
 if __name__ == "__main__":

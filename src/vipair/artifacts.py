@@ -75,18 +75,6 @@ def write_surface_csv(path: Path, surface: SurfaceData):
     return _write_csv(path, rows)
 
 
-def read_surface_csv(path: Path):
-    """Back-load a surface CSV into plain arrays (round-trip check helper)."""
-    rows = list(csv.DictReader(Path(path).open()))
-    v = np.array([float(r["v_k"]) for r in rows])
-    p = np.array([float(r["phi_k"]) for r in rows])
-    k = np.array([r["class"] for r in rows], dtype=object)
-    vo = np.array([float(r["v_next"]) if r["v_next"] else np.nan for r in rows])
-    po = np.array([float(r["phi_next"]) if r["phi_next"] else np.nan for r in rows])
-    n = np.array([int(r["n_intermediate"]) for r in rows])
-    return v, p, k, vo, po, n
-
-
 def write_surface_json(path: Path, surface: SurfaceData):
     payload = {
         "params": {

@@ -341,18 +341,18 @@ def _same_bounds(a, b) -> bool:
     return all(abs(x - y) < WCS_TOL for x, y in zip(a, b))
 
 
-def generic_cobweb(curves: BoundCurves, start: tuple[float, float], steps: int = WCS_MAX_STEPS):
-    """Alternate upper and lower branches from a point; returns the orbit and
-    the extrema of its final 10%.
+def generic_cobweb(curves: BoundCurves, start: tuple[float, float]):
+    """Alternate upper and lower branches from a point for WCS_MAX_STEPS steps;
+    returns the orbit and the extrema of its final 10%.
 
     Escaping the source box is reported through an EscapedBox warning, not an
     error (transients may enter from outside region 1).
     """
     v, phi = start
-    orbit = np.empty((steps + 1, 2))
+    orbit = np.empty((WCS_MAX_STEPS + 1, 2))
     orbit[0] = (v, phi)
     escaped = False
-    for k in range(steps):
+    for k in range(WCS_MAX_STEPS):
         if k % 2 == 0:
             v, phi = curves.xi_u(v), curves.eta_u(phi)
         else:
@@ -362,7 +362,7 @@ def generic_cobweb(curves: BoundCurves, start: tuple[float, float], steps: int =
             escaped = True
     if escaped:
         warnings.warn("generic cobweb left the source box", EscapedBox, stacklevel=2)
-    tail = orbit[-max(steps // 10, 2):]
+    tail = orbit[-(WCS_MAX_STEPS // 10):]
     extrema = (tail[:, 0].min(), tail[:, 0].max(), tail[:, 1].min(), tail[:, 1].max())
     return orbit, extrema
 
@@ -396,7 +396,7 @@ def second_iterate_v(curves: BoundCurves,
     box = curves.box
     inner = curves.f1.partial_phi(box.phi_max)      # lower branch applied first
     outer = curves.f1.partial_phi(box.phi_min)
-    composed = Poly1D("v", compose(outer.coeffs, inner.coeffs))
+    composed = Poly1D(compose(outer.coeffs, inner.coeffs))
     lo, hi = window if window is not None else (box.v_min, box.v_max)
     deriv = composed.derivative()
     root, slope = _stable_root(lambda x: composed(x) - x,

@@ -52,7 +52,7 @@ def _outdir(args) -> Path:
 
 def _params(args):
     if getattr(args, "config", None):
-        return load_config(args.config).params
+        return load_config(args.config)
     return baseline_params(args.d)
 
 

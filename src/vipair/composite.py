@@ -112,21 +112,14 @@ class Poly2D:
         c = np.zeros(deg_v + 1)
         for (i, j), coeff in zip(self.exponents, self.coeffs):
             c[j] += coeff * phi0**i
-        return Poly1D(variable="v", coeffs=c)
-
-    def partial_v(self, v0: float) -> "Poly1D":
-        deg_p = max(i for i, _ in self.exponents)
-        c = np.zeros(deg_p + 1)
-        for (i, j), coeff in zip(self.exponents, self.coeffs):
-            c[i] += coeff * v0**j
-        return Poly1D(variable="phi", coeffs=c)
+        return Poly1D(coeffs=c)
 
 
 @dataclass(frozen=True)
 class Poly1D:
-    """Single-variable polynomial, coefficients ascending; optional |.| wrapper."""
+    """Single-variable polynomial, coefficients ascending; optional |.| wrapper.
+    A region's "v" map takes v and its "phi" map takes phi."""
 
-    variable: str                 # "v" or "phi"
     coeffs: np.ndarray
     absolute: bool = False
 
@@ -138,7 +131,7 @@ class Poly1D:
     def derivative(self) -> "Poly1D":
         if self.absolute:
             raise ValueError("derivative undefined through the absolute-value wrapper")
-        return Poly1D(self.variable, np.polynomial.polynomial.polyder(self.coeffs))
+        return Poly1D(np.polynomial.polynomial.polyder(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -189,8 +182,17 @@ class CoeffTable:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "CoeffTable":
+    def from_dict(cls, payload) -> "CoeffTable":
+        if not isinstance(payload, dict):
+            raise CoeffTableError("a coefficient table must be a JSON object")
+        missing = {"regions", "name", "d_range"} - set(payload)
+        if missing:
+            raise CoeffTableError(f"coefficient table lacks {sorted(missing)}")
         regions = payload["regions"]
+        names = {region.value for region in REGION_SHAPES}
+        if not isinstance(regions, dict) or not set(regions) <= names:
+            raise CoeffTableError(f"coefficient table {payload['name']!r}: 'regions' "
+                                  f"must map region names {sorted(names)} to maps")
         expected = payload.get("checksum")
         actual = table_checksum(regions)
         if expected != actual:
@@ -257,7 +259,7 @@ class CoeffTable:
                 for (i, j), val in zip(exps, vals):
                     power = j if variable == "v" else i
                     coeffs[power] += val
-                out[tname] = Poly1D(variable=variable, coeffs=coeffs, absolute=absolute)
+                out[tname] = Poly1D(coeffs=coeffs, absolute=absolute)
         return out
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import NondimParams, PhysicalParams, nondimensionalize
@@ -20,15 +19,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration with the derived nondimensional block."""
-
-    params: NondimParams
-    physical: PhysicalParams | None = None
-
-
-def load_config(path) -> RunConfig:
+def load_config(path) -> NondimParams:
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -37,7 +28,9 @@ def load_config(path) -> RunConfig:
     return parse_config(payload)
 
 
-def parse_config(payload: dict) -> RunConfig:
+def parse_config(payload) -> NondimParams:
+    if not isinstance(payload, dict):
+        raise ConfigError("a config must be a JSON object")
     unknown = set(payload) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -50,25 +43,16 @@ def parse_config(payload: dict) -> RunConfig:
     if has_phys == has_nd:
         raise ConfigError("exactly one of 'physical' or 'nondimensional' is required")
 
-    physical = None
-    if has_phys:
-        block = dict(payload["physical"])
-        unknown = set(block) - _PHYSICAL_KEYS
-        if unknown:
-            raise ConfigError(f"unknown physical keys: {sorted(unknown)}")
-        try:
-            physical = PhysicalParams(**block)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"invalid physical block: {err}") from err
-        params = nondimensionalize(physical)
-    else:
-        block = dict(payload["nondimensional"])
-        unknown = set(block) - _NONDIM_KEYS
-        if unknown:
-            raise ConfigError(f"unknown nondimensional keys: {sorted(unknown)}")
-        try:
-            params = NondimParams(**block)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"invalid nondimensional block: {err}") from err
-
-    return RunConfig(params=params, physical=physical)
+    key = "physical" if has_phys else "nondimensional"
+    block = payload[key]
+    if not isinstance(block, dict):
+        raise ConfigError(f"the {key!r} block must be a JSON object")
+    unknown = set(block) - (_PHYSICAL_KEYS if has_phys else _NONDIM_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+    try:
+        if has_phys:
+            return nondimensionalize(PhysicalParams(**block))
+        return NondimParams(**block)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid {key} block: {err}") from err

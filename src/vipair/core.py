@@ -13,6 +13,8 @@ form, so `next_impact_batch` locates wall crossings numerically.  The next
 impact lies in the first interval of a fixed sample grid (step SCAN_STEP,
 from START_OFFSET to HORIZON after the impact) in which Z rises through +d/2
 or falls through -d/2; 45 bisection steps on that interval give its time.
+SCAN_STEP, HORIZON and GRAZING_TOL are module constants: the solver is the
+oracle for every comparison, so it runs in one configuration.
 
 Most grid samples cannot start that interval, and certified skip-ahead avoids
 evaluating them.  Since gbar - |A| <= Zdd <= gbar + |A| between impacts, the
@@ -35,7 +37,7 @@ PI = math.pi
 SIDE_B = "B"
 SIDE_T = "T"
 
-# Event-solver defaults: fixed march step, bracketing offset after an impact,
+# Event-solver constants: fixed march step, bracketing offset after an impact,
 # search horizon (20 forcing periods), bisection time tolerance, and the
 # velocity magnitude below which a crossing is treated as grazing.
 SCAN_STEP = 1e-3
@@ -68,11 +70,11 @@ class DegenerateParamsError(ValueError):
 
 
 class NoImpactWithinHorizon(RuntimeError):
-    """No wall crossing found in (t_j, t_j + horizon]."""
+    """No wall crossing found in (t_j, t_j + HORIZON]."""
 
 
 class GrazingImpact(RuntimeError):
-    """A wall crossing with |Zdot| below the grazing tolerance."""
+    """A wall crossing with |Zdot| below GRAZING_TOL."""
 
 
 @dataclass(frozen=True)
@@ -240,25 +242,25 @@ def flow_between_impacts(event: ImpactEvent, tau, p: NondimParams,
     return FlowSample(displacement=z, velocity=zdot, time=event.time + np.asarray(tau))
 
 
-@functools.lru_cache(maxsize=4)
-def _scan_grid(scan_step: float, horizon: float) -> np.ndarray:
-    """Sample times tau of the fixed march over (0, horizon], read-only.
+@functools.cache
+def _scan_grid() -> np.ndarray:
+    """Sample times tau of the fixed march over (0, HORIZON], read-only.
 
     Built in chunks of 256 doubling to _SCAN_CHUNK samples with the
     arithmetic the march has always used, so the floats never change;
     adjacent chunks share their end point, which appears once.
     """
-    n_steps = int(math.ceil(horizon / scan_step))
+    n_steps = int(math.ceil(HORIZON / SCAN_STEP))
     parts = []
     base, done, chunk = 0.0, 0, 256
     while done < n_steps:
         m = min(chunk, n_steps - done)
         chunk = min(2 * chunk, _SCAN_CHUNK)
-        offs = START_OFFSET + (base + scan_step * np.arange(m + 1))
+        offs = START_OFFSET + (base + SCAN_STEP * np.arange(m + 1))
         parts.append(offs[1:] if parts else offs)
-        base += scan_step * m
+        base += SCAN_STEP * m
         done += m
-    grid = np.concatenate(parts) if parts else np.empty(0)
+    grid = np.concatenate(parts)
     grid.flags.writeable = False
     return grid
 
@@ -287,14 +289,13 @@ def _safe_time_scalar(dist: float, speed: float, accel: float) -> float:
 
 
 def next_impact_batch(sides, times, velocities, p: NondimParams, *,
-                      amplitude: float = 1.0, scan_step: float = SCAN_STEP,
-                      horizon: float = HORIZON, grazing_tol: float = GRAZING_TOL):
+                      amplitude: float = 1.0):
     """Vectorized impact-to-impact step for a batch of events.
 
     Each row's next impact lies in the first interval of the fixed sample
-    grid `_scan_grid(scan_step, horizon)` in which Z rises through +d/2
-    (side B) or falls through -d/2 (side T); 45 bisection steps on that
-    interval give the impact time.  Certified skip-ahead decides which grid
+    grid `_scan_grid()` (step SCAN_STEP up to HORIZON) in which Z rises
+    through +d/2 (side B) or falls through -d/2 (side T); 45 bisection steps
+    on that interval give the impact time.  Certified skip-ahead decides which grid
     samples are evaluated at all: from a sample's (Z, Zdot) and the bound
     gbar - |A| <= Zdd <= gbar + |A|, every later sample before the first time
     either wall could come within SKIP_MARGIN of Z is strictly inside the
@@ -311,7 +312,7 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
     Returns:
         (new_sides, new_times, new_velocities, status) with status
         STATUS_OK, STATUS_NO_IMPACT (none within the horizon) or
-        STATUS_GRAZING (a grazing crossing).
+        STATUS_GRAZING (a crossing with |Zdot| < GRAZING_TOL).
     """
     sides = np.asarray(sides, dtype=np.int8)
     t0 = np.asarray(times, dtype=float)
@@ -341,7 +342,7 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
         return (vplus[rows] + gbar * tau
                 + amplitude * np.sin(arg0[rows] + PI * tau) / PI - f1_0[rows])
 
-    grid = _scan_grid(scan_step, horizon)
+    grid = _scan_grid()
     last = grid.size - 1
     lim = half - SKIP_MARGIN
     accel_b = gbar + abs(amplitude)   # bounds on Zdd towards +d/2 and towards -d/2
@@ -381,7 +382,7 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
     first = np.zeros(n, dtype=np.intp)    # first grid interval not yet cleared
     hit_at = np.full(n, -1, dtype=np.intp)
     hit_b = np.zeros(n, dtype=bool)
-    active = np.arange(n) if last > 0 else np.arange(0)
+    active = np.arange(n)
     window = _FIRST_WINDOW
     while active.size:
         if active.size <= _SCALAR_ROWS:
@@ -427,27 +428,26 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
         out_side[ev_rows] = np.where(is_b, 1, -1)
         out_t[ev_rows] = t0[ev_rows] + t_star
         out_v[ev_rows] = zdot
-        graze = np.abs(zdot) < grazing_tol
+        graze = np.abs(zdot) < GRAZING_TOL
         status[ev_rows] = np.where(graze, STATUS_GRAZING, STATUS_OK)
 
     return out_side, out_t, out_v, status
 
 
-def next_impact(event: ImpactEvent, p: NondimParams, *, amplitude: float = 1.0,
-                horizon: float = HORIZON, grazing_tol: float = GRAZING_TOL) -> ImpactEvent:
+def next_impact(event: ImpactEvent, p: NondimParams, *,
+                amplitude: float = 1.0) -> ImpactEvent:
     """Earliest impact after `event`: side, time, signed pre-impact velocity, phase.
 
     Raises:
-        NoImpactWithinHorizon: no wall crossing in (t_j, t_j + horizon].
-        GrazingImpact: the first crossing has |Zdot| < grazing_tol.
+        NoImpactWithinHorizon: no wall crossing in (t_j, t_j + HORIZON].
+        GrazingImpact: the first crossing has |Zdot| < GRAZING_TOL.
     """
     side_code = np.array([1 if event.side == SIDE_B else -1])
     s, t, v, st = next_impact_batch(side_code, [event.time], [event.velocity_in], p,
-                                    amplitude=amplitude, horizon=horizon,
-                                    grazing_tol=grazing_tol)
+                                    amplitude=amplitude)
     if st[0] == STATUS_NO_IMPACT:
         raise NoImpactWithinHorizon(
-            f"no impact within {horizon} time units after t={event.time}")
+            f"no impact within {HORIZON} time units after t={event.time}")
     if st[0] == STATUS_GRAZING:
         raise GrazingImpact(
             f"grazing crossing (|Zdot|={abs(v[0]):.2e}) at t={t[0]}")

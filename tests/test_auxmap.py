@@ -108,7 +108,7 @@ def test_generic_cobweb_matches_wcs_for_decreasing_curves():
     box = DomainBox(0.2, 1.0, 0.2, 1.0)
     curves = BoundCurves(box=box, f1=f1, g1=g1)
     hist = iterate_wcs(curves)
-    orbit, extrema = generic_cobweb(curves, (0.5, 0.5), steps=400)
+    orbit, extrema = generic_cobweb(curves, (0.5, 0.5))
     assert extrema[0] == pytest.approx(hist.final.interval_v[0], abs=1e-6)
     assert extrema[1] == pytest.approx(hist.final.interval_v[1], abs=1e-6)
 
@@ -127,7 +127,7 @@ def test_generic_cobweb_period_two_from_cycle_point():
     phi = 0.5
     for _ in range(200):
         phi = curves.eta_l(curves.eta_u(phi))
-    orbit, _ = generic_cobweb(curves, (v, phi), steps=50)
+    orbit, _ = generic_cobweb(curves, (v, phi))
     vs = orbit[:, 0]
     assert np.allclose(vs[::2], vs[0], atol=1e-9)
     assert np.allclose(vs[1::2], xi_u(vs[0]), atol=1e-9)

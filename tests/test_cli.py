@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -7,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from vipair.artifacts import read_surface_csv, write_surface_csv
+from vipair.artifacts import write_surface_csv
 from vipair.cli import run_command
+from vipair.composite import table_checksum
 from vipair.config import ConfigError, load_config, parse_config
 from vipair.core import baseline_params
 from vipair.returnmap import GridSpec, ReturnClass, sweep_surfaces
@@ -18,9 +20,9 @@ def test_config_minimal_nondimensional(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"nondimensional": {
         "restitution": 0.5, "length": 0.35, "gravity_term": 0.2113}}))
-    cfg = load_config(path)
-    assert cfg.params.length == 0.35
-    assert cfg.params.general_phase == 0.0
+    params = load_config(path)
+    assert params.length == 0.35
+    assert params.general_phase == 0.0
 
 
 def test_config_physical_block_derives_gbar(tmp_path):
@@ -29,10 +31,9 @@ def test_config_physical_block_derives_gbar(tmp_path):
         "capsule_mass": 0.1245, "capsule_length": 0.5622,
         "forcing_frequency": 5 * np.pi, "forcing_norm": 5.0,
         "incline": np.pi / 3, "restitution": 0.5, "gravity": 9.8}}))
-    cfg = load_config(path)
-    assert cfg.params.gravity_term == pytest.approx(0.2113, abs=5e-5)
-    assert cfg.params.length == pytest.approx(0.35, abs=1e-4)
-    assert cfg.physical is not None
+    params = load_config(path)
+    assert params.gravity_term == pytest.approx(0.2113, abs=5e-5)
+    assert params.length == pytest.approx(0.35, abs=1e-4)
 
 
 def test_config_both_blocks_rejected():
@@ -149,6 +150,39 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("payload", ['42', '[{}]', '{"physical": 5}',
+                                     '{"nondimensional": [1]}'],
+                         ids=["number", "list", "physical-number", "nondimensional-list"])
+def test_cli_malformed_config_is_machine_readable(tmp_path, capsys, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(payload)
+    rc = run_command(["sweep", "--config", str(path), "--grid", "2x2",
+                      "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+
+
+_NOT_A_REGION = {"R9": {}}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({}, "lacks"),
+    ([], "JSON object"),
+    ({"name": "x", "d_range": [0.25, 0.36], "regions": _NOT_A_REGION,
+      "checksum": table_checksum(_NOT_A_REGION)}, "region names"),
+], ids=["no-regions", "list", "unknown-region"])
+def test_cli_malformed_table_is_machine_readable(tmp_path, capsys, payload, message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(payload))
+    rc = run_command(["composite", "--v0", "0.2", "--phi0", "0.1", "--table", str(path),
+                      "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CoeffTableError"
+    assert message in err["message"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["r1-filter", "--d-from", "0.35", "--d-to", "0.26"], "no d values"),
     (["r1-filter", "--step", "0"], "step must be positive"),
@@ -226,13 +260,15 @@ def test_cli_fit_rejects_separable_regions(capsys):
 def test_surface_csv_roundtrip(tmp_path):
     surface = sweep_surfaces(GridSpec(n_v=6, n_phi=6), baseline_params(0.3))
     path = write_surface_csv(tmp_path / "s.csv", surface)
-    v, p, k, vo, po, n = read_surface_csv(path)
-    assert np.array_equal(v, surface.v_in)
-    assert np.array_equal(p, surface.phi_in)
-    assert np.array_equal(vo, surface.v_out, equal_nan=True)
-    assert np.array_equal(po, surface.phi_out, equal_nan=True)
-    assert list(k) == [ReturnClass(c).name for c in surface.klass]
-    assert np.array_equal(n, surface.n_intermediate)
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
+    column = lambda key: np.array([float(r[key]) if r[key] else np.nan for r in rows])
+    assert np.array_equal(column("v_k"), surface.v_in)
+    assert np.array_equal(column("phi_k"), surface.phi_in)
+    assert np.array_equal(column("v_next"), surface.v_out, equal_nan=True)
+    assert np.array_equal(column("phi_next"), surface.phi_out, equal_nan=True)
+    assert [r["class"] for r in rows] == [ReturnClass(c).name for c in surface.klass]
+    assert np.array_equal(column("n_intermediate"), surface.n_intermediate)
 
 
 def test_artifacts_are_reproducible(tmp_path):

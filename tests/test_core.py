@@ -245,17 +245,19 @@ def test_chain_from_figure_start_reaches_alternating_motion(params35):
 def test_no_impact_within_horizon():
     # no forcing, no gravity: the coast to the far wall outlasts the horizon
     p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.0)
-    e = event_on_b(0.4, 0.0, p)  # crossing due at tau = 1.75
+    e = event_on_b(1e-3, 0.0, p)  # crossing due at tau = 700 > HORIZON
     with pytest.raises(NoImpactWithinHorizon):
-        next_impact(e, p, amplitude=0.0, horizon=1.0)
+        next_impact(e, p, amplitude=0.0)
 
 
 def test_grazing_detection():
-    # a deterministic slow crossing below a raised grazing tolerance
-    p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.2113)
-    e = event_on_b(0.8, 0.0, p)   # reaches the top wall at ~0.19 speed
+    # a near-rest start from the first fuzz case of the frozen-march test:
+    # the forcing pushes the ball back into the bottom wall at |Zdot| ~ 7.5e-9
+    e = ImpactEvent(side=SIDE_B, time=1.7048851055613437,
+                    velocity_in=1.1848686624457046e-08,
+                    phase=float(impact_phase(1.7048851055613437)))
     with pytest.raises(GrazingImpact):
-        next_impact(e, p, amplitude=0.0, grazing_tol=0.2)
+        next_impact(e, baseline_params(0.35))
 
 
 def test_event_requires_positive_velocity(params35):
@@ -381,7 +383,6 @@ def test_next_impact_batch_matches_full_march():
         (forced, {"amplitude": 0.0}, [7] * 10 + [300]),
         (NondimParams(restitution=0.5, length=0.35, gravity_term=0.0),
          {"amplitude": 0.0}, [1] * 5 + [40]),   # coasting: mostly no impact in 40
-        (forced, {"scan_step": 2e-3, "horizon": 7.3}, [7] * 5 + [200]),
     ]
     seen_status = set()
     n_rows = 0
@@ -395,22 +396,16 @@ def test_next_impact_batch_matches_full_march():
             seen_status.update(want[3].tolist())
             n_rows += size
 
-    # Tangency at the top wall (apex exactly at -d/2 with the forcing off),
-    # a slow crossing under a raised grazing tolerance, and a short horizon.
+    # Tangency at the top wall (apex exactly at -d/2 with the forcing off).
     p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.2113)
     v_apex = math.sqrt(2 * p.gravity_term * p.length) / p.restitution
-    special = [
-        ([1, 1, 1], [0.0, 0.3, 0.6], [v_apex, math.nextafter(v_apex, 2.0), v_apex * (1 + 1e-12)],
-         {"amplitude": 0.0}),
-        ([1], [0.0], [0.8], {"amplitude": 0.0, "grazing_tol": 0.2}),
-        ([1], [0.0], [0.4], {"amplitude": 0.0, "horizon": 0.05}),
-    ]
-    for sides, times, vels, kw in special:
-        got = next_impact_batch(sides, times, vels, p, **kw)
-        want = _march_next_impact_batch(sides, times, vels, p, **kw)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w, equal_nan=True)
-        seen_status.update(want[3].tolist())
-        n_rows += len(sides)
+    sides, times = [1, 1, 1], [0.0, 0.3, 0.6]
+    vels = [v_apex, math.nextafter(v_apex, 2.0), v_apex * (1 + 1e-12)]
+    got = next_impact_batch(sides, times, vels, p, amplitude=0.0)
+    want = _march_next_impact_batch(sides, times, vels, p, amplitude=0.0)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+    seen_status.update(want[3].tolist())
+    n_rows += len(sides)
     assert n_rows >= 2000
     assert seen_status == {0, 1, 2}
