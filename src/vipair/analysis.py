@@ -43,9 +43,9 @@ def _iterate_exact(v0: float, phi0: float, p: NondimParams, n_steps: int):
 
 
 def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
-                     base: NondimParams | None = None,
                      table: CoeffTable | None = None) -> list[BifurcationSample]:
-    """Continuation scan of the exact or composite map over a d range.
+    """Continuation scan of the exact or composite map over a d range; the
+    exact map runs at baseline_params(d).
 
     The attracting state at each d seeds the next one; OTHER-classified
     tails are recorded as gaps and the seed falls back to the default.
@@ -54,7 +54,6 @@ def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
         raise ValueError(f"kind must be 'exact' or 'composite', got {kind!r}")
     if step <= 0:
         raise ValueError("step must be positive")
-    base = base if base is not None else baseline_params(d_from)
     if kind == "composite" and table is None:
         table = load_table()
 
@@ -74,8 +73,8 @@ def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
         warnings.simplefilter("ignore", ExtrapolationWarning)
         for d in ds:
             if kind == "exact":
-                p = base.replace(length=d)
-                v, phi, ok = _iterate_exact(state[0], state[1], p, SCAN_STEPS)
+                v, phi, ok = _iterate_exact(state[0], state[1], baseline_params(d),
+                                            SCAN_STEPS)
             else:
                 v, phi, _ = CompositeMap(table=table, d=d).iterate(state[0], state[1],
                                                                     SCAN_STEPS)

@@ -77,15 +77,8 @@ def write_surface_csv(path: Path, surface: SurfaceData):
 
 def write_surface_json(path: Path, surface: SurfaceData):
     payload = {
-        "params": {
-            "restitution": surface.params.restitution,
-            "length": surface.params.length,
-            "gravity_term": surface.params.gravity_term,
-            "general_phase": surface.params.general_phase,
-        },
-        "grid": {"n_v": surface.grid.n_v, "n_phi": surface.grid.n_phi,
-                 "v_range": list(surface.grid.v_range),
-                 "phi_range": list(surface.grid.phi_range)},
+        "params": vars(surface.params),
+        "grid": vars(surface.grid),
         "class_counts": {k.name: n for k, n in surface.class_counts().items()},
     }
     return write_json(path, payload)
@@ -139,11 +132,7 @@ def aux_report_payload(report: UpdateReport) -> dict:
         ],
     }
     if report.two_cycle:
-        c = report.two_cycle
-        payload["two_cycle"] = {
-            "p_v": c.p_v, "q_v": c.q_v, "p_phi": c.p_phi, "q_phi": c.q_phi,
-            "slope_v": c.slope_v, "slope_phi": c.slope_phi,
-        }
+        payload["two_cycle"] = vars(report.two_cycle)
     return payload
 
 

@@ -15,25 +15,33 @@ table refitted from the event-driven exact map with the same structure:
   curves are swept as one batch; that is exact, because each row of a sweep
   depends on that row alone (tests/test_returnmap.py checks it bit for bit).
 
-Every fit is ordinary least squares through an orthogonal decomposition; the
-recipe parameters are recorded in the table metadata.
+Each region's maps are fitted to one return class (FIT_CLASS).  Every fit is
+ordinary least squares through an orthogonal decomposition; the recipe
+parameters are recorded in the table metadata.  ``fit_region_maps`` refits
+R1 or R3 from a single sweep (``vipair fit``), outside the table recipe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .composite import R1_BOX, REGION_SHAPES, CoeffTable, Region, region_samples
+from .composite import (R1_BOX, REGION_SHAPES, TABLE_PARAMS, CoeffTable, Poly2D, Region,
+                        region_of)
 from .core import NondimParams, baseline_params
-from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_coeff_in_d,
+from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_coeff_in_d, fit_poly2d,
                       fit_poly2d_scaled, scaled_fit_2d,
                       scaled_to_monomial_matrix_2d, design_matrix,
                       poly2d_exponents)
-from .returnmap import GridSpec, ReturnClass, near_diagonal, sweep_surfaces, _sweep_points
+from .returnmap import (R1_DELTA, GridSpec, ReturnClass, near_diagonal, sweep_surfaces,
+                        _sweep_points)
+
+# The return class each region's maps are fitted to
+FIT_CLASS = {Region.R1: ReturnClass.BTB, Region.R2: ReturnClass.BTB,
+             Region.R3: ReturnClass.BB, Region.R4: ReturnClass.BTB,
+             Region.R5: ReturnClass.BB}
 
 D_GRID = np.round(np.arange(0.26, 0.35001, 0.005), 4)
 R1_FIT_GRID = 72
-R1_DELTA = 1.2
 R1_MIN_SAMPLES = 160
 D_POLY_DEGREE = 8
 
@@ -56,14 +64,11 @@ R1_FIT_WINDOW = (0.63, 1.0, 0.08, np.pi / 3)
 # dispatch region.
 SEPARABLE_RECIPE = {
     Region.R2: {"phi_row": 0.50, "v_col": 0.85, "v_window": (0.50, 1.05),
-                "phi_window": (0.02, np.pi), "klass": ReturnClass.BTB,
-                "unwrap": True},
+                "phi_window": (0.02, np.pi), "unwrap": True},
     Region.R4: {"phi_row": 1.90, "v_col": 0.20, "v_window": (0.005, 0.58),
-                "phi_window": (1.05, 2.55), "klass": ReturnClass.BTB,
-                "unwrap": False},
+                "phi_window": (1.05, 2.55), "unwrap": False},
     Region.R5: {"phi_row": 3.05, "v_col": 0.12, "v_window": (0.005, 0.50),
-                "phi_window": (2.45, np.pi - 1e-3), "klass": ReturnClass.BB,
-                "unwrap": False},
+                "phi_window": (2.45, np.pi - 1e-3), "unwrap": False},
 }
 CURVE_POINTS = 160
 
@@ -72,12 +77,45 @@ R3_GRID = GridSpec(n_v=90, n_phi=90, v_range=(0.0, 0.63), phi_range=(0.0, np.pi)
 R3_TRIM_SIGMA = 3.0
 
 
+def region_samples(surface, klass, region: Region):
+    """Arrays (v_in, phi_in, v_out, phi_out) of one return class inside one region."""
+    vk, pk, vn, pn = surface.class_samples(klass)
+    inside = np.array([region_of(v, p) == region for v, p in zip(vk, pk)], dtype=bool)
+    return vk[inside], pk[inside], vn[inside], pn[inside]
+
+
+def fit_region_maps(surface, region: Region, *, delta: float | None = None):
+    """Refit one 2D region's maps (R1, R3) from a swept surface (see
+    returnmap.sweep_surfaces).
+
+    The fit takes every sample of the region's FIT_CLASS inside the region,
+    optionally restricted by the diagonal-proximity ratio filter ``delta``.
+    The separable regions R2, R4 and R5 are fitted along representative
+    curves that one sweep does not provide; ``vipair calibrate`` refits them.
+
+    Returns {"v": map, "phi": map, "reports": {...}}.
+    """
+    shape = REGION_SHAPES[region]
+    if shape["v"][0] != "2d":
+        raise ValueError(f"separable region {region.value} is fitted along representative "
+                         "curves that one sweep does not provide; `vipair calibrate` "
+                         "refits it")
+    vk, pk, vn, pn = region_samples(surface, FIT_CLASS[region], region)
+    if delta is not None:
+        keep = near_diagonal(vk, pk, vn, pn, delta)
+        vk, pk, vn, pn = vk[keep], pk[keep], vn[keep], pn[keep]
+    cv, ev, rep_v = fit_poly2d(vk, pk, vn, *shape["v"][1:3])
+    cp, ep, rep_p = fit_poly2d(vk, pk, pn, *shape["phi"][1:3])
+    return {"v": Poly2D(tuple(ev), cv), "phi": Poly2D(tuple(ep), cp),
+            "reports": {"v": rep_v, "phi": rep_p}}
+
+
 def _r1_samples(d: float, base: NondimParams, delta: float):
     """Filtered BTB samples of the return surface over the R1 box."""
     grid = GridSpec(n_v=R1_FIT_GRID, n_phi=R1_FIT_GRID,
                     v_range=(R1_BOX[0], R1_BOX[1]), phi_range=(R1_BOX[2], R1_BOX[3]))
     surface = sweep_surfaces(grid, base.replace(length=d))
-    vk, pk, vn, pn = surface.class_samples(ReturnClass.BTB)
+    vk, pk, vn, pn = surface.class_samples(FIT_CLASS[Region.R1])
     while True:
         keep = near_diagonal(vk, pk, vn, pn, delta)
         if keep.sum() >= R1_MIN_SAMPLES or delta > 3.0:
@@ -125,9 +163,9 @@ def _curve_samples(d: float, base: NondimParams):
     for k, (region, rec) in enumerate(SEPARABLE_RECIPE.items()):
         row = slice(2 * k * CURVE_POINTS, (2 * k + 1) * CURVE_POINTS)
         col = slice(row.stop, row.stop + CURVE_POINTS)
-        mask = s.klass[row] == rec["klass"]
+        mask = s.klass[row] == FIT_CLASS[region]
         v_curve = (s.v_in[row][mask], s.v_out[row][mask])
-        mask = s.klass[col] == rec["klass"]
+        mask = s.klass[col] == FIT_CLASS[region]
         p_out = s.phi_out[col][mask]
         if rec["unwrap"]:
             p_out = unwrap_phase(p_out)
@@ -150,8 +188,8 @@ def unwrap_phase(phi):
 def calibrate_separable(region: Region, d_grid, curves, log=None):
     """Per-d curve fits of a separable region, coefficient rows (ascending);
     ``curves`` holds one _curve_samples result per d of ``d_grid``."""
-    deg_v = REGION_SHAPES[region]["v"][2]
-    deg_p = REGION_SHAPES[region]["phi"][2]
+    deg_v = REGION_SHAPES[region]["v"][1]
+    deg_p = REGION_SHAPES[region]["phi"][1]
     rec = SEPARABLE_RECIPE[region]
     rows_b, rows_a = [], []
     for d, samples in zip(d_grid, curves):
@@ -173,14 +211,13 @@ def calibrate_r3(base: NondimParams, log=None):
     vks, pks, vns, pns = [], [], [], []
     for d in R3_POOL_D:
         surface = sweep_surfaces(R3_GRID, base.replace(length=d))
-        vk, pk, vn, pn = region_samples(surface, ReturnClass.BB, Region.R3)
+        vk, pk, vn, pn = region_samples(surface, FIT_CLASS[Region.R3], Region.R3)
         vks.append(vk); pks.append(pk)
         vns.append(vn); pns.append(pn)
     vk = np.concatenate(vks); pk = np.concatenate(pks)
     vn = np.concatenate(vns); pn = np.concatenate(pns)
 
-    v_win = (0.0, 0.63)
-    p_win = (0.0, float(np.pi))
+    v_win, p_win = R3_GRID.v_range, R3_GRID.phi_range
 
     def trimmed(target, tname):
         _, deg_phi, deg_v = REGION_SHAPES[Region.R3][tname]
@@ -235,8 +272,8 @@ def build_calibrated_table(base: NondimParams | None = None, log=print) -> Coeff
     curves = [_curve_samples(d, base) for d in D_GRID]
     for region in (Region.R2, Region.R4, Region.R5):
         rows_b, rows_a, t_v, t_p = calibrate_separable(region, D_GRID, curves, log)
-        deg_v = REGION_SHAPES[region]["v"][2]
-        deg_p = REGION_SHAPES[region]["phi"][2]
+        deg_v = REGION_SHAPES[region]["v"][1]
+        deg_p = REGION_SHAPES[region]["phi"][1]
         exps_v = [(0, k) for k in range(deg_v + 1)]
         exps_p = [(k, 0) for k in range(deg_p + 1)]
         terms_v, err_v = _d_poly_terms(D_GRID, rows_b, t_v, exps_v, D_POLY_DEGREE)
@@ -264,8 +301,6 @@ def build_calibrated_table(base: NondimParams | None = None, log=print) -> Coeff
             "d_grid": [float(d) for d in D_GRID],
             "d_poly_degree": D_POLY_DEGREE,
             "recipe": meta_fit,
-            "base_params": {"restitution": base.restitution,
-                            "gravity_term": base.gravity_term,
-                            "general_phase": base.general_phase},
+            "base_params": {key: getattr(base, key) for key in TABLE_PARAMS},
         },
     )

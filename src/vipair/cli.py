@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, artifacts, auxmap
-from .calibration import build_calibrated_table
-from .composite import CompositeMap, Region, load_table, fit_region_maps
+from .calibration import build_calibrated_table, fit_region_maps
+from .composite import TABLE_PARAMS, CompositeMap, Region, load_table
 from .config import ConfigError, load_config
 from .core import baseline_params
 from .fitting import RankDeficientFit
-from .returnmap import GridSpec, partition_by_class, r1_filter, sweep_surfaces
+from .returnmap import R1_DELTA, GridSpec, partition_by_class, r1_filter, sweep_surfaces
 
 DEFAULT_OUT_ENV = "VIPAIR_OUT"
 
@@ -61,7 +61,7 @@ def _table_params(args, table):
     table was fitted at: its metadata's base_params, else the baseline set."""
     params = _params(args)
     fitted = table.metadata.get("base_params") or vars(baseline_params(params.length))
-    for key in ("restitution", "gravity_term", "general_phase"):
+    for key in TABLE_PARAMS:
         got, want = getattr(params, key), fitted[key]
         if not math.isclose(got, want, rel_tol=TABLE_PARAM_RTOL):
             raise ConfigError(f"{key} {got} differs from the {want} that table "
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-from", type=float, default=0.26)
     p.add_argument("--d-to", type=float, default=0.35)
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--delta", type=float, default=1.2)
+    p.add_argument("--delta", type=float, default=R1_DELTA)
     p.add_argument("--grid", default="100x100")
     p.add_argument("--out")
     p.set_defaults(func=cmd_r1_filter)
@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="refit region R1 or R3 from a sweep")
     common(p)
     p.add_argument("--region", default="R1", choices=[Region.R1.value, Region.R3.value])
-    p.add_argument("--delta", type=float, default=1.2, help="R1 diagonal-proximity ratio")
+    p.add_argument("--delta", type=float, default=R1_DELTA,
+                   help="R1 diagonal-proximity ratio")
     p.add_argument("--grid", default="200x200")
     p.set_defaults(func=cmd_fit)
 

@@ -26,9 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import fit_poly2d
-from .returnmap import ReturnClass, near_diagonal
-
 PI = np.pi
 
 PHI_RESET = 1.2
@@ -138,14 +135,19 @@ class Poly1D:
         return len(self.coeffs) - 1
 
 
-# Region map shapes: (target -> ("2d", deg_phi, deg_v) | ("1d", variable, degree, abs))
+# Region map shapes: (target -> ("2d", deg_phi, deg_v) | ("1d", degree, abs)); a
+# separable "v" map takes v and a separable "phi" map takes phi
 REGION_SHAPES = {
     Region.R1: {"v": ("2d", 2, 3), "phi": ("2d", 2, 3)},
-    Region.R2: {"v": ("1d", "v", 5, False), "phi": ("1d", "phi", 5, False)},
+    Region.R2: {"v": ("1d", 5, False), "phi": ("1d", 5, False)},
     Region.R3: {"v": ("2d", 3, 5), "phi": ("2d", 4, 5)},
-    Region.R4: {"v": ("1d", "v", 8, False), "phi": ("1d", "phi", 4, False)},
-    Region.R5: {"v": ("1d", "v", 4, True), "phi": ("1d", "phi", 3, False)},
+    Region.R4: {"v": ("1d", 8, False), "phi": ("1d", 4, False)},
+    Region.R5: {"v": ("1d", 4, True), "phi": ("1d", 3, False)},
 }
+
+# The NondimParams fields a table is fitted at (its metadata's base_params);
+# the composite map exists only there
+TABLE_PARAMS = ("restitution", "gravity_term", "general_phase")
 
 
 def table_checksum(regions_dict: dict) -> str:
@@ -164,7 +166,47 @@ class CoeffTableError(ValueError):
 def _absolute(region: Region, target: str) -> bool:
     """Whether the region's target map carries the |.| wrapper (REGION_SHAPES)."""
     shape = REGION_SHAPES[region][target]
-    return shape[0] == "1d" and shape[3]
+    return shape[0] == "1d" and shape[2]
+
+
+def _max_powers(region: Region, target: str) -> tuple[int, int]:
+    """The largest (phi power, v power) of a term of the region's target map;
+    a separable map's unused slot is 0."""
+    shape = REGION_SHAPES[region][target]
+    if shape[0] == "2d":
+        return shape[1], shape[2]
+    return (0, shape[1]) if target == "v" else (shape[1], 0)
+
+
+def _region_terms(region: Region, targets) -> dict:
+    """{target: [(exponent pair, d-polynomial)]} of one region's table entry,
+    checked against REGION_SHAPES; a ValueError names the first fault."""
+    if not isinstance(targets, dict) or set(targets) != {"v", "phi"}:
+        raise ValueError("must map exactly the targets 'v' and 'phi'")
+    entries = {}
+    for tname, spec in targets.items():
+        if not isinstance(spec, dict) or not isinstance(spec.get("terms"), list):
+            raise ValueError(f"{tname}-map must be an object with a 'terms' list")
+        absolute = _absolute(region, tname)
+        if spec.get("absolute", False) != absolute:
+            raise ValueError(f"{tname}-map 'absolute' must be {absolute}")
+        max_i, max_j = _max_powers(region, tname)
+        entries[tname] = []
+        for item in spec["terms"]:
+            if not isinstance(item, dict) or not {"exponents", "d_poly"} <= set(item):
+                raise ValueError(f"{tname}-map terms need 'exponents' and 'd_poly'")
+            exps, poly = item["exponents"], item["d_poly"]
+            if not (isinstance(exps, list) and len(exps) == 2
+                    and all(type(e) is int for e in exps)
+                    and 0 <= exps[0] <= max_i and 0 <= exps[1] <= max_j):
+                raise ValueError(f"{tname}-map exponents {exps} do not fit its shape "
+                                 f"(phi power <= {max_i}, v power <= {max_j})")
+            if not (isinstance(poly, list) and poly
+                    and all(type(c) in (int, float) for c in poly)):
+                raise ValueError(f"{tname}-map d_poly {poly} is not a nonempty list "
+                                 "of numbers")
+            entries[tname].append((tuple(exps), np.asarray(poly, dtype=float)))
+    return entries
 
 
 @dataclass
@@ -202,16 +244,11 @@ class CoeffTable:
         entries = {}
         for rname, targets in regions.items():
             region = Region(rname)
-            entries[region] = {}
-            for tname, spec in targets.items():
-                absolute = _absolute(region, tname)
-                if spec.get("absolute", False) != absolute:
-                    raise CoeffTableError(f"coefficient table {payload.get('name')!r}: "
-                                          f"{rname} {tname}-map 'absolute' must be {absolute}")
-                entries[region][tname] = [
-                    (tuple(item["exponents"]), np.asarray(item["d_poly"], dtype=float))
-                    for item in spec["terms"]
-                ]
+            try:
+                entries[region] = _region_terms(region, targets)
+            except ValueError as err:
+                raise CoeffTableError(f"coefficient table {payload['name']!r}: "
+                                      f"{rname} {err}") from None
         return cls(name=payload["name"], d_range=tuple(payload["d_range"]),
                    entries=entries, metadata=payload.get("metadata", {}))
 
@@ -243,8 +280,9 @@ class CoeffTable:
 
     def coeffs_for(self, region: Region, d: float) -> dict:
         """Evaluate the d-polynomials of one region; {'v': map, 'phi': map}."""
-        if region == Region.RESET:
-            raise CoeffTableError("the reset branch has no coefficient table")
+        if region not in self.entries:
+            raise CoeffTableError(f"coefficient table {self.name!r} has no "
+                                  f"{region.value} maps")
         self._check_d(d)
         out = {}
         for tname, terms in self.entries[region].items():
@@ -254,11 +292,10 @@ class CoeffTable:
             if shape[0] == "2d":
                 out[tname] = Poly2D(exponents=exps, coeffs=vals)
             else:
-                _, variable, degree, absolute = shape
+                _, degree, absolute = shape
                 coeffs = np.zeros(degree + 1)
                 for (i, j), val in zip(exps, vals):
-                    power = j if variable == "v" else i
-                    coeffs[power] += val
+                    coeffs[j if tname == "v" else i] += val
                 out[tname] = Poly1D(coeffs=coeffs, absolute=absolute)
         return out
 
@@ -353,37 +390,3 @@ def detect_attractor(v, phi) -> AttractorClass:
         if dv.max() < PERIOD_TOL and dp.max() < PERIOD_TOL:
             return AttractorClass(kind="FP" if period == 1 else "PD", period=period)
     return AttractorClass(kind="CD", period=0)
-
-
-def region_samples(surface, klass, region: Region):
-    """Arrays (v_in, phi_in, v_out, phi_out) of one return class inside one region."""
-    vk, pk, vn, pn = surface.class_samples(klass)
-    inside = np.array([region_of(v, p) == region for v, p in zip(vk, pk)], dtype=bool)
-    return vk[inside], pk[inside], vn[inside], pn[inside]
-
-
-def fit_region_maps(surface, region: Region, *, delta: float | None = None):
-    """Refit one 2D region's maps (R1, R3) from a swept surface (see
-    returnmap.sweep_surfaces).
-
-    The fit takes every class-matching sample inside the region, optionally
-    restricted by the diagonal-proximity ratio filter ``delta``.  The
-    separable regions R2, R4 and R5 are fitted along representative curves
-    that one sweep does not provide; ``vipair calibrate`` refits them.
-
-    Returns {"v": map, "phi": map, "reports": {...}}.
-    """
-    shape = REGION_SHAPES[region]
-    if shape["v"][0] != "2d":
-        raise ValueError(f"separable region {region.value} is fitted along representative "
-                         "curves that one sweep does not provide; `vipair calibrate` "
-                         "refits it")
-    want = ReturnClass.BTB if region == Region.R1 else ReturnClass.BB
-    vk, pk, vn, pn = region_samples(surface, want, region)
-    if delta is not None:
-        keep = near_diagonal(vk, pk, vn, pn, delta)
-        vk, pk, vn, pn = vk[keep], pk[keep], vn[keep], pn[keep]
-    cv, ev, rep_v = fit_poly2d(vk, pk, vn, *shape["v"][1:3])
-    cp, ep, rep_p = fit_poly2d(vk, pk, pn, *shape["phi"][1:3])
-    return {"v": Poly2D(tuple(ev), cv), "phi": Poly2D(tuple(ep), cp),
-            "reports": {"v": rep_v, "phi": rep_p}}

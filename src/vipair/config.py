@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .core import NondimParams, PhysicalParams, nondimensionalize
 
 SCHEMA_VERSION = 1
 
-_PHYSICAL_KEYS = {"capsule_mass", "capsule_length", "forcing_frequency",
-                  "forcing_norm", "incline", "restitution", "gravity", "ball_mass"}
-_NONDIM_KEYS = {"restitution", "length", "gravity_term", "general_phase"}
+_PHYSICAL_KEYS = {f.name for f in fields(PhysicalParams)}
+_NONDIM_KEYS = {f.name for f in fields(NondimParams)}
 _TOP_KEYS = {"schema_version", "physical", "nondimensional"}
 
 

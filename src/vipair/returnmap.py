@@ -219,6 +219,11 @@ class EmptyFilterResult(UserWarning):
     pass
 
 
+# The diagonal-proximity ratio that carves out region 1 (R1 fits, the
+# phase-plane annotation, and the CLI's --delta default)
+R1_DELTA = 1.2
+
+
 def near_diagonal(v_in, phi_in, v_out, phi_out, delta: float) -> np.ndarray:
     """Diagonal-proximity ratio test: 1/delta < |v_out/v_in| < delta and
     1/delta < |phi_out/phi_in| < delta.
@@ -274,11 +279,11 @@ class Strand:
     near_diagonal: np.ndarray    # ratio test against both diagonals
 
 
-def project_phase_planes(surface: SurfaceData, delta: float = 1.2) -> list[Strand]:
+def project_phase_planes(surface: SurfaceData) -> list[Strand]:
     """Per-phase strands for the v and phi phase-plane projections.
 
-    The near-diagonal annotation applies the same ratio test as the R1
-    filter, so "near the diagonal" means one thing throughout.
+    The near-diagonal annotation applies the R1 filter's ratio test at
+    R1_DELTA, so "near the diagonal" means one thing throughout.
     """
     n_v, n_phi = surface.grid.n_v, surface.grid.n_phi
     v = surface.v_in.reshape(n_v, n_phi)
@@ -286,7 +291,7 @@ def project_phase_planes(surface: SurfaceData, delta: float = 1.2) -> list[Stran
     po = surface.phi_out.reshape(n_v, n_phi)
     kl = surface.klass.reshape(n_v, n_phi)
     phis = surface.grid.phi_nodes()
-    near = near_diagonal(v, phis, vo, po, delta)
+    near = near_diagonal(v, phis, vo, po, R1_DELTA)
     return [Strand(phi=float(phi), v_in=v[:, j], v_out=vo[:, j], phi_out=po[:, j],
                    klass=kl[:, j], near_diagonal=near[:, j])
             for j, phi in enumerate(phis)]

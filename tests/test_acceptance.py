@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from vipair import analysis, auxmap
+from vipair.calibration import fit_region_maps
 from vipair.composite import (
     CompositeMap,
     Region,
     detect_attractor,
-    fit_region_maps,
     load_table,
     region_of,
 )
@@ -151,8 +151,7 @@ def test_criterion_6_fit_quality(sweep35):
 
 def test_criterion_7_bifurcation_fidelity(table):
     t0 = time.perf_counter()
-    exact = analysis.bifurcation_scan("exact", 0.36, 0.25, 0.001,
-                                      base=baseline_params(0.36))
+    exact = analysis.bifurcation_scan("exact", 0.36, 0.25, 0.001)
     comp = analysis.bifurcation_scan("composite", 0.36, 0.25, 0.001, table=table)
     elapsed = time.perf_counter() - t0
 

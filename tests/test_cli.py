@@ -10,7 +10,7 @@ import pytest
 
 from vipair.artifacts import write_surface_csv
 from vipair.cli import run_command
-from vipair.composite import table_checksum
+from vipair.composite import _data_path, table_checksum
 from vipair.config import ConfigError, load_config, parse_config
 from vipair.core import baseline_params
 from vipair.returnmap import GridSpec, ReturnClass, sweep_surfaces
@@ -177,6 +177,40 @@ def test_cli_malformed_table_is_machine_readable(tmp_path, capsys, payload, mess
     path.write_text(json.dumps(payload))
     rc = run_command(["composite", "--v0", "0.2", "--phi0", "0.1", "--table", str(path),
                       "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CoeffTableError"
+    assert message in err["message"]
+
+
+# Edits of the shipped table's regions that the region shapes rule out; the
+# edited table is given a matching checksum
+_OFF_SHAPE_EDITS = {
+    "phi-power-in-v-map": (lambda r: r["R2"]["v"]["terms"].append(
+        {"exponents": [1, 2], "d_poly": [1.0]}), "do not fit"),
+    "v-power-above-degree": (lambda r: r["R2"]["v"]["terms"].append(
+        {"exponents": [0, 9], "d_poly": [1.0]}), "do not fit"),
+    "unknown-target": (lambda r: r["R2"].update(x={"terms": []}), "targets"),
+    "term-without-exponents": (lambda r: r["R2"]["v"]["terms"][0].pop("exponents"),
+                               "'exponents'"),
+    "missing-target": (lambda r: r["R2"].pop("phi"), "targets"),
+    "missing-region": (lambda r: r.pop("R4"), "no R4"),
+    "empty-d-poly": (lambda r: r["R2"]["v"]["terms"][0].update(d_poly=[]), "d_poly"),
+    "d-poly-not-numbers": (lambda r: r["R2"]["v"]["terms"][0].update(d_poly={"a": 1}),
+                           "d_poly"),
+}
+
+
+@pytest.mark.parametrize("edit, message", _OFF_SHAPE_EDITS.values(), ids=_OFF_SHAPE_EDITS)
+def test_cli_table_off_its_region_shapes_is_machine_readable(tmp_path, capsys, edit,
+                                                             message):
+    payload = json.loads(_data_path("calibrated").read_text())
+    edit(payload["regions"])
+    payload["checksum"] = table_checksum(payload["regions"])
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(payload))
+    rc = run_command(["composite", "--d", "0.35", "--v0", "0.7", "--phi0", "0.8",
+                      "--steps", "2", "--table", str(path), "--out", str(tmp_path)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CoeffTableError"

@@ -1,8 +1,12 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vipair.composite
+from vipair.calibration import fit_region_maps, region_samples
 from vipair.composite import (
     CoeffTable,
     CoeffTableError,
@@ -13,12 +17,20 @@ from vipair.composite import (
     Region,
     _data_path,
     detect_attractor,
-    fit_region_maps,
     region_of,
-    region_samples,
     table_checksum,
 )
 from vipair.returnmap import GridSpec, ReturnClass, sweep_surfaces
+
+
+def test_composite_imports_no_other_vipair_module():
+    # the reduced map stands alone; fitting it from the exact map is calibration's job
+    tree = ast.parse(Path(vipair.composite.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [("." * node.level) + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in modules if m.startswith((".", "vipair"))]
 
 
 def test_region_dispatch_examples():

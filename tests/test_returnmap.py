@@ -179,7 +179,7 @@ def test_r1_filter_bounding_box(params35):
 
 
 def test_phase_plane_strands(surface35):
-    strands = project_phase_planes(surface35, delta=1.2)
+    strands = project_phase_planes(surface35)
     assert len(strands) == surface35.grid.n_phi
     # small-slope near-diagonal BTB points cluster below pi/2
     small_slope_phis = []

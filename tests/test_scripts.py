@@ -20,12 +20,10 @@ def test_no_unused_defaulted_parameters():
 
 # Defaulted parameters that only tests set, each a seam kept on purpose.
 TEST_ONLY_SEAMS = {
-    "bifurcation_scan.base": "exact scans at a config's r, gbar, psi, like compare's base",
     "compare_exact_vs_composite.n_steps": "the comparison tests run 80 to 300 returns",
     "flow_between_impacts.amplitude": "forcing off for the closed-form oracle tests",
     "next_impact.amplitude": "forcing off for the oracle tests and criterion 8",
     "r1_filter.surfaces": "the filter tests vary delta on one sweep, not one per delta",
-    "project_phase_planes.delta": "the R1 ratio that r1_filter takes from --delta",
 }
 
 
