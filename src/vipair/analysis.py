@@ -131,27 +131,26 @@ class ComparisonRecord:
     tail_distance: float
 
 
-def compare_exact_vs_composite(initial_conditions, d: float,
-                               base: NondimParams | None = None,
+def compare_exact_vs_composite(initial_conditions, p: NondimParams,
                                table: CoeffTable | None = None, *,
                                n_steps: int = SCAN_STEPS) -> list[ComparisonRecord]:
-    """Run both maps from shared initial conditions and measure the Hausdorff
-    distance between their trajectory tails."""
-    base = base if base is not None else baseline_params(d)
-    p = base.replace(length=d)
+    """Run both maps at p (the composite map at d = p.length) from shared
+    initial conditions and measure the Hausdorff distance between their
+    trajectory tails; NaN when the exact trajectory stops on an OTHER return
+    before n_steps returns."""
     table = table if table is not None else load_table()
-    cmap = CompositeMap(table=table, d=d)
+    cmap = CompositeMap(table=table, d=p.length)
     records = []
     n_tail = max(int(n_steps * TAIL_FRACTION), 2)
     for (v0, phi0) in initial_conditions:
-        ev, ep, _ = _iterate_exact(v0, phi0, p, n_steps)
+        ev, ep, full = _iterate_exact(v0, phi0, p, n_steps)
         cv, cp, regions = cmap.iterate(v0, phi0, n_steps)
         tail_a = np.column_stack([ev[-n_tail:], ep[-n_tail:]])
         tail_b = np.column_stack([cv[-n_tail:], cp[-n_tail:]])
         records.append(ComparisonRecord(
-            d=d, v0=v0, phi0=phi0, exact_v=ev, exact_phi=ep,
+            d=p.length, v0=v0, phi0=phi0, exact_v=ev, exact_phi=ep,
             composite_v=cv, composite_phi=cp, composite_regions=regions,
-            tail_distance=hausdorff_distance(tail_a, tail_b)))
+            tail_distance=hausdorff_distance(tail_a, tail_b) if full else float("nan")))
     return records
 
 

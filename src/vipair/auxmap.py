@@ -513,16 +513,11 @@ class UpdateReport:
 TRUST_MARGIN = 0.35
 
 
-def _trust_region(case: str) -> tuple[float, float, float, float]:
+def _trust_region(case: str) -> DomainBox:
     v_lo, v_hi, p_lo, p_hi = _R1_PLUS[case]
     dv = TRUST_MARGIN * (v_hi - v_lo)
     dp = TRUST_MARGIN * (p_hi - p_lo)
-    return v_lo - dv, v_hi + dv, p_lo - dp, p_hi + dp
-
-
-def _inside_trust(box: DomainBox, trust) -> bool:
-    return (trust[0] <= box.v_min and box.v_max <= trust[1]
-            and trust[2] <= box.phi_min and box.phi_max <= trust[3])
+    return DomainBox(v_lo - dv, v_hi + dv, p_lo - dp, p_hi + dp)
 
 
 def iterate_updates(case: str, d: float | None = None, n_updates: int | None = None,
@@ -551,7 +546,8 @@ def iterate_updates(case: str, d: float | None = None, n_updates: int | None = N
         new_box = DomainBox(*history.final.as_tuple(), index=current.index + 1)
         histories.append(history)
         boxes.append(new_box)
-        if not _inside_trust(new_box, trust):
+        if not (trust.contains(new_box.v_min, new_box.phi_min)
+                and trust.contains(new_box.v_max, new_box.phi_max)):
             escaped = True
             warnings.warn(f"update {new_box.index} left the map's trust region; "
                           "stopping the update sequence", EscapedBox, stacklevel=2)

@@ -28,9 +28,8 @@ import numpy as np
 from .composite import (R1_BOX, REGION_SHAPES, TABLE_PARAMS, CoeffTable, Poly2D, Region,
                         region_of)
 from .core import NondimParams, baseline_params
-from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_coeff_in_d, fit_poly2d,
-                      fit_poly2d_scaled, scaled_fit_2d,
-                      scaled_to_monomial_matrix_2d, design_matrix,
+from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_poly2d, fit_poly2d_scaled,
+                      scaled_fit_2d, scaled_to_monomial_matrix_2d, design_matrix,
                       poly2d_exponents)
 from .returnmap import (R1_DELTA, GridSpec, ReturnClass, near_diagonal, sweep_surfaces,
                         _sweep_points)
@@ -95,8 +94,7 @@ def fit_region_maps(surface, region: Region, *, delta: float | None = None):
 
     Returns {"v": map, "phi": map, "reports": {...}}.
     """
-    shape = REGION_SHAPES[region]
-    if shape["v"][0] != "2d":
+    if region in SEPARABLE_RECIPE:
         raise ValueError(f"separable region {region.value} is fitted along representative "
                          "curves that one sweep does not provide; `vipair calibrate` "
                          "refits it")
@@ -104,8 +102,9 @@ def fit_region_maps(surface, region: Region, *, delta: float | None = None):
     if delta is not None:
         keep = near_diagonal(vk, pk, vn, pn, delta)
         vk, pk, vn, pn = vk[keep], pk[keep], vn[keep], pn[keep]
-    cv, ev, rep_v = fit_poly2d(vk, pk, vn, *shape["v"][1:3])
-    cp, ep, rep_p = fit_poly2d(vk, pk, pn, *shape["phi"][1:3])
+    shape = REGION_SHAPES[region]
+    cv, ev, rep_v = fit_poly2d(vk, pk, vn, *shape["v"][:2])
+    cp, ep, rep_p = fit_poly2d(vk, pk, pn, *shape["phi"][:2])
     return {"v": Poly2D(tuple(ev), cv), "phi": Poly2D(tuple(ep), cp),
             "reports": {"v": rep_v, "phi": rep_p}}
 
@@ -132,7 +131,7 @@ def calibrate_r1(d_grid, base: NondimParams, log=None):
     v_win = (R1_FIT_WINDOW[0], R1_FIT_WINDOW[1])
     p_win = (R1_FIT_WINDOW[2], R1_FIT_WINDOW[3])
     # both region-1 maps have this shape, so one basis change serves both
-    _, deg_phi, deg_v = REGION_SHAPES[Region.R1]["v"]
+    deg_phi, deg_v, _ = REGION_SHAPES[Region.R1]["v"]
     for d in d_grid:
         vk, pk, vn, pn, used = _r1_samples(d, base, R1_DELTA)
         b, rep_b = scaled_fit_2d(vk, pk, vn, deg_phi, deg_v, v_win, p_win)
@@ -188,8 +187,8 @@ def unwrap_phase(phi):
 def calibrate_separable(region: Region, d_grid, curves, log=None):
     """Per-d curve fits of a separable region, coefficient rows (ascending);
     ``curves`` holds one _curve_samples result per d of ``d_grid``."""
-    deg_v = REGION_SHAPES[region]["v"][1]
-    deg_p = REGION_SHAPES[region]["phi"][1]
+    _, deg_v, _ = REGION_SHAPES[region]["v"]
+    deg_p, _, _ = REGION_SHAPES[region]["phi"]
     rec = SEPARABLE_RECIPE[region]
     rows_b, rows_a = [], []
     for d, samples in zip(d_grid, curves):
@@ -220,7 +219,7 @@ def calibrate_r3(base: NondimParams, log=None):
     v_win, p_win = R3_GRID.v_range, R3_GRID.phi_range
 
     def trimmed(target, tname):
-        _, deg_phi, deg_v = REGION_SHAPES[Region.R3][tname]
+        deg_phi, deg_v, _ = REGION_SHAPES[Region.R3][tname]
         c, exps, rep = fit_poly2d_scaled(vk, pk, target, deg_phi, deg_v, v_win, p_win)
         resid = design_matrix(vk, pk, exps) @ c - target
         keep = np.abs(resid) < R3_TRIM_SIGMA * resid.std()
@@ -243,7 +242,7 @@ def _d_poly_terms(d_grid, stable_rows, transform, exps, degree):
     The returned error is the stable-basis representation error (same scale
     as the fitted functions)."""
     stable_dpolys = np.column_stack([
-        fit_coeff_in_d(d_grid, stable_rows[:, k], degree)
+        np.polynomial.polynomial.polyfit(d_grid, stable_rows[:, k], degree)
         for k in range(stable_rows.shape[1])
     ])  # shape (degree+1, n_basis)
     err = float(np.max(np.abs(
@@ -272,10 +271,8 @@ def build_calibrated_table(base: NondimParams | None = None, log=print) -> Coeff
     curves = [_curve_samples(d, base) for d in D_GRID]
     for region in (Region.R2, Region.R4, Region.R5):
         rows_b, rows_a, t_v, t_p = calibrate_separable(region, D_GRID, curves, log)
-        deg_v = REGION_SHAPES[region]["v"][1]
-        deg_p = REGION_SHAPES[region]["phi"][1]
-        exps_v = [(0, k) for k in range(deg_v + 1)]
-        exps_p = [(k, 0) for k in range(deg_p + 1)]
+        exps_v = poly2d_exponents(*REGION_SHAPES[region]["v"][:2])
+        exps_p = poly2d_exponents(*REGION_SHAPES[region]["phi"][:2])
         terms_v, err_v = _d_poly_terms(D_GRID, rows_b, t_v, exps_v, D_POLY_DEGREE)
         terms_p, err_p = _d_poly_terms(D_GRID, rows_a, t_p, exps_p, D_POLY_DEGREE)
         entries[region] = {"v": terms_v, "phi": terms_p}

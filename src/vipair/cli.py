@@ -176,7 +176,7 @@ def cmd_compare(args) -> int:
     table = load_table(args.table)
     params = _table_params(args, table)
     d = params.length
-    records = analysis.compare_exact_vs_composite(ics, d, base=params, table=table)
+    records = analysis.compare_exact_vs_composite(ics, params, table=table)
     path = artifacts.write_comparison_csv(out / "comparison.csv", records)
     artifacts.write_plot_script(out / "comparison.gp", path.name,
                                 title=f"exact vs composite trajectories d={d}",
@@ -189,6 +189,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_aux_domain(args) -> int:
+    if args.updates is not None and args.updates < 1:
+        raise ConfigError(f"updates must be at least 1, got {args.updates}")
     out = _outdir(args)
     report = auxmap.iterate_updates(args.case, d=args.d, n_updates=args.updates,
                                     table=load_table(args.table))
@@ -309,6 +311,9 @@ def run_command(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError, RankDeficientFit) as err:
         print(artifacts.dumps({"error": type(err).__name__, "message": str(err)}),

@@ -135,14 +135,15 @@ class Poly1D:
         return len(self.coeffs) - 1
 
 
-# Region map shapes: (target -> ("2d", deg_phi, deg_v) | ("1d", degree, abs)); a
-# separable "v" map takes v and a separable "phi" map takes phi
+# Region map shapes: target -> (deg_phi, deg_v, absolute), the largest phi and
+# v powers of a term and the |.| wrapper.  A separable map has 0 in its unused
+# slot: its "v" map takes v and its "phi" map takes phi.
 REGION_SHAPES = {
-    Region.R1: {"v": ("2d", 2, 3), "phi": ("2d", 2, 3)},
-    Region.R2: {"v": ("1d", 5, False), "phi": ("1d", 5, False)},
-    Region.R3: {"v": ("2d", 3, 5), "phi": ("2d", 4, 5)},
-    Region.R4: {"v": ("1d", 8, False), "phi": ("1d", 4, False)},
-    Region.R5: {"v": ("1d", 4, True), "phi": ("1d", 3, False)},
+    Region.R1: {"v": (2, 3, False), "phi": (2, 3, False)},
+    Region.R2: {"v": (0, 5, False), "phi": (5, 0, False)},
+    Region.R3: {"v": (3, 5, False), "phi": (4, 5, False)},
+    Region.R4: {"v": (0, 8, False), "phi": (4, 0, False)},
+    Region.R5: {"v": (0, 4, True), "phi": (3, 0, False)},
 }
 
 # The NondimParams fields a table is fitted at (its metadata's base_params);
@@ -163,21 +164,6 @@ class CoeffTableError(ValueError):
     pass
 
 
-def _absolute(region: Region, target: str) -> bool:
-    """Whether the region's target map carries the |.| wrapper (REGION_SHAPES)."""
-    shape = REGION_SHAPES[region][target]
-    return shape[0] == "1d" and shape[2]
-
-
-def _max_powers(region: Region, target: str) -> tuple[int, int]:
-    """The largest (phi power, v power) of a term of the region's target map;
-    a separable map's unused slot is 0."""
-    shape = REGION_SHAPES[region][target]
-    if shape[0] == "2d":
-        return shape[1], shape[2]
-    return (0, shape[1]) if target == "v" else (shape[1], 0)
-
-
 def _region_terms(region: Region, targets) -> dict:
     """{target: [(exponent pair, d-polynomial)]} of one region's table entry,
     checked against REGION_SHAPES; a ValueError names the first fault."""
@@ -187,10 +173,9 @@ def _region_terms(region: Region, targets) -> dict:
     for tname, spec in targets.items():
         if not isinstance(spec, dict) or not isinstance(spec.get("terms"), list):
             raise ValueError(f"{tname}-map must be an object with a 'terms' list")
-        absolute = _absolute(region, tname)
+        max_i, max_j, absolute = REGION_SHAPES[region][tname]
         if spec.get("absolute", False) != absolute:
             raise ValueError(f"{tname}-map 'absolute' must be {absolute}")
-        max_i, max_j = _max_powers(region, tname)
         entries[tname] = []
         for item in spec["terms"]:
             if not isinstance(item, dict) or not {"exponents", "d_poly"} <= set(item):
@@ -258,7 +243,7 @@ class CoeffTable:
             regions[region.value] = {}
             for tname, terms in targets.items():
                 regions[region.value][tname] = {
-                    "absolute": _absolute(region, tname),
+                    "absolute": REGION_SHAPES[region][tname][2],
                     "terms": [{"exponents": list(exp), "d_poly": list(map(float, poly))}
                               for exp, poly in terms],
                 }
@@ -288,14 +273,13 @@ class CoeffTable:
         for tname, terms in self.entries[region].items():
             exps = tuple(exp for exp, _ in terms)
             vals = np.array([np.polynomial.polynomial.polyval(d, poly) for _, poly in terms])
-            shape = REGION_SHAPES[region][tname]
-            if shape[0] == "2d":
+            deg_phi, deg_v, absolute = REGION_SHAPES[region][tname]
+            if deg_phi and deg_v:
                 out[tname] = Poly2D(exponents=exps, coeffs=vals)
-            else:
-                _, degree, absolute = shape
-                coeffs = np.zeros(degree + 1)
+            else:   # separable: one of i, j is 0
+                coeffs = np.zeros(deg_phi + deg_v + 1)
                 for (i, j), val in zip(exps, vals):
-                    coeffs[j if tname == "v" else i] += val
+                    coeffs[i + j] += val
                 out[tname] = Poly1D(coeffs=coeffs, absolute=absolute)
         return out
 

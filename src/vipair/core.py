@@ -77,6 +77,11 @@ class GrazingImpact(RuntimeError):
     """A wall crossing with |Zdot| below GRAZING_TOL."""
 
 
+def _check_finite(params):
+    if not all(map(math.isfinite, vars(params).values())):
+        raise ValueError(f"parameters must be finite, got {params}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dimensional parameters of the pair.
@@ -95,6 +100,7 @@ class PhysicalParams:
     ball_mass: float = 0.0        # m, kg (unused by the reduced model)
 
     def __post_init__(self):
+        _check_finite(self)
         if self.capsule_mass <= 0 or self.capsule_length <= 0:
             raise DegenerateParamsError("capsule mass and length must be positive")
         if self.forcing_frequency <= 0 or self.forcing_norm <= 0:
@@ -115,6 +121,7 @@ class NondimParams:
     general_phase: float = 0.0    # psi, rad
 
     def __post_init__(self):
+        _check_finite(self)
         if self.length <= 0:
             raise DegenerateParamsError(f"dimensionless length must be positive, got {self.length}")
         if not 0.0 <= self.restitution <= 1.0:
@@ -323,7 +330,7 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
     psi = p.general_phase
 
     z0 = np.where(sides > 0, half, -half)
-    vplus = -p.restitution * vin
+    vplus = apply_impact_law(vin, p.restitution)
     arg0 = PI * t0 + psi
     f1_0 = amplitude * np.sin(arg0) / PI
     f2_0 = -amplitude * np.cos(arg0) / PI**2
@@ -413,16 +420,15 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
         is_b = hit_b[ev_rows]
         lo = grid[hit_at[ev_rows]]
         hi = grid[hit_at[ev_rows] + 1]
-        target = np.where(is_b, half, -half)
+        # the scan's wall test: a sample is past the wall when wall * Z >= d/2;
+        # lo stays before the wall and hi at or past it
+        wall = np.where(is_b, 1.0, -1.0)
         c0r, c1r, arg0r = c0[ev_rows], c1[ev_rows], arg0[ev_rows]
-        g_lo = z_of(c0r, c1r, arg0r, lo) - target
         for _ in range(45):  # 1e-3 / 2^45 << TIME_TOL
             mid = 0.5 * (lo + hi)
-            g_mid = z_of(c0r, c1r, arg0r, mid) - target
-            bracket_lo = g_lo * g_mid <= 0
-            hi = np.where(bracket_lo, mid, hi)
-            lo = np.where(bracket_lo, lo, mid)
-            g_lo = np.where(bracket_lo, g_lo, g_mid)
+            past = wall * z_of(c0r, c1r, arg0r, mid) >= half
+            hi = np.where(past, mid, hi)
+            lo = np.where(past, lo, mid)
         t_star = 0.5 * (lo + hi)
         zdot = zdot_at(ev_rows, t_star)
         out_side[ev_rows] = np.where(is_b, 1, -1)

@@ -157,9 +157,3 @@ def fit_poly2d_scaled(v, phi, target, deg_phi: int, deg_v: int,
     scaled, report = scaled_fit_2d(v, phi, target, deg_phi, deg_v, v_window, phi_window)
     T = scaled_to_monomial_matrix_2d(deg_phi, deg_v, v_window, phi_window)
     return T @ scaled, poly2d_exponents(deg_phi, deg_v), report
-
-
-def fit_coeff_in_d(d_values, coeff_values, degree: int) -> np.ndarray:
-    """Represent a fitted coefficient's d-dependence as a polynomial (ascending)."""
-    return np.polynomial.polynomial.polyfit(
-        np.asarray(d_values, float), np.asarray(coeff_values, float), degree)

@@ -243,11 +243,9 @@ def r1_filter(d_values, delta: float, grid: GridSpec, base: NondimParams,
     Keeps BTB samples whose input/output ratios satisfy
     1/delta < |phi_out/phi_in| < delta and 1/delta < |v_out/v_in| < delta,
     unioned over the given d values; returns the point set and its
-    axis-aligned bounding box.
+    axis-aligned bounding box.  A filter that keeps no point (any delta <= 1
+    does) warns EmptyFilterResult and has a NaN box.
     """
-    if delta <= 1.0:
-        warnings.warn("delta <= 1 keeps nothing (open interval collapses)",
-                       EmptyFilterResult, stacklevel=2)
     rows = []
     for d in d_values:
         p = base.replace(length=float(d))

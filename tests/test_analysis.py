@@ -71,7 +71,8 @@ def test_fp_branch_direction_independent(table):
 
 
 def test_compare_same_map_is_zero(table):
-    records = compare_exact_vs_composite([(0.75, 0.35)], 0.35, table=table, n_steps=80)
+    records = compare_exact_vs_composite([(0.75, 0.35)], baseline_params(0.35), table=table,
+                                         n_steps=80)
     rec = records[0]
     tails_equal = hausdorff_distance(
         np.column_stack([rec.composite_v[-8:], rec.composite_phi[-8:]]),
@@ -80,14 +81,15 @@ def test_compare_same_map_is_zero(table):
 
 
 def test_compare_exact_vs_composite_fp(table):
-    records = compare_exact_vs_composite([(0.35, PI / 2), (0.2, 0.1)], 0.35,
-                                         table=table, n_steps=200)
+    records = compare_exact_vs_composite([(0.35, PI / 2), (0.2, 0.1)],
+                                         baseline_params(0.35), table=table, n_steps=200)
     for rec in records:
         assert rec.tail_distance < 0.02
 
 
 def test_compare_cd_tails_in_r1_r2(table):
-    records = compare_exact_vs_composite([(0.2, 0.1)], 0.26, table=table, n_steps=300)
+    records = compare_exact_vs_composite([(0.2, 0.1)], baseline_params(0.26), table=table,
+                                         n_steps=300)
     rec = records[0]
     n_tail = 30
     for v, p in zip(rec.composite_v[-n_tail:], rec.composite_phi[-n_tail:]):

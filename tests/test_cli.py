@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -222,12 +223,43 @@ def test_cli_table_off_its_region_shapes_is_machine_readable(tmp_path, capsys, e
     (["r1-filter", "--step", "0"], "step must be positive"),
     (["composite", "--v0", "0.2", "--phi0", "0.1", "--steps", "-1"],
      "steps must be nonnegative"),
+    (["aux-domain", "--case", "FP", "--updates", "0"], "updates must be at least 1"),
+    (["aux-domain", "--case", "PD", "--updates", "-3"], "updates must be at least 1"),
 ])
 def test_cli_rejects_empty_ranges_with_error_json(tmp_path, capsys, argv, message):
     assert run_command(argv + ["--out", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert message in err["message"]
+
+
+_BASELINE_PHYSICAL = {"capsule_mass": 0.1245, "capsule_length": 0.5622,
+                      "forcing_frequency": 5 * np.pi, "forcing_norm": 5.0,
+                      "incline": np.pi / 3, "restitution": 0.5}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--d", "nan", "--grid", "3x3"], None),
+    (["composite", "--d", "nan", "--v0", "0.2", "--phi0", "0.1", "--steps", "2"], None),
+    (["composite", "--v0", "nan", "--phi0", "0.1", "--steps", "2"], None),
+    (["compare", "--phi0", "inf"], None),
+    (["aux-domain", "--case", "FP", "--d", "nan"], None),
+    (["bifurcation", "--step", "nan"], None),
+    # json writes and reads NaN and Infinity
+    (["sweep", "--grid", "3x3"], {"nondimensional": {
+        "restitution": 0.5, "length": math.nan, "gravity_term": 0.2113}}),
+    (["sweep", "--grid", "3x3"], {"physical": _BASELINE_PHYSICAL | {"gravity": math.inf}}),
+], ids=["sweep-d", "composite-d", "composite-v0", "compare-phi0", "aux-domain-d",
+        "bifurcation-step", "config-nondimensional", "config-physical"])
+def test_cli_refuses_non_finite_numbers(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert run_command(argv + ["--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "finite" in err["message"]
 
 
 def test_cli_compare_survives_three_top_impacts(tmp_path, capsys):
@@ -251,7 +283,9 @@ def _strict_loads(text: str):
     # delta = 1 keeps no point, so the bounding box has no finite edge
     (["r1-filter", "--delta", "1.0", "--grid", "10x10", "--d-from", "0.35",
       "--d-to", "0.35"], "bounding_box"),
-], ids=["compare", "r1-filter"])
+    # v0 = 0 is OTHER at the first return: the exact trajectory holds its start only
+    (["compare", "--d", "0.35", "--v0", "0", "--phi0", "0.1"], "tail_distances"),
+], ids=["compare", "r1-filter", "compare-stopped-exact"])
 def test_cli_writes_non_finite_numbers_as_null(tmp_path, capsys, argv, key):
     assert run_command(argv + ["--out", str(tmp_path)]) == 0
     payload = _strict_loads(capsys.readouterr().out)

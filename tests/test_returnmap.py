@@ -162,9 +162,10 @@ def test_r1_filter_monotone_in_delta(params35):
 def test_r1_filter_delta_one_empty(params35):
     grid = GridSpec(n_v=10, n_phi=10)
     surf = sweep_surfaces(grid, params35)
-    with pytest.warns(EmptyFilterResult):
+    with pytest.warns(EmptyFilterResult) as record:
         res = r1_filter([0.35], 1.0, grid, params35, surfaces={0.35: surf})
     assert len(res.points) == 0
+    assert len(record) == 1
 
 
 def test_r1_filter_bounding_box(params35):

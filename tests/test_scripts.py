@@ -1,11 +1,13 @@
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load(name: str, folder: Path = SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -40,3 +42,18 @@ def test_digest_flags_non_strict_json(tmp_path):
     (tmp_path / "run" / "data.csv").write_text("nan\n")
     assert _load("artifact_digest").non_strict_json(tmp_path) == ["run/bad.json",
                                                                  "run/stdout.txt"]
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark patches these names; resolving them patches nothing
+    tracing = _load("tracing", ROOT / "bench")
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)   # its dataclasses need it
+    spec.loader.exec_module(workloads)
+    hooks = [(owner, attr) for owner, attr, _, _ in tracing.PATCHES]
+    for workload in workloads.workloads(ROOT / "src").values():
+        assert workload.unit_hooks
+        hooks += [(owner, attr) for owner, attr, _ in workload.unit_hooks]
+    for owner, attr in hooks:
+        assert callable(getattr(tracing._owner(owner), attr)), f"{owner} {attr}"
