@@ -18,6 +18,9 @@ SCAN_STEPS = 400
 SCAN_DISCARD = 300
 DEFAULT_SEED_STATE = (0.43, 0.26)
 CASE_START = (0.2, 0.1)    # start state of every case preset's trajectory
+# The most steps a d range may take (a bifurcation scan's or the R1 filter's);
+# a finer step is refused before its d list is built
+MAX_D_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,13 @@ def _iterate_exact(v0: float, phi0: float, p: NondimParams, n_steps: int):
     return v, phi, True
 
 
+def check_d_steps(span: float, step: float) -> None:
+    """Refuse a d range of more than MAX_D_STEPS steps (an infinite count too)."""
+    if not span / step <= MAX_D_STEPS:
+        raise ValueError(f"a d range of {span} in steps of {step} takes more than "
+                         f"{MAX_D_STEPS} steps")
+
+
 def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
                      table: CoeffTable | None = None) -> list[BifurcationSample]:
     """Continuation scan of the exact or composite map over a d range; the
@@ -54,6 +64,7 @@ def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
         raise ValueError(f"kind must be 'exact' or 'composite', got {kind!r}")
     if step <= 0:
         raise ValueError("step must be positive")
+    check_d_steps(abs(d_to - d_from), step)
     if kind == "composite" and table is None:
         table = load_table()
 
@@ -167,13 +178,10 @@ class CaseResult:
 
 def run_case_preset(case: str, table: CoeffTable | None = None) -> CaseResult:
     """Composite trajectory plus the full auxiliary-domain update report for
-    one of the named cases (FP, PD, CD)."""
-    if case not in auxmap.CASE_D:
-        raise ValueError(f"case must be one of {sorted(auxmap.CASE_D)}, got {case!r}")
+    one of the named cases (FP, PD, CD); the update report refuses any other."""
     table = table if table is not None else load_table()
-    cmap = CompositeMap(table=table, d=auxmap.CASE_D[case])
-    v, phi, regions = cmap.iterate(*CASE_START, SCAN_STEPS)
-    cls = detect_attractor(v, phi)
     report = auxmap.iterate_updates(case, table=table)
+    v, phi, regions = CompositeMap(table=table, d=report.d).iterate(*CASE_START, SCAN_STEPS)
+    cls = detect_attractor(v, phi)
     return CaseResult(trajectory_v=v, trajectory_phi=phi, trajectory_regions=regions,
                       classification=cls, aux_report=report)

@@ -126,9 +126,9 @@ def aux_report_payload(report: UpdateReport) -> dict:
         "crossing_detected": report.crossing_detected,
         "escaped": report.escaped,
         "boxes": [
-            {"N": b.index, "v": [b.v_min, b.v_max], "phi": [b.phi_min, b.phi_max],
+            {"N": n, "v": [b.v_min, b.v_max], "phi": [b.phi_min, b.phi_max],
              "widths": list(b.widths)}
-            for b in report.boxes
+            for n, b in enumerate(report.boxes, 1)
         ],
     }
     if report.two_cycle:

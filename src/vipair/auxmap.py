@@ -55,7 +55,6 @@ class DomainBox:
     v_max: float
     phi_min: float
     phi_max: float
-    index: int = 1               # update counter N; the initial region is N=1
 
     def __post_init__(self):
         if self.v_min > self.v_max or self.phi_min > self.phi_max:
@@ -87,7 +86,7 @@ def r1_plus(case: str) -> DomainBox:
     """The enlarged region-1 box anchoring the auxiliary construction."""
     if case not in _R1_PLUS:
         raise ValueError(f"case must be one of {sorted(_R1_PLUS)}, got {case!r}")
-    return DomainBox(*_R1_PLUS[case], index=1)
+    return DomainBox(*_R1_PLUS[case])
 
 
 def _coeff_grid(poly: Poly2D) -> np.ndarray:
@@ -503,8 +502,8 @@ class UpdateReport:
         return self.boxes[-1]
 
     def widths_table(self) -> np.ndarray:
-        """Rows (N, v width, phi width) across the updates."""
-        return np.array([(b.index, *b.widths) for b in self.boxes])
+        """Rows (N, v width, phi width) across the updates; box N is boxes[N - 1]."""
+        return np.array([(n, *b.widths) for n, b in enumerate(self.boxes, 1)])
 
 
 # Updated boxes may exceed the case box somewhat (the chaotic case does), but
@@ -543,13 +542,13 @@ def iterate_updates(case: str, d: float | None = None, n_updates: int | None = N
         curves = build_bound_curves(current, d, table)
         crossing = crossing or curves.crossing_detected
         history = iterate_wcs(curves)
-        new_box = DomainBox(*history.final.as_tuple(), index=current.index + 1)
+        new_box = DomainBox(*history.final.as_tuple())
         histories.append(history)
         boxes.append(new_box)
         if not (trust.contains(new_box.v_min, new_box.phi_min)
                 and trust.contains(new_box.v_max, new_box.phi_max)):
             escaped = True
-            warnings.warn(f"update {new_box.index} left the map's trust region; "
+            warnings.warn(f"update {len(boxes)} left the map's trust region; "
                           "stopping the update sequence", EscapedBox, stacklevel=2)
             break
         if _same_bounds(new_box.as_tuple(), current.as_tuple()):

@@ -105,12 +105,15 @@ def cmd_partition(args) -> int:
 def cmd_r1_filter(args) -> int:
     if args.step <= 0:
         raise ConfigError(f"step must be positive, got {args.step}")
-    d_values = [round(d, 6) for d in np.arange(args.d_from, args.d_to + 1e-9, args.step)]
+    stop = args.d_to + 1e-9
+    analysis.check_d_steps(stop - args.d_from, args.step)
+    d_values = [round(d, 6) for d in np.arange(args.d_from, stop, args.step)]
     if not d_values:
         raise ConfigError(f"no d values from {args.d_from} up to {args.d_to}")
     out = _outdir(args)
     grid = _grid(args.grid)
-    result = r1_filter(d_values, args.delta, grid, baseline_params(d_values[0]))
+    surfaces = (sweep_surfaces(grid, baseline_params(float(d))) for d in d_values)
+    result = r1_filter(surfaces, args.delta)
     payload = {
         "delta": result.delta,
         "d_values": list(result.d_values),
@@ -315,7 +318,7 @@ def run_command(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, RankDeficientFit) as err:
+    except (ConfigError, OSError, ValueError, MemoryError, RankDeficientFit) as err:
         print(artifacts.dumps({"error": type(err).__name__, "message": str(err)}),
               file=sys.stderr)
         return 2

@@ -236,23 +236,22 @@ def near_diagonal(v_in, phi_in, v_out, phi_out, delta: float) -> np.ndarray:
     return (rv > 1 / delta) & (rv < delta) & (rp > 1 / delta) & (rp < delta)
 
 
-def r1_filter(d_values, delta: float, grid: GridSpec, base: NondimParams,
-              surfaces: dict | None = None) -> R1FilterResult:
+def r1_filter(surfaces, delta: float) -> R1FilterResult:
     """Diagonal-proximity filter defining region R1.
 
     Keeps BTB samples whose input/output ratios satisfy
     1/delta < |phi_out/phi_in| < delta and 1/delta < |v_out/v_in| < delta,
-    unioned over the given d values; returns the point set and its
-    axis-aligned bounding box.  A filter that keeps no point (any delta <= 1
-    does) warns EmptyFilterResult and has a NaN box.
+    unioned over the surfaces (any iterable, so a generator holds one sweep
+    at a time); returns the point set and its axis-aligned bounding box.  A
+    filter that keeps no point (any delta <= 1 does) warns EmptyFilterResult
+    and has a NaN box.
     """
-    rows = []
-    for d in d_values:
-        p = base.replace(length=float(d))
-        surface = surfaces[d] if surfaces and d in surfaces else sweep_surfaces(grid, p)
+    rows, d_values = [], []
+    for surface in surfaces:
         vk, pk, vn, pn = surface.class_samples(ReturnClass.BTB)
         keep = near_diagonal(vk, pk, vn, pn, delta)
-        rows.append(np.column_stack([np.full(keep.sum(), float(d)), vk[keep], pk[keep]]))
+        rows.append(np.column_stack([np.full(keep.sum(), surface.d), vk[keep], pk[keep]]))
+        d_values.append(surface.d)
     points = np.concatenate(rows) if rows else np.empty((0, 3))
     if not len(points):
         warnings.warn(f"R1 filter with delta={delta} kept no points",
@@ -262,7 +261,7 @@ def r1_filter(d_values, delta: float, grid: GridSpec, base: NondimParams,
         box = (points[:, 1].min(), points[:, 1].max(),
                points[:, 2].min(), points[:, 2].max())
     return R1FilterResult(points=points, bounding_box=box, delta=delta,
-                          d_values=tuple(float(d) for d in d_values))
+                          d_values=tuple(d_values))
 
 
 @dataclass(frozen=True)

@@ -151,36 +151,46 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
-@pytest.mark.parametrize("payload", ['42', '[{}]', '{"physical": 5}',
-                                     '{"nondimensional": [1]}'],
-                         ids=["number", "list", "physical-number", "nondimensional-list"])
-def test_cli_malformed_config_is_machine_readable(tmp_path, capsys, payload):
+def _write_or_mkdir(path, payload):
+    """Write payload to path, or make path a directory when payload is None."""
+    if payload is None:
+        path.mkdir()
+    else:
+        path.write_text(payload)
+
+
+@pytest.mark.parametrize("payload, error", [
+    ('42', "ConfigError"), ('[{}]', "ConfigError"), ('{"physical": 5}', "ConfigError"),
+    ('{"nondimensional": [1]}', "ConfigError"), (None, "IsADirectoryError"),
+], ids=["number", "list", "physical-number", "nondimensional-list", "directory"])
+def test_cli_malformed_config_is_machine_readable(tmp_path, capsys, payload, error):
     path = tmp_path / "cfg.json"
-    path.write_text(payload)
+    _write_or_mkdir(path, payload)
     rc = run_command(["sweep", "--config", str(path), "--grid", "2x2",
                       "--out", str(tmp_path)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
+    assert err["error"] == error
 
 
 _NOT_A_REGION = {"R9": {}}
 
 
-@pytest.mark.parametrize("payload, message", [
-    ({}, "lacks"),
-    ([], "JSON object"),
+@pytest.mark.parametrize("payload, error, message", [
+    ({}, "CoeffTableError", "lacks"),
+    ([], "CoeffTableError", "JSON object"),
     ({"name": "x", "d_range": [0.25, 0.36], "regions": _NOT_A_REGION,
-      "checksum": table_checksum(_NOT_A_REGION)}, "region names"),
-], ids=["no-regions", "list", "unknown-region"])
-def test_cli_malformed_table_is_machine_readable(tmp_path, capsys, payload, message):
+      "checksum": table_checksum(_NOT_A_REGION)}, "CoeffTableError", "region names"),
+    (None, "IsADirectoryError", "Is a directory"),
+], ids=["no-regions", "list", "unknown-region", "directory"])
+def test_cli_malformed_table_is_machine_readable(tmp_path, capsys, payload, error, message):
     path = tmp_path / "table.json"
-    path.write_text(json.dumps(payload))
+    _write_or_mkdir(path, None if payload is None else json.dumps(payload))
     rc = run_command(["composite", "--v0", "0.2", "--phi0", "0.1", "--table", str(path),
                       "--out", str(tmp_path)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "CoeffTableError"
+    assert err["error"] == error
     assert message in err["message"]
 
 
@@ -218,6 +228,11 @@ def test_cli_table_off_its_region_shapes_is_machine_readable(tmp_path, capsys, e
     assert message in err["message"]
 
 
+# The error of each refusal below that is not a ConfigError
+_REFUSAL_ERRORS = {"more than 100000 steps": "ValueError",
+                   "Unable to allocate": "MemoryError"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["r1-filter", "--d-from", "0.35", "--d-to", "0.26"], "no d values"),
     (["r1-filter", "--step", "0"], "step must be positive"),
@@ -225,11 +240,19 @@ def test_cli_table_off_its_region_shapes_is_machine_readable(tmp_path, capsys, e
      "steps must be nonnegative"),
     (["aux-domain", "--case", "FP", "--updates", "0"], "updates must be at least 1"),
     (["aux-domain", "--case", "PD", "--updates", "-3"], "updates must be at least 1"),
+    # each is refused before its d list is built
+    (["bifurcation", "--step", "1e-12"], "more than 100000 steps"),
+    (["r1-filter", "--step", "1e-12"], "more than 100000 steps"),
+    # numpy refuses the 8 TB trajectory array at once
+    (["composite", "--v0", "0.2", "--phi0", "0.1", "--steps", "1000000000000"],
+     "Unable to allocate"),
 ])
 def test_cli_rejects_empty_ranges_with_error_json(tmp_path, capsys, argv, message):
     assert run_command(argv + ["--out", str(tmp_path)]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == _REFUSAL_ERRORS.get(message, "ConfigError")
     assert message in err["message"]
 
 

@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,21 @@ def test_composite_imports_no_other_vipair_module():
     modules += [("." * node.level) + (node.module or "") for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)]
     assert not [m for m in modules if m.startswith((".", "vipair"))]
+    # and at runtime, in a fresh interpreter, importing a module loads only
+    # the package modules it imports itself
+    src = str(Path(vipair.composite.__file__).parents[1])
+    probe = ("import importlib, sys; importlib.import_module(sys.argv[1]); "
+             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'vipair')))")
+    expected = {
+        "vipair.composite": "vipair vipair.composite",
+        "vipair.core": "vipair vipair.core",
+        "vipair.returnmap": "vipair vipair.core vipair.returnmap",
+        "vipair.auxmap": "vipair vipair.auxmap vipair.composite vipair.fitting",
+    }
+    for module, loaded in expected.items():
+        out = subprocess.run([sys.executable, "-c", probe, module], check=True, text=True,
+                             capture_output=True, env=os.environ | {"PYTHONPATH": src})
+        assert out.stdout.split() == loaded.split(), module
 
 
 def test_region_dispatch_examples():

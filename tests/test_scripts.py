@@ -25,7 +25,6 @@ TEST_ONLY_SEAMS = {
     "compare_exact_vs_composite.n_steps": "the comparison tests run 80 to 300 returns",
     "flow_between_impacts.amplitude": "forcing off for the closed-form oracle tests",
     "next_impact.amplitude": "forcing off for the oracle tests and criterion 8",
-    "r1_filter.surfaces": "the filter tests vary delta on one sweep, not one per delta",
 }
 
 
