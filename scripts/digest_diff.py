@@ -11,15 +11,28 @@ Run from the repository root:  python scripts/digest_diff.py REF
 """
 
 import argparse
+import contextlib
 import difflib
 import io
 import subprocess
 import sys
 import tarfile
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+@contextlib.contextmanager
+def ref_checkout(ref: str) -> Iterator[Path]:
+    """The files of git ref REF, unpacked into a temporary directory."""
+    archive = subprocess.run(["git", "archive", ref], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="vipair-ref-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp)
 
 
 def digest(checkout: Path) -> list[str]:
@@ -36,12 +49,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description="diff the artifact digest against REF")
     parser.add_argument("ref", help="git ref to compare with, e.g. HEAD~1")
     ref = parser.parse_args().ref
-    archive = subprocess.run(["git", "archive", ref], cwd=ROOT, capture_output=True,
-                             check=True).stdout
-    with tempfile.TemporaryDirectory(prefix="vipair-ref-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        old = digest(Path(tmp))
+    with ref_checkout(ref) as checkout:
+        old = digest(checkout)
     new = digest(ROOT)
     diff = list(difflib.unified_diff(old, new, ref, "working tree"))
     sys.stdout.writelines(diff)

@@ -9,24 +9,18 @@ impacts follows
 with closed-form quadrature between impacts.  The bottom wall is at
 Z = +d/2 (side "B", hit with Zdot > 0), the top wall at Z = -d/2
 (side "T", hit with Zdot < 0).  Impact-to-impact propagation has no closed
-form, so `next_impact_batch` locates wall crossings numerically.  The next
-impact lies in the first interval of a fixed sample grid (step SCAN_STEP,
-from START_OFFSET to HORIZON after the impact) in which Z rises through +d/2
-or falls through -d/2; 45 bisection steps on that interval give its time.
-SCAN_STEP, HORIZON and GRAZING_TOL are module constants: the solver is the
-oracle for every comparison, so it runs in one configuration.
-
-Most grid samples cannot start that interval, and certified skip-ahead avoids
-evaluating them.  Since gbar - |A| <= Zdd <= gbar + |A| between impacts, the
-state (Z, Zdot) at one sample bounds how soon either wall can come within
-SKIP_MARGIN of Z; every sample before that time is strictly inside the
-capsule and is skipped.  The bound only selects which samples are evaluated,
-so results are bit-identical to evaluating Z on every grid sample.
+form, so `next_impact_batch` locates wall crossings numerically, without a
+grid: the zeros of Zdd have a closed form and split the flight into pieces on
+which Zdot is monotone, so each piece holds at most one extremum of Z and each
+wall crossing gets an exact bracket, which safeguarded Newton refines to
+TIME_TOL.  The search runs from START_OFFSET to HORIZON after the impact, and
+a crossing with |Zdot| below GRAZING_TOL is reported as grazing.  These are
+module constants: the solver is the oracle for every comparison, so it runs
+in one configuration.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -37,10 +31,10 @@ PI = math.pi
 SIDE_B = "B"
 SIDE_T = "T"
 
-# Event-solver constants: fixed march step, bracketing offset after an impact,
-# search horizon (20 forcing periods), bisection time tolerance, and the
-# velocity magnitude below which a crossing is treated as grazing.
-SCAN_STEP = 1e-3
+# Event-solver constants: the search starts START_OFFSET after an impact and
+# ends HORIZON after it (20 forcing periods); crossing times are refined until
+# a Newton step is at most TIME_TOL; a crossing slower than GRAZING_TOL is
+# grazing.
 START_OFFSET = 1e-9
 HORIZON = 40.0
 TIME_TOL = 1e-12
@@ -50,19 +44,6 @@ GRAZING_TOL = 1e-8
 STATUS_OK = 0
 STATUS_NO_IMPACT = 1
 STATUS_GRAZING = 2
-
-# Largest chunk of the sample grid's construction (it fixes the grid's floats)
-# and largest scan window, in grid intervals.
-_SCAN_CHUNK = 2048
-
-# Certified skip-ahead (see next_impact_batch): the distance kept from either
-# wall when skipping samples, far above the ~1e-13 evaluation error of Z at
-# tau <= 40; certified steps per round; first window of grid intervals; and
-# the batch size up to which the certificate runs in scalar arithmetic.
-SKIP_MARGIN = 1e-9
-_SKIP_STEPS = 6
-_FIRST_WINDOW = 8
-_SCALAR_ROWS = 8
 
 
 class DegenerateParamsError(ValueError):
@@ -249,68 +230,52 @@ def flow_between_impacts(event: ImpactEvent, tau, p: NondimParams,
     return FlowSample(displacement=z, velocity=zdot, time=event.time + np.asarray(tau))
 
 
-@functools.cache
-def _scan_grid() -> np.ndarray:
-    """Sample times tau of the fixed march over (0, HORIZON], read-only.
+def _bracketed_newton(f, lo, hi, x):
+    """Root of an increasing f with f(lo) < 0 <= f(hi), by safeguarded Newton.
 
-    Built in chunks of 256 doubling to _SCAN_CHUNK samples with the
-    arithmetic the march has always used, so the floats never change;
-    adjacent chunks share their end point, which appears once.
+    f(i, tau) returns (f, f') at tau for the rows at positions i.  Each row
+    starts at x and takes Newton steps; a step that leaves the open bracket
+    becomes a bisection.  A row stops once its step is at most TIME_TOL or its
+    bracket is no wider, on its own values only.
     """
-    n_steps = int(math.ceil(HORIZON / SCAN_STEP))
-    parts = []
-    base, done, chunk = 0.0, 0, 256
-    while done < n_steps:
-        m = min(chunk, n_steps - done)
-        chunk = min(2 * chunk, _SCAN_CHUNK)
-        offs = START_OFFSET + (base + SCAN_STEP * np.arange(m + 1))
-        parts.append(offs[1:] if parts else offs)
-        base += SCAN_STEP * m
-        done += m
-    grid = np.concatenate(parts)
-    grid.flags.writeable = False
-    return grid
-
-
-def _safe_time(dist, speed, accel):
-    """Smallest s > 0 with speed*s + accel*s^2/2 = dist (dist > 0); inf if none.
-
-    The root is taken in the form without cancellation for either sign of
-    speed, so its rounding error stays far below SKIP_MARGIN.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        root = np.sqrt(speed * speed + 2.0 * accel * dist)
-        s = np.where(speed >= 0, 2.0 * dist / (speed + root), (root - speed) / accel)
-    return np.where(s >= 0, s, np.inf)
-
-
-def _safe_time_scalar(dist: float, speed: float, accel: float) -> float:
-    """_safe_time for Python floats."""
-    disc = speed * speed + 2.0 * accel * dist
-    if disc < 0.0:
-        return math.inf
-    root = math.sqrt(disc)
-    if speed >= 0.0:
-        return 2.0 * dist / (speed + root) if speed + root > 0.0 else math.inf
-    return (root - speed) / accel if accel > 0.0 else math.inf
+    root = np.empty_like(x)
+    live = np.arange(x.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.size:
+            fx, dfx = f(live, x)
+            before = fx < 0
+            lo, hi = np.where(before, x, lo), np.where(before, hi, x)
+            step = fx / dfx
+            x = x - step
+            converged = np.abs(step) <= TIME_TOL
+            x = np.where(converged | ((x > lo) & (x < hi)), x, 0.5 * (lo + hi))
+            stop = converged | (hi - lo <= TIME_TOL)
+            root[live[stop]] = x[stop]
+            more = ~stop
+            live, x, lo, hi = live[more], x[more], lo[more], hi[more]
+    return root
 
 
 def next_impact_batch(sides, times, velocities, p: NondimParams, *,
                       amplitude: float = 1.0):
     """Vectorized impact-to-impact step for a batch of events.
 
-    Each row's next impact lies in the first interval of the fixed sample
-    grid `_scan_grid()` (step SCAN_STEP up to HORIZON) in which Z rises
-    through +d/2 (side B) or falls through -d/2 (side T); 45 bisection steps
-    on that interval give the impact time.  Certified skip-ahead decides which grid
-    samples are evaluated at all: from a sample's (Z, Zdot) and the bound
-    gbar - |A| <= Zdd <= gbar + |A|, every later sample before the first time
-    either wall could come within SKIP_MARGIN of Z is strictly inside the
-    capsule, so no interval ending there can be a crossing and those samples
-    are skipped.  The rest are scanned in windows of _FIRST_WINDOW intervals
-    that double each round up to _SCAN_CHUNK.  The certificate only decides
-    what to skip, never a returned value: the results are bit-identical to
-    evaluating Z on every grid sample.
+    Zdd = gbar + A*cos(pi*(t0 + tau) + psi) vanishes where the cosine equals
+    -gbar/A, so these closed-form breakpoints split (START_OFFSET, HORIZON]
+    into pieces on which Zdot is monotone (one piece when |A| <= gbar).  On
+    each piece W = -Z (Zdd >= 0) or W = Z (Zdd <= 0) is concave, so W reaches
+    its upper wall at most once, while rising, and its lower wall at most
+    once, while falling.  The rows walk their pieces in lockstep until the
+    first on which Z rises through +d/2 (side B) or falls through -d/2
+    (side T), from strictly inside: a ball that is not strictly inside at
+    START_OFFSET has not left its wall.  The values at the piece ends decide
+    most pieces; a piece's interior maximum of W is solved for (Newton on
+    Zdot) only where the tangent lines at both ends meet above the upper wall.
+    Each crossing then has an exact bracket on which W is monotone, and
+    _bracketed_newton, started at the end from which Newton approaches the
+    crossing monotonically, refines it until a step is at most TIME_TOL.
+    Every row stops on its own tests, so its result does not depend on the
+    rest of the batch.
 
     Args:
         sides: int array, +1 for side B, -1 for side T.
@@ -327,115 +292,104 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
     n = t0.shape[0]
     half = 0.5 * p.length
     gbar = p.gravity_term
-    psi = p.general_phase
 
     z0 = np.where(sides > 0, half, -half)
     vplus = apply_impact_law(vin, p.restitution)
-    arg0 = PI * t0 + psi
+    arg0 = PI * t0 + p.general_phase
     f1_0 = amplitude * np.sin(arg0) / PI
     f2_0 = -amplitude * np.cos(arg0) / PI**2
-    # Z(t0 + tau) = c0 + c1*tau + (gbar/2)*tau^2 - A*cos(pi*(t0+tau)+psi)/pi^2
+    # Z(t0 + tau) = c0 + c1*tau + (gbar/2)*tau^2 - A*cos(pi*(t0+tau)+psi)/pi^2;
+    # the Horner form rounds about half as much near a wall
     c0 = z0 - f2_0
     c1 = vplus - f1_0
 
-    def z_of(c0r, c1r, arg0r, tau):
-        return (c0r + c1r * tau + 0.5 * gbar * tau**2
-                - amplitude * np.cos(arg0r + PI * tau) / PI**2)
+    def flow(rows, tau):
+        """Z, Zdot and Zdd at tau after the impacts of the given rows."""
+        arg = arg0[rows] + PI * tau
+        forcing = amplitude * np.cos(arg)
+        z = c0[rows] + tau * (c1[rows] + 0.5 * gbar * tau) - forcing / PI**2
+        return z, c1[rows] + gbar * tau + amplitude * np.sin(arg) / PI, gbar + forcing
 
-    def z_at(rows, tau):
-        return z_of(c0[rows], c1[rows], arg0[rows], tau)
+    # Zdd changes sign where cos(pi*(t0 + tau) + psi) = -gbar/A: at forcing
+    # phases alpha and 2*pi - alpha (mod 2*pi) when |A| > gbar, never otherwise.
+    # Breakpoint k of a row is the k-th of these from phase 0 of the row's
+    # forcing period; Zdd >= 0 before an even one when A > 0.
+    bends = abs(amplitude) > gbar
+    alpha = math.acos(-gbar / amplitude) if bends else 0.0
+    ph0 = np.mod(arg0, 2.0 * PI)
 
-    def zdot_at(rows, tau):
-        return (vplus[rows] + gbar * tau
-                + amplitude * np.sin(arg0[rows] + PI * tau) / PI - f1_0[rows])
-
-    grid = _scan_grid()
-    last = grid.size - 1
-    lim = half - SKIP_MARGIN
-    accel_b = gbar + abs(amplitude)   # bounds on Zdd towards +d/2 and towards -d/2
-    accel_t = abs(amplitude) - gbar
-
-    def skip_rows(rows, first):
-        """Advance each row's first uncleared interval by certified steps."""
-        for _ in range(_SKIP_STEPS):
-            i = np.minimum(first + 1, last)
-            tau = grid[i]
-            z = z_at(rows, tau)
-            zd = zdot_at(rows, tau)
-            inside = (lim - z > 0) & (lim + z > 0) & np.isfinite(zd)
-            s = np.minimum(_safe_time(lim - z, zd, accel_b),
-                           _safe_time(lim + z, -zd, accel_t))
-            reach = np.searchsorted(grid, tau + s) - 1
-            first = np.where(inside, np.maximum(i, reach), first)
-        return first
-
-    def skip_row(r, first):
-        """skip_rows for one row in scalar arithmetic (cheaper for small batches)."""
-        c0r, c1r, arg0r = float(c0[r]), float(c1[r]), float(arg0[r])
-        vr, f1r = float(vplus[r]), float(f1_0[r])
-        for _ in range(_SKIP_STEPS):
-            i = min(first + 1, last)
-            tau = float(grid[i])
-            arg = arg0r + PI * tau
-            z = c0r + c1r * tau + 0.5 * gbar * tau * tau - amplitude * math.cos(arg) / PI**2
-            zd = vr + gbar * tau + amplitude * math.sin(arg) / PI - f1r
-            if not (lim - z > 0 and lim + z > 0 and math.isfinite(zd)):
-                break
-            s = min(_safe_time_scalar(lim - z, zd, accel_b),
-                    _safe_time_scalar(lim + z, -zd, accel_t))
-            first = max(i, int(np.searchsorted(grid, tau + s)) - 1)
-        return first
-
-    first = np.zeros(n, dtype=np.intp)    # first grid interval not yet cleared
-    hit_at = np.full(n, -1, dtype=np.intp)
-    hit_b = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    window = _FIRST_WINDOW
-    while active.size:
-        if active.size <= _SCALAR_ROWS:
-            first[active] = [skip_row(r, first[r]) for r in active]
-        else:
-            first[active] = skip_rows(active, first[active])
-        cols = np.minimum(first[active, None] + np.arange(window + 1), last)
-        z = z_at(active[:, None], grid[cols])
-        up_b = (z[:, :-1] < half) & (z[:, 1:] >= half)
-        down_t = (z[:, :-1] > -half) & (z[:, 1:] <= -half)
-        hit = up_b | down_t
-        rows = hit.any(axis=1)
-        if rows.any():
-            ridx = np.flatnonzero(rows)
-            k = hit[ridx].argmax(axis=1)
-            hit_at[active[ridx]] = cols[ridx, k]
-            hit_b[active[ridx]] = up_b[ridx, k]
-        first[active] += window
-        active = active[~rows & (first[active] < last)]
-        window = min(2 * window, _SCAN_CHUNK)
+    def piece(rows, k):
+        """End of each row's piece before breakpoint k, and the sign of Zdd on it."""
+        if not bends:
+            return HORIZON, np.ones(k.shape)
+        phase = np.where(k % 2 == 0, alpha, 2.0 * PI - alpha) + 2.0 * PI * (k // 2)
+        return ((phase - ph0[rows]) / PI,
+                np.where((k % 2 == 0) == (amplitude > 0), 1.0, -1.0))
 
     out_side = np.zeros(n, dtype=np.int8)
+    lo, hi, start = np.zeros(n), np.zeros(n), np.zeros(n)
+    rows = np.flatnonzero(np.isfinite(c0) & np.isfinite(c1) & np.isfinite(arg0))
+    k = (ph0[rows] >= alpha).astype(np.int64) + (ph0[rows] >= 2.0 * PI - alpha)
+    ta = np.full(rows.size, START_OFFSET)
+    za, zda, _ = flow(rows, ta)
+    while rows.size:
+        end, s = piece(rows, k)
+        # a breakpoint that rounds to the piece start still ends a piece
+        tb = np.minimum(np.maximum(end, np.nextafter(ta, np.inf)), HORIZON)
+        zb, zdb, _ = flow(rows, tb)
+        # W = -s*Z is concave on the piece: it reaches +d/2 (the wall on side
+        # -s) only while rising and -d/2 (side s) only while falling, each at
+        # most once.  Its maximum is at an end, or inside (dwa > 0 > dwb) and
+        # at most where the tangent lines at both ends meet.
+        wa, wb, dwa, dwb = -s * za, -s * zb, -s * zda, -s * zdb
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lift = (wb - wa - dwb * (tb - ta)) / (dwa - dwb)
+            bound = wa + dwa * lift
+        solve = (dwa > 0) & (dwb < 0) & (wa < half) & (wb < half) & (bound >= half)
+        top, te = np.maximum(wa, wb), tb
+        if solve.any():
+            i = np.flatnonzero(solve)
+            si, ri = s[i], rows[i]
+
+            def falling(j, tau):   # -dW/dtau and its slope
+                _, zdot, zddot = flow(ri[j], tau)
+                return si[j] * zdot, si[j] * zddot
+
+            peak = _bracketed_newton(falling, ta[i], tb[i],
+                                     np.clip(ta[i] + lift[i], ta[i], tb[i]))
+            te, top = tb.copy(), top.copy()
+            te[i] = peak
+            top[i] = np.maximum(top[i], -si * flow(ri, peak)[0])
+        # a piece that starts at or past a wall holds no crossing of it
+        near = (wa < half) & (top >= half)
+        far = ~near & (wa > -half) & (wb <= -half)
+        hit = near | far
+        if hit.any():
+            h = rows[hit]
+            out_side[h] = np.where(near, -s, s)[hit]
+            lo[h] = ta[hit]
+            hi[h] = np.where(near & (wb < half), te, tb)[hit]
+            # Newton approaches the crossing monotonically from this end
+            start[h] = np.where(near[hit], lo[h], hi[h])
+        keep = ~hit & (tb < HORIZON)
+        rows, k, ta, za, zda = rows[keep], k[keep] + 1, tb[keep], zb[keep], zdb[keep]
+
     out_t = np.full(n, np.nan)
     out_v = np.full(n, np.nan)
     status = np.full(n, STATUS_NO_IMPACT, dtype=np.int8)
-    ev_rows = np.flatnonzero(hit_at >= 0)
-    if ev_rows.size:
-        is_b = hit_b[ev_rows]
-        lo = grid[hit_at[ev_rows]]
-        hi = grid[hit_at[ev_rows] + 1]
-        # the scan's wall test: a sample is past the wall when wall * Z >= d/2;
-        # lo stays before the wall and hi at or past it
-        wall = np.where(is_b, 1.0, -1.0)
-        c0r, c1r, arg0r = c0[ev_rows], c1[ev_rows], arg0[ev_rows]
-        for _ in range(45):  # 1e-3 / 2^45 << TIME_TOL
-            mid = 0.5 * (lo + hi)
-            past = wall * z_of(c0r, c1r, arg0r, mid) >= half
-            hi = np.where(past, mid, hi)
-            lo = np.where(past, lo, mid)
-        t_star = 0.5 * (lo + hi)
-        zdot = zdot_at(ev_rows, t_star)
-        out_side[ev_rows] = np.where(is_b, 1, -1)
-        out_t[ev_rows] = t0[ev_rows] + t_star
-        out_v[ev_rows] = zdot
-        graze = np.abs(zdot) < GRAZING_TOL
-        status[ev_rows] = np.where(graze, STATUS_GRAZING, STATUS_OK)
+    r = np.flatnonzero(out_side)
+    if r.size:
+        wall = out_side[r].astype(float)
+
+        def past(j, tau):   # >= 0 at or past the wall, as in wall * Z >= d/2
+            z, zdot, _ = flow(r[j], tau)
+            return wall[j] * z - half, wall[j] * zdot
+
+        t_star = _bracketed_newton(past, lo[r], hi[r], start[r])
+        zdot = flow(r, t_star)[1]
+        out_t[r] = t0[r] + t_star
+        out_v[r] = zdot
+        status[r] = np.where(np.abs(zdot) < GRAZING_TOL, STATUS_GRAZING, STATUS_OK)
 
     return out_side, out_t, out_v, status
 

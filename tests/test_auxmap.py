@@ -312,32 +312,35 @@ def test_rect_range_rejects_other_shapes():
 
 
 # iterate_updates with the sampled envelopes (201 x 1001 grids) this module
-# replaced; the closed-form boxes differ from them by the sampling error only
+# replaced, on the shipped table; the closed-form boxes differ from them by the
+# sampling error only.  When the table changes, regenerate them with
+# `python scripts/sampled_boxes.py`, which runs the sampled envelopes of the
+# last commit that had them on the shipped table.
 SAMPLED_BOXES = {
     "FP": [
         (0.70, 1.0, 0.20, PI / 3),
-        (0.770697159997028, 0.9018702781812507, 0.32580693210306055, 0.6627194214008811),
-        (0.7793960164281102, 0.865077017381017, 0.33083465561055636, 0.4703162632071143),
-        (0.8061136879368521, 0.8523111962794097, 0.3334665403785104, 0.45124703370559516),
-        (0.8101150420537764, 0.8499643354645058, 0.34216328085601866, 0.403040892899591),
-        (0.8214726782528796, 0.8430923346870369, 0.3441491355054853, 0.3966990559360841),
-        (0.8231652109297952, 0.8419246431989083, 0.35161812475869025, 0.37972964889430294),
-        (0.82805111798101, 0.8382000779965464, 0.35300694593457793, 0.37734009361920506),
-        (0.8287899837462958, 0.8375852081267191, 0.35754867467980356, 0.3706372750778808),
-        (0.8309506419249357, 0.8356935386403543, 0.3583134787338569, 0.3696486870819413),
-        (0.831281778812185, 0.835390377845313, 0.3606894181596396, 0.3667929574772013),
+        (0.7706972136675392, 0.9018702763230244, 0.3258074278826508, 0.6627188705145381),
+        (0.7793961313552666, 0.865076877020679, 0.3308351811943431, 0.4703159880729455),
+        (0.806113821540372, 0.8523110439545041, 0.3334670792279524, 0.4512466990717092),
+        (0.8101151925939778, 0.8499641741067032, 0.34216381268242557, 0.40304076002961553),
+        (0.8214727909219862, 0.8430921961022718, 0.3441496808299864, 0.39669892793052464),
+        (0.8231653241250546, 0.8419245023454135, 0.35161864132453546, 0.37972968103241955),
+        (0.828051188805659, 0.8381999648202614, 0.3530074607392861, 0.37734014089381507),
+        (0.8287900503378114, 0.8375850976825819, 0.357549138713253, 0.3706374262388281),
+        (0.830950675890732, 0.8356934545794976, 0.3583139360168448, 0.3696488506169988),
+        (0.8312818086986952, 0.835390297200889, 0.3606898310793367, 0.3667931831293525),
     ],
     "PD": [
         (0.65, 1.0, 0.13, PI / 3),
-        (0.6050860418998947, 1.248002193615724, 0.21179528367665812, 1.7315782607337908),
+        (0.6050861120812976, 1.2480022991645097, 0.21179536984425917, 1.7315782958246366),
     ],
     "CD": [
         (0.64, 1.0, 0.08, PI / 3),
-        (0.3466540867725325, 2.0000468023796962, 0.11743908492815125, 5.0420865388782605),
+        (0.3466541411946966, 2.0000468869195807, 0.11743926357296575, 5.042086842911877),
     ],
 }
-SAMPLED_FP_CYCLE = (0.8312817788133622, 0.8353903778439946, 0.3606894185925231,
-                    0.36679295696346914, 0.16836506134067264, 0.24385855490471897)
+SAMPLED_FP_CYCLE = (0.8312818086996121, 0.8353902972002103, 0.3606898315117102,
+                    0.3667931826159019, 0.16836496790623912, 0.2438574246976799)
 
 
 @pytest.mark.filterwarnings("ignore::vipair.auxmap.EscapedBox")

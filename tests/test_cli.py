@@ -389,23 +389,23 @@ def _run_and_hash(tmp_path, commands) -> dict:
 # sha256 of every file `case --name FP|PD|CD --out case-<name>` writes, and of
 # its stdout, as `python scripts/artifact_digest.py` prints them
 CASE_DIGESTS = {
-    "case-CD/aux_report.json": "790b48d169139b4f54e06c35ad9a10bb88b7a8e691db6e6f7f297e3101a3e295",
+    "case-CD/aux_report.json": "f9e4fb65ee8faa7d4577715d45f967c2a8352d4af64ad4e0ea74af4722ed699e",
     "case-CD/stdout.txt": "62c3c17868a436bbef8af96e77d9cb4e5e463143eda4e708cf82aaf81ce566a1",
-    "case-CD/trajectory.csv": "019340a88652483f7ff8f4c9f12f34e30e1b4296b6e0a1e9a17c1c8a7755910b",
+    "case-CD/trajectory.csv": "0b439324b116b0b8d85616592d7911628c57c698f20b8dac9e4317d9cfb62532",
     "case-CD/trajectory.gp": "1c4da8c4813667f2c0dc06ecb0e148e0e82aa37dff6aa4316ae222c31dc1e22e",
-    "case-CD/widths.csv": "cb3849e11b95c120b59eedb38027e851b3547149bd12f078d32cf7d076698f61",
+    "case-CD/widths.csv": "c4eda8738161dbc266f9a59651a59fe11d52b2b624e461b61631c9ee3109f571",
     "case-CD/widths.gp": "082f6bc6a9e0320c1afdc96a1dfdd1d9e6b126aec5af66ccae9277ee748b6d59",
-    "case-FP/aux_report.json": "9398c07b3d354f38d27bbfe28958e6a57dd111a2f18860d95fd4e1949e1c5964",
+    "case-FP/aux_report.json": "d65670155c80dccb6a5f01f953ed028675f28583b285f5139dbc3383289a404b",
     "case-FP/stdout.txt": "265c6881c8086cd816fc7cb60721312a40914fce4034fe184c17b43fc09fd080",
-    "case-FP/trajectory.csv": "66ccd8745d09ec808c8c7873173c037e187f9f2c7874138f167f3fa28e1c0463",
+    "case-FP/trajectory.csv": "484a08515f7e5f041d2883917562ad3b53ef6df3ba775d196432ab7412eb9f96",
     "case-FP/trajectory.gp": "f1df66fceb5a5542825c49255a6db2bf39fa12766fe4563d5ea669bb4afe382f",
-    "case-FP/widths.csv": "fd0c993261e2744a32090515be5f78e069ea6c13d387a0a9ff1e487190dabfc4",
+    "case-FP/widths.csv": "d27a19b8da81970c0aaeca1899c78f25cc448056c21639ed3adbb4cb8f3db0f3",
     "case-FP/widths.gp": "e05a19760aface584cbfd0c76a27dbc1d1157222cddfc99b737c1c906a975247",
-    "case-PD/aux_report.json": "e63d414680a1e6e15f3c13b1eacb06518383910f6dccaff3bb37408eaa3f3f74",
+    "case-PD/aux_report.json": "aaf2b8dfd8cae6abcc0a06262b74f8de985c463963dfe29368415d44ef1bcd6b",
     "case-PD/stdout.txt": "ed9bd885874a6f9e2ce8eb6aa284c955bd076486c40d04438c6397004f1bbc8d",
-    "case-PD/trajectory.csv": "a4d2d8db8171110a948d821db6a8f8bcbb2a3d2175563bcb92058e0509af4283",
+    "case-PD/trajectory.csv": "13a13aa0832faf55083034e811a3e3218facb05fbba24a93da46c9e0fb08eedd",
     "case-PD/trajectory.gp": "7a29ed17b685c13271cb34fa7b63dae7774baf046dfe13302bed7abf6c5dfc13",
-    "case-PD/widths.csv": "708846219c1ef5dbb45d1cb64b7245e59ba7c3ecfbbbf0ffb7ce81ce2b6a79e9",
+    "case-PD/widths.csv": "f1357c1c74975371f3166751245023a3fc2f9aaa9fe2442f7ffa2667a20da447",
     "case-PD/widths.gp": "82e5e6031554f037342a293a788878ca0801628f119903d48a5caa2d2db345cd",
 }
 
@@ -435,16 +435,16 @@ CSV_COMMANDS = [
                      "--d-to", "0.25", "--step", "0.005"]),
 ]
 CSV_DIGESTS = {
-    "bifurcation/bifurcation_composite.csv": "4d51873642855b2c083a0d6ed517eca31ef12ebf3a8b3afc6f5aeaaf6dc7f8cb",
+    "bifurcation/bifurcation_composite.csv": "0c77704de42880a8b5f2aad22ce04bb194071492dc1f249b9d4b6af778056f8d",
     "bifurcation/bifurcation_composite.gp": "f4064d4a5ec125d1476a4988a6a6f7c21979e5e14478477cf15ac5f32e48a7e1",
     "bifurcation/bifurcation_composite_meta.json": "8fb8711eb692e2c10d56c7f027e4cbac5ccfc155e4a247f8cbd451c8f2d52c7f",
     "bifurcation/stdout.txt": "a603b0c6513eca2947388791ab7f3be52464e03293823dfa5060978cf4a977d3",
-    "composite/composite_trajectory.csv": "02fc0b9a2f4a60003b535fd84a5300158ac801195d31e9a78dcf2ccdee6cbf43",
-    "composite/stdout.txt": "02dc537a9d0561efebfa60c6e5ae35aaacbf443fde1ce5bdbe3ad89b62551c6b",
+    "composite/composite_trajectory.csv": "1d43fb8d30ffb80de94041d1f61275adb42177c527a50bea2a7d49faaef0cd4d",
+    "composite/stdout.txt": "afa3a8532d2fa889d2a63c62cd20d46f2f2b14b407b6bbdcd9bc06694aee85ca",
     "partition/partition.csv": "c224886552b03a9f51c78d3f75d2ef4075f63988e9e7649cc4358d96a266ae6a",
     "partition/stdout.txt": "063a833613425ebf197dff58c4081518aa6af94b8ebcc8c58a49acd0e042d387",
     "sweep/stdout.txt": "22cda7fbd79ab6d04bf0513a145d2cc877b50f480176b6c8c7ca3aa13bf920ed",
-    "sweep/surface.csv": "7d1d5334713ca384d37f97527a22b624c900c1ac19c91185ca3b1cec2e286112",
+    "sweep/surface.csv": "6ceebee4d5e891124e772b3f4b5cc9c0628bd9ef4ecc4bb6f045084473ff7fc3",
     "sweep/surface.gp": "b32b65df140f8d190a79450f41c34b74d5dc9339df835db47d71d37624fd2e59",
     "sweep/surface.json": "47e8013695fc127e3c967b2e4f53e216e7ef41339b7a15695e19d40c8e28375c",
 }

@@ -5,9 +5,15 @@ import pytest
 
 from vipair.core import (
     GRAZING_TOL,
+    HORIZON,
     PI,
     SIDE_B,
     SIDE_T,
+    START_OFFSET,
+    STATUS_GRAZING,
+    STATUS_NO_IMPACT,
+    STATUS_OK,
+    TIME_TOL,
     DegenerateParamsError,
     GrazingImpact,
     ImpactEvent,
@@ -208,8 +214,6 @@ def test_shallow_top_crossing_oracle():
     assert abs(vel) > GRAZING_TOL
 
 
-@pytest.mark.xfail(strict=True, reason="the fixed 1e-3 scan grid steps over the shallow "
-                   "crossing and reports the later bottom-wall impact")
 def test_next_impact_finds_shallow_top_crossing():
     e = ImpactEvent(side=SIDE_B, time=0.6, velocity_in=SHALLOW_V_IN,
                     phase=float(impact_phase(0.6)))
@@ -278,8 +282,9 @@ def _march_next_impact_batch(sides, times, velocities, p, *, amplitude=1.0,
                              scan_step=1e-3, horizon=40.0, grazing_tol=1e-8):
     """Frozen reference: the event solver that evaluates Z on every grid sample.
 
-    Kept verbatim from the solver that preceded certified skip-ahead; the
-    production solver must return bit-identical results.
+    Kept verbatim from the grid march that preceded the grid-free solver; the
+    production solver must agree with it wherever a leg starts faster than
+    1e-3 (see test_next_impact_batch_matches_full_march).
     """
     sides = np.asarray(sides, dtype=np.int8)
     t0 = np.asarray(times, dtype=float)
@@ -373,7 +378,10 @@ def _fuzz_rows(rng, n):
 
 
 def test_next_impact_batch_matches_full_march():
-    # Skipping grid samples must never change a returned bit.
+    # Wherever a leg starts faster than 1e-3 the grid-free solver returns the
+    # march's side and status, and a time within TIME_TOL.  Slower starts are
+    # in the chattering band: there Z - wall sits at the rounding floor for
+    # both solvers, and the rows that differ are counted.
     rng = np.random.default_rng(4047)
     forced = NondimParams(restitution=0.5, length=0.3, gravity_term=0.2113,
                           general_phase=0.7)
@@ -385,27 +393,123 @@ def test_next_impact_batch_matches_full_march():
          {"amplitude": 0.0}, [1] * 5 + [40]),   # coasting: mostly no impact in 40
     ]
     seen_status = set()
-    n_rows = 0
+    speeds, differ = [], []
     for p, kw, sizes in cases:
         for size in sizes:
             sides, times, vels = _fuzz_rows(rng, size)
             got = next_impact_batch(sides, times, vels, p, **kw)
             want = _march_next_impact_batch(sides, times, vels, p, **kw)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w, equal_nan=True)
+            # no-impact rows have NaN times on both sides, which count as close
+            close = ((got[0] == want[0]) & (got[3] == want[3])
+                     & ~(np.abs(got[1] - want[1]) > TIME_TOL))
+            speeds.append(np.abs(vels))
+            differ.append(~close)
             seen_status.update(want[3].tolist())
-            n_rows += size
+    speeds, differ = np.concatenate(speeds), np.concatenate(differ)
+    assert speeds.size >= 2000
+    assert seen_status == {0, 1, 2}
+    assert not differ[speeds >= 1e-3].any()
+    assert np.count_nonzero(differ & (speeds >= 1e-4)) == 0
+    assert np.count_nonzero(differ & (speeds < 1e-4)) == 409
 
-    # Tangency at the top wall (apex exactly at -d/2 with the forcing off).
+
+def test_next_impact_batch_top_wall_tangency():
+    # Forcing off, apex at -d/2 to rounding: the march steps over all three
+    # contacts and reports the later bottom-wall impact.  The grid-free solver
+    # finds the top-wall contact the closed form predicts: grazing at the
+    # apex, and a true crossing just past it.
     p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.2113)
     v_apex = math.sqrt(2 * p.gravity_term * p.length) / p.restitution
-    sides, times = [1, 1, 1], [0.0, 0.3, 0.6]
+    times = np.array([0.0, 0.3, 0.6])
     vels = [v_apex, math.nextafter(v_apex, 2.0), v_apex * (1 + 1e-12)]
-    got = next_impact_batch(sides, times, vels, p, amplitude=0.0)
-    want = _march_next_impact_batch(sides, times, vels, p, amplitude=0.0)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w, equal_nan=True)
-    seen_status.update(want[3].tolist())
-    n_rows += len(sides)
-    assert n_rows >= 2000
-    assert seen_status == {0, 1, 2}
+    side, t, v, status = next_impact_batch([1, 1, 1], times, vels, p, amplitude=0.0)
+    assert status.tolist() == [STATUS_GRAZING, STATUS_GRAZING, STATUS_OK]
+    for i, v_in in enumerate(vels):
+        want_side, tau, vel = _zero_forcing_oracle(v_in, p)
+        assert want_side == SIDE_T and side[i] == -1
+        assert t[i] - times[i] == pytest.approx(tau, abs=1e-7)
+        assert v[i] == pytest.approx(vel, abs=GRAZING_TOL)
+
+
+def _dense_first_crossing(side, t0, v_in, p, tau_max, amplitude=1.0, n=2**20):
+    """(side, lo, hi): the first wall crossing on n uniform samples of
+    (START_OFFSET, tau_max], as the sample interval (lo, hi] that holds it;
+    side 0 when there is none."""
+    event = ImpactEvent(side=SIDE_B if side > 0 else SIDE_T, time=t0, velocity_in=v_in,
+                        phase=float(impact_phase(t0, p.general_phase)))
+    taus = np.linspace(START_OFFSET, tau_max, n)
+    z = flow_between_impacts(event, taus, p, amplitude=amplitude).displacement
+    half = 0.5 * p.length
+    up = (z[:-1] < half) & (z[1:] >= half)
+    down = (z[:-1] > -half) & (z[1:] <= -half)
+    hit = up | down
+    if not hit.any():
+        return 0, math.nan, math.nan
+    i = int(hit.argmax())
+    return (1 if up[i] else -1), taus[i], taus[i + 1]
+
+
+def _assert_matches_dense(sides, times, vels, p, amplitude=1.0, tau_max=6.0):
+    got_side, got_t, _, status = next_impact_batch(sides, times, vels, p, amplitude=amplitude)
+    for i in range(len(sides)):
+        side, lo, hi = _dense_first_crossing(sides[i], times[i], vels[i], p, tau_max,
+                                             amplitude=amplitude)
+        assert side != 0, "each case needs a crossing within tau_max"
+        assert got_side[i] == side and status[i] != STATUS_NO_IMPACT
+        assert lo - TIME_TOL <= got_t[i] - times[i] <= hi + TIME_TOL
+
+
+@pytest.mark.parametrize("amplitude", [0.1, 0.2113])
+def test_next_impact_without_zdd_breakpoints(amplitude):
+    # |A| <= gbar: Zdd never changes sign, so the whole flight is one piece
+    p = baseline_params(0.3)
+    _assert_matches_dense([1, -1, 1, -1], [0.0, 0.4, 1.1, 1.7], [0.3, -0.5, 1.2, -0.05],
+                          p, amplitude=amplitude)
+
+
+def test_next_impact_coasts_past_horizon():
+    # A = 0 and gbar = 0: a straight coast to the far wall, d / (r v) later
+    p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.0)
+    taus = np.array([HORIZON - 0.1, HORIZON + 0.1])
+    side, t, v, status = next_impact_batch([1, 1], [0.0, 0.0], p.length / (0.5 * taus), p,
+                                           amplitude=0.0)
+    assert status.tolist() == [STATUS_OK, STATUS_NO_IMPACT]
+    assert side[0] == -1 and t[0] == pytest.approx(taus[0], abs=1e-9)
+    assert side[1] == 0 and np.isnan(t[1]) and np.isnan(v[1])
+
+
+@pytest.mark.parametrize("psi", [0.7, -2.5])
+def test_next_impact_with_general_phase(psi, rng):
+    p = NondimParams(restitution=0.5, length=0.3, gravity_term=0.2113, general_phase=psi)
+    sides = rng.choice(np.array([1, -1], dtype=np.int8), 6)
+    _assert_matches_dense(sides, rng.uniform(0.0, 2.0, 6), sides * rng.uniform(0.2, 1.4, 6), p)
+
+
+def test_next_impact_breakpoint_at_the_start():
+    # Starts whose first Zdd breakpoint falls before START_OFFSET or just
+    # after it: the solver still ends a piece one ulp after its start and
+    # walks on
+    p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.2113, general_phase=0.4)
+    alpha = math.acos(-p.gravity_term)
+    at_alpha = (alpha - p.general_phase) / PI
+    times = np.array([at_alpha - dt for dt in (0.0, 0.5e-9, 1e-9, 1.5e-9)])
+    first = (alpha - np.mod(PI * times + p.general_phase, 2 * PI)) / PI
+    assert (first <= START_OFFSET).any() and (first > START_OFFSET).any()
+    for side, v in ((1, 0.4), (-1, -0.4), (1, 1.3), (-1, -1e-2)):
+        _assert_matches_dense([side] * 4, times, [v] * 4, p)
+
+
+def test_next_impact_crossing_on_a_zdd_breakpoint():
+    # Choose the start velocity so that Z reaches the top wall exactly when
+    # Zdd changes sign (Z is linear in the post-impact velocity)
+    p = baseline_params(0.35)
+    alpha = math.acos(-p.gravity_term)
+    t0 = 0.2
+    tau = (2 * PI - alpha - PI * t0) / PI       # breakpoint at phase 2*pi - alpha
+    z = [flow_between_impacts(event_on_b(v, PI * t0, p), tau, p).displacement
+         for v in (1.0, 2.0)]
+    v_in = 1.0 + (-0.5 * p.length - z[0]) / (z[1] - z[0])
+    side, t, v, status = next_impact_batch([1], [t0], [v_in], p)
+    assert side[0] == -1 and status[0] == STATUS_OK
+    assert t[0] - t0 == pytest.approx(tau, abs=1e-9)
+    _assert_matches_dense([1], [t0], [v_in], p)

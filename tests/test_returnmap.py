@@ -93,7 +93,7 @@ def test_sweep_determinism(params35):
 
 @pytest.mark.parametrize("d", [0.26, 0.30, 0.35])
 def test_batched_rows_equal_separate_sweeps(d):
-    # the set sizes straddle core._SCALAR_ROWS = 8, so both skip paths run;
+    # set sizes from 1 to 700 rows, each row stopping on its own tests;
     # bytes compare NaN equal to NaN
     rng = np.random.default_rng(round(d * 1000))
     p = baseline_params(d)
@@ -111,6 +111,34 @@ def test_batched_rows_equal_separate_sweeps(d):
             a, b = getattr(part, f.name), getattr(whole, f.name)
             if isinstance(a, np.ndarray):
                 assert a.dtype == b.dtype and a.tobytes() == b[rows].tobytes(), f.name
+
+
+def _trajectories(v0, phi0, p, n_returns):
+    """Iterate the exact first-return map from each start, as one batch of the
+    rows still alive; a row stops at its first OTHER return (NaN after it)."""
+    v = np.full((len(v0), n_returns + 1), np.nan)
+    phi = np.full_like(v, np.nan)
+    v[:, 0], phi[:, 0] = v0, phi0
+    live = np.arange(len(v0))
+    for k in range(n_returns):
+        step = _sweep_points(v[live, k], phi[live, k], p)
+        v[live, k + 1], phi[live, k + 1] = step.v_out, step.phi_out
+        live = live[step.klass != ReturnClass.OTHER]
+    return v, phi
+
+
+@pytest.mark.parametrize("d", [0.26, 0.35])
+def test_batched_trajectories_equal_single_ones(d):
+    # 100 returns from 16 starts as one shrinking batch equal each start
+    # iterated alone, bit for bit
+    rng = np.random.default_rng(round(d * 1000) + 1)
+    p = baseline_params(d)
+    v0, phi0 = rng.uniform(0.05, 1.6, 16), rng.uniform(0.0, 2 * PI, 16)
+    v, phi = _trajectories(v0, phi0, p, 100)
+    for i in range(16):
+        v_i, phi_i = _trajectories(v0[i:i + 1], phi0[i:i + 1], p, 100)
+        assert v_i.tobytes() == v[i:i + 1].tobytes()
+        assert phi_i.tobytes() == phi[i:i + 1].tobytes()
 
 
 def test_classification_total(params35):

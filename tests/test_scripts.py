@@ -2,6 +2,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
@@ -41,6 +44,23 @@ def test_digest_flags_non_strict_json(tmp_path):
     (tmp_path / "run" / "data.csv").write_text("nan\n")
     assert _load("artifact_digest").non_strict_json(tmp_path) == ["run/bad.json",
                                                                  "run/stdout.txt"]
+
+
+def test_solver_agreement_runs_both_checkouts(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    agreement = _load("solver_agreement")
+    rows = agreement.agreement(ROOT, ROOT, 300)
+    assert [row[:3] for row in rows] == [(d, 300, 0) for d in agreement.D_VALUES]
+    assert all(dt == 0.0 for *_, dt in rows)
+    legs = agreement.legs(0, 300)
+    assert np.all(np.sign(legs["vels"]) == legs["sides"])
+    assert np.all((np.abs(legs["vels"]) >= 1e-3) & (np.abs(legs["vels"]) <= 1.6))
+    # one leg with another side, one with a slightly later impact
+    old = {"side": np.array([1, -1, 1]), "status": np.array([0, 0, 1]),
+           "time": np.array([1.0, 2.0, np.nan])}
+    new = {**old, "side": np.array([1, 1, 1]), "time": np.array([1.0 + 1e-13, 2.0, np.nan])}
+    bad, dt = agreement.compare(old, new)
+    assert bad == 1 and dt == pytest.approx(1e-13, rel=1e-3)
 
 
 def test_benchmark_hooks_resolve(monkeypatch):
