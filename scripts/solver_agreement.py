@@ -6,10 +6,11 @@ Unpacks REF with digest_diff.py's ``ref_checkout`` and runs each checkout's
 ``src/``) on the same LEGS seeded legs per d: at d = 0.35, 0.30 and 0.26 on
 the baseline parameters, from either wall, with t0 uniform in [0, 2] and |v|
 uniform in [1e-3, 1.6].  A leg disagrees when the two solvers return a
-different side or status.  Prints, per d, the number of legs and
-disagreements and the largest |dt| over the legs both solvers return as
-impacts, and exits 1 on any disagreement.  The working tree's side includes
-uncommitted edits.
+different side or status, and it is bit-different when the bytes of its side,
+time, velocity or status differ (a NaN equals a NaN).  Prints, per d, the
+number of legs, disagreements and bit-different legs, and the largest |dt|
+and |dv| over the legs both solvers return as impacts; exits 1 on any
+disagreement.  The working tree's side includes uncommitted edits.
 
 Run from the repository root:  python scripts/solver_agreement.py REF
 """
@@ -68,16 +69,25 @@ def solve(checkout: Path, leg_set: dict, tmp: Path) -> dict:
         return dict(out)
 
 
-def compare(old: dict, new: dict) -> tuple[int, float]:
-    """(disagreements, max |dt| over rows both return as impacts)."""
+def _bits_differ(old, new) -> np.ndarray:
+    """Per row: the bytes of the two float values differ, a NaN equal to a NaN."""
+    return (old.view(np.int64) != new.view(np.int64)) & ~(np.isnan(old) & np.isnan(new))
+
+
+def compare(old: dict, new: dict) -> tuple[int, float, int, float]:
+    """(disagreements, max |dt|, bit-different legs, max |dv|); the maxima are
+    over the rows both return as impacts."""
     differ = (old["side"] != new["side"]) | (old["status"] != new["status"])
+    bits = differ | _bits_differ(old["time"], new["time"]) | _bits_differ(old["vel"], new["vel"])
     both = ~differ & (new["status"] != 1)
     dt = np.abs(old["time"][both] - new["time"][both])
-    return int(np.count_nonzero(differ)), float(dt.max(initial=0.0))
+    dv = np.abs(old["vel"][both] - new["vel"][both])
+    return (int(np.count_nonzero(differ)), float(dt.max(initial=0.0)),
+            int(np.count_nonzero(bits)), float(dv.max(initial=0.0)))
 
 
 def agreement(old_checkout: Path, new_checkout: Path, n: int) -> list[tuple]:
-    """(d, legs, disagreements, max |dt|) per d."""
+    """(d, legs, disagreements, max |dt|, bit-different legs, max |dv|) per d."""
     rows = []
     with tempfile.TemporaryDirectory(prefix="vipair-legs-") as tmp:
         for i, d in enumerate(D_VALUES):
@@ -94,9 +104,10 @@ def main() -> None:
     ref = parser.parse_args().ref
     with ref_checkout(ref) as checkout:
         rows = agreement(checkout, ROOT, LEGS)
-    for d, n, bad, dt in rows:
-        print(f"d={d:.2f}: {n} legs, {bad} disagreements, max |dt| {dt:.3g}")
-    sys.exit(1 if any(bad for _, _, bad, _ in rows) else 0)
+    for d, n, bad, dt, bits, dv in rows:
+        print(f"d={d:.2f}: {n} legs, {bad} disagreements, max |dt| {dt:.3g}, "
+              f"{bits} bit-different, max |dv| {dv:.3g}")
+    sys.exit(1 if any(row[2] for row in rows) else 0)
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ table refitted from the event-driven exact map with the same structure:
 * R3: one d-independent fit pooled across the d range (the surface does not
   move with d), trimmed once to shed the steep transition sheet.
 * R2/R4/R5: separable single-variable fits along fixed representative rows
-  and columns of the surfaces, per d, then d-polynomials.  One d's six
-  curves are swept as one batch; that is exact, because each row of a sweep
-  depends on that row alone (tests/test_returnmap.py checks it bit for bit).
+  and columns of the surfaces, per d, then d-polynomials.
+
+One d's R1 grid and six representative curves are swept as one batch and
+split by position; that is exact, because each row of a sweep depends on
+that row alone (tests/test_calibration.py checks the split bit for bit).
 
 Each region's maps are fitted to one return class (FIT_CLASS).  Every fit is
 ordinary least squares through an orthogonal decomposition; the recipe
@@ -42,6 +44,8 @@ FIT_CLASS = {Region.R1: ReturnClass.BTB, Region.R2: ReturnClass.BTB,
 D_GRID = np.round(np.arange(0.26, 0.35001, 0.005), 4)
 R1_FIT_GRID = 72
 R1_MIN_SAMPLES = 160
+R1_GRID = GridSpec(n_v=R1_FIT_GRID, n_phi=R1_FIT_GRID,
+                   v_range=(R1_BOX[0], R1_BOX[1]), phi_range=(R1_BOX[2], R1_BOX[3]))
 D_POLY_DEGREE = 8
 
 # The R1 fits are solved in coordinates scaled to this window, the enlarged
@@ -109,11 +113,30 @@ def fit_region_maps(surface, region: Region, *, delta: float | None = None):
             "reports": {"v": rep_v, "phi": rep_p}}
 
 
-def _r1_samples(d: float, base: NondimParams, delta: float):
+def _curve_points():
+    """(v_in, phi_in) of the six representative curves: per separable region
+    a fixed-phase row, then a fixed-velocity column, CURVE_POINTS each."""
+    v_parts, phi_parts = [], []
+    for rec in SEPARABLE_RECIPE.values():
+        v_nodes = np.linspace(*rec["v_window"], CURVE_POINTS)
+        phi_nodes = np.linspace(*rec["phi_window"], CURVE_POINTS)
+        v_parts += [v_nodes, np.full_like(phi_nodes, rec["v_col"])]
+        phi_parts += [np.full_like(v_nodes, rec["phi_row"]), phi_nodes]
+    return np.concatenate(v_parts), np.concatenate(phi_parts)
+
+
+def _sweep_d(d: float, base: NondimParams):
+    """One d's R1 grid surface and six-curve point set (_curve_points), split
+    by position from one sweep of both."""
+    grid_v, grid_phi = R1_GRID.points()
+    curve_v, curve_phi = _curve_points()
+    s = _sweep_points(np.concatenate([grid_v, curve_v]),
+                      np.concatenate([grid_phi, curve_phi]), base.replace(length=d))
+    return s.rows(slice(grid_v.size)), s.rows(slice(grid_v.size, None))
+
+
+def _r1_samples(surface, delta: float):
     """Filtered BTB samples of the return surface over the R1 box."""
-    grid = GridSpec(n_v=R1_FIT_GRID, n_phi=R1_FIT_GRID,
-                    v_range=(R1_BOX[0], R1_BOX[1]), phi_range=(R1_BOX[2], R1_BOX[3]))
-    surface = sweep_surfaces(grid, base.replace(length=d))
     vk, pk, vn, pn = surface.class_samples(FIT_CLASS[Region.R1])
     while True:
         keep = near_diagonal(vk, pk, vn, pn, delta)
@@ -122,8 +145,9 @@ def _r1_samples(d: float, base: NondimParams, delta: float):
         delta *= 1.1
 
 
-def calibrate_r1(d_grid, base: NondimParams, log=None):
-    """Per-d poly23 fits of the R1 surfaces to the diagonal-proximity samples.
+def calibrate_r1(d_grid, samples, log=None):
+    """Per-d poly23 fits of the R1 surfaces to the diagonal-proximity samples;
+    ``samples`` holds one _r1_samples result per d of ``d_grid``.
 
     Returns scaled-basis coefficient rows, exponents, the basis-change
     matrix, and the relaxed-delta record."""
@@ -132,8 +156,7 @@ def calibrate_r1(d_grid, base: NondimParams, log=None):
     p_win = (R1_FIT_WINDOW[2], R1_FIT_WINDOW[3])
     # both region-1 maps have this shape, so one basis change serves both
     deg_phi, deg_v, _ = REGION_SHAPES[Region.R1]["v"]
-    for d in d_grid:
-        vk, pk, vn, pn, used = _r1_samples(d, base, R1_DELTA)
+    for d, (vk, pk, vn, pn, used) in zip(d_grid, samples):
         b, rep_b = scaled_fit_2d(vk, pk, vn, deg_phi, deg_v, v_win, p_win)
         a, rep_a = scaled_fit_2d(vk, pk, pn, deg_phi, deg_v, v_win, p_win)
         rows_b.append(b)
@@ -147,17 +170,10 @@ def calibrate_r1(d_grid, base: NondimParams, log=None):
             transform, deltas)
 
 
-def _curve_samples(d: float, base: NondimParams):
-    """{region: ((v_in, v_out), (phi_in, phi_out))} of every separable region
-    at one d, from one sweep of all six representative curves."""
-    v_parts, phi_parts = [], []
-    for rec in SEPARABLE_RECIPE.values():
-        v_nodes = np.linspace(*rec["v_window"], CURVE_POINTS)
-        phi_nodes = np.linspace(*rec["phi_window"], CURVE_POINTS)
-        v_parts += [v_nodes, np.full_like(phi_nodes, rec["v_col"])]
-        phi_parts += [np.full_like(v_nodes, rec["phi_row"]), phi_nodes]
-    s = _sweep_points(np.concatenate(v_parts), np.concatenate(phi_parts),
-                      base.replace(length=d))
+def _curve_samples(s):
+    """{region: ((v_in, v_out), (phi_in, phi_out))} of every separable region,
+    copied from the six-curve rows of one d's sweep: _sweep_d sweeps that d's
+    R1 grid and six curves as one batch."""
     samples = {}
     for k, (region, rec) in enumerate(SEPARABLE_RECIPE.items()):
         row = slice(2 * k * CURVE_POINTS, (2 * k + 1) * CURVE_POINTS)
@@ -259,7 +275,14 @@ def build_calibrated_table(base: NondimParams | None = None, log=print) -> Coeff
     entries: dict = {}
     meta_fit: dict = {}
 
-    rows_b, rows_a, exps1, transform1, deltas = calibrate_r1(D_GRID, base, log)
+    r1, curves = [], []
+    for d in D_GRID:   # keep one d's samples, not its surfaces
+        grid, curve_rows = _sweep_d(d, base)
+        r1.append(_r1_samples(grid, R1_DELTA))
+        curves.append(_curve_samples(curve_rows))
+        del grid, curve_rows
+
+    rows_b, rows_a, exps1, transform1, deltas = calibrate_r1(D_GRID, r1, log)
     terms_b, err_b = _d_poly_terms(D_GRID, rows_b, transform1, exps1, D_POLY_DEGREE)
     terms_a, err_a = _d_poly_terms(D_GRID, rows_a, transform1, exps1, D_POLY_DEGREE)
     entries[Region.R1] = {"v": terms_b, "phi": terms_a}
@@ -268,7 +291,6 @@ def build_calibrated_table(base: NondimParams | None = None, log=print) -> Coeff
     if log:
         log(f"R1 d-poly representation error: {max(err_b, err_a):.2e}")
 
-    curves = [_curve_samples(d, base) for d in D_GRID]
     for region in (Region.R2, Region.R4, Region.R5):
         rows_b, rows_a, t_v, t_p = calibrate_separable(region, D_GRID, curves, log)
         exps_v = poly2d_exponents(*REGION_SHAPES[region]["v"][:2])

@@ -230,19 +230,20 @@ def flow_between_impacts(event: ImpactEvent, tau, p: NondimParams,
     return FlowSample(displacement=z, velocity=zdot, time=event.time + np.asarray(tau))
 
 
-def _bracketed_newton(f, lo, hi, x):
+def _bracketed_newton(f, lo, hi, x, *cols):
     """Root of an increasing f with f(lo) < 0 <= f(hi), by safeguarded Newton.
 
-    f(i, tau) returns (f, f') at tau for the rows at positions i.  Each row
-    starts at x and takes Newton steps; a step that leaves the open bracket
-    becomes a bisection.  A row stops once its step is at most TIME_TOL or its
-    bracket is no wider, on its own values only.
+    f(tau, *cols) returns (f, f') at tau; cols are per-row arrays that travel
+    with the rows still iterating.  Each row starts at x and takes Newton
+    steps; a step that leaves the open bracket becomes a bisection.  A row
+    stops once its step is at most TIME_TOL or its bracket is no wider, on its
+    own values only.
     """
     root = np.empty_like(x)
     live = np.arange(x.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         while live.size:
-            fx, dfx = f(live, x)
+            fx, dfx = f(x, *cols)
             before = fx < 0
             lo, hi = np.where(before, x, lo), np.where(before, hi, x)
             step = fx / dfx
@@ -251,8 +252,9 @@ def _bracketed_newton(f, lo, hi, x):
             x = np.where(converged | ((x > lo) & (x < hi)), x, 0.5 * (lo + hi))
             stop = converged | (hi - lo <= TIME_TOL)
             root[live[stop]] = x[stop]
-            more = ~stop
+            more = np.flatnonzero(~stop)
             live, x, lo, hi = live[more], x[more], lo[more], hi[more]
+            cols = [c[more] for c in cols]
     return root
 
 
@@ -293,22 +295,32 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
     half = 0.5 * p.length
     gbar = p.gravity_term
 
-    z0 = np.where(sides > 0, half, -half)
-    vplus = apply_impact_law(vin, p.restitution)
     arg0 = PI * t0 + p.general_phase
-    f1_0 = amplitude * np.sin(arg0) / PI
-    f2_0 = -amplitude * np.cos(arg0) / PI**2
     # Z(t0 + tau) = c0 + c1*tau + (gbar/2)*tau^2 - A*cos(pi*(t0+tau)+psi)/pi^2;
     # the Horner form rounds about half as much near a wall
-    c0 = z0 - f2_0
-    c1 = vplus - f1_0
+    c0 = np.where(sides > 0, half, -half) + amplitude * np.cos(arg0) / PI**2
+    c1 = apply_impact_law(vin, p.restitution) - amplitude * np.sin(arg0) / PI
 
-    def flow(rows, tau):
-        """Z, Zdot and Zdd at tau after the impacts of the given rows."""
-        arg = arg0[rows] + PI * tau
-        forcing = amplitude * np.cos(arg)
-        z = c0[rows] + tau * (c1[rows] + 0.5 * gbar * tau) - forcing / PI**2
-        return z, c1[rows] + gbar * tau + amplitude * np.sin(arg) / PI, gbar + forcing
+    # Each of these takes the per-row constants of the rows it evaluates: arg
+    # is the forcing argument pi*(t0 + tau) + psi, a0 its value at tau = 0.
+    def z_of(tau, arg, c0, c1):
+        return c0 + tau * (c1 + 0.5 * gbar * tau) - amplitude * np.cos(arg) / PI**2
+
+    def zdot_of(tau, arg, c1):
+        return c1 + gbar * tau + amplitude * np.sin(arg) / PI
+
+    def flow(tau, a0, c0, c1):
+        """Z and Zdot at tau."""
+        arg = a0 + PI * tau
+        return z_of(tau, arg, c0, c1), zdot_of(tau, arg, c1)
+
+    def falling(tau, a0, c1, s):   # -dW/dtau and its slope, W = -s*Z
+        arg = a0 + PI * tau
+        return s * zdot_of(tau, arg, c1), s * (gbar + amplitude * np.cos(arg))
+
+    def past(tau, a0, c0, c1, wall):   # >= 0 at or past the wall, as in wall * Z >= d/2
+        z, zdot = flow(tau, a0, c0, c1)
+        return wall * z - half, wall * zdot
 
     # Zdd changes sign where cos(pi*(t0 + tau) + psi) = -gbar/A: at forcing
     # phases alpha and 2*pi - alpha (mod 2*pi) when |A| > gbar, never otherwise.
@@ -318,75 +330,75 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
     alpha = math.acos(-gbar / amplitude) if bends else 0.0
     ph0 = np.mod(arg0, 2.0 * PI)
 
-    def piece(rows, k):
+    def piece(ph, k):
         """End of each row's piece before breakpoint k, and the sign of Zdd on it."""
         if not bends:
             return HORIZON, np.ones(k.shape)
-        phase = np.where(k % 2 == 0, alpha, 2.0 * PI - alpha) + 2.0 * PI * (k // 2)
-        return ((phase - ph0[rows]) / PI,
-                np.where((k % 2 == 0) == (amplitude > 0), 1.0, -1.0))
+        even = k % 2 == 0
+        phase = np.where(even, alpha, 2.0 * PI - alpha) + 2.0 * PI * (k // 2)
+        return (phase - ph) / PI, np.where(even == (amplitude > 0), 1.0, -1.0)
 
     out_side = np.zeros(n, dtype=np.int8)
     lo, hi, start = np.zeros(n), np.zeros(n), np.zeros(n)
     rows = np.flatnonzero(np.isfinite(c0) & np.isfinite(c1) & np.isfinite(arg0))
-    k = (ph0[rows] >= alpha).astype(np.int64) + (ph0[rows] >= 2.0 * PI - alpha)
+    # the live rows' own columns travel with them: phase, argument, c0, c1
+    cols = ph0, arg0, c0, c1
+    ph, a0, cc0, cc1 = cols if rows.size == n else (c[rows] for c in cols)
+    k = (ph >= alpha).astype(np.int64) + (ph >= 2.0 * PI - alpha)
     ta = np.full(rows.size, START_OFFSET)
-    za, zda, _ = flow(rows, ta)
+    za, zda = flow(ta, a0, cc0, cc1)
     while rows.size:
-        end, s = piece(rows, k)
+        end, s = piece(ph, k)
         # a breakpoint that rounds to the piece start still ends a piece
         tb = np.minimum(np.maximum(end, np.nextafter(ta, np.inf)), HORIZON)
-        zb, zdb, _ = flow(rows, tb)
+        zb, zdb = flow(tb, a0, cc0, cc1)
         # W = -s*Z is concave on the piece: it reaches +d/2 (the wall on side
         # -s) only while rising and -d/2 (side s) only while falling, each at
         # most once.  Its maximum is at an end, or inside (dwa > 0 > dwb) and
         # at most where the tangent lines at both ends meet.
-        wa, wb, dwa, dwb = -s * za, -s * zb, -s * zda, -s * zdb
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lift = (wb - wa - dwb * (tb - ta)) / (dwa - dwb)
-            bound = wa + dwa * lift
-        solve = (dwa > 0) & (dwb < 0) & (wa < half) & (wb < half) & (bound >= half)
+        ns = -s
+        wa, wb, dwa, dwb = ns * za, ns * zb, ns * zda, ns * zdb
         top, te = np.maximum(wa, wb), tb
-        if solve.any():
-            i = np.flatnonzero(solve)
-            si, ri = s[i], rows[i]
-
-            def falling(j, tau):   # -dW/dtau and its slope
-                _, zdot, zddot = flow(ri[j], tau)
-                return si[j] * zdot, si[j] * zddot
-
-            peak = _bracketed_newton(falling, ta[i], tb[i],
-                                     np.clip(ta[i] + lift[i], ta[i], tb[i]))
+        i = np.flatnonzero((dwa > 0) & (dwb < 0) & (wa < half) & (wb < half))
+        if i.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                lift = (wb[i] - wa[i] - dwb[i] * (tb[i] - ta[i])) / (dwa[i] - dwb[i])
+                solve = wa[i] + dwa[i] * lift >= half
+            i, lift = i[solve], lift[solve]
+        if i.size:
+            si, ai, c0i, c1i, tai, tbi = s[i], a0[i], cc0[i], cc1[i], ta[i], tb[i]
+            peak = _bracketed_newton(falling, tai, tbi, np.clip(tai + lift, tai, tbi),
+                                     ai, c1i, si)
             te, top = tb.copy(), top.copy()
             te[i] = peak
-            top[i] = np.maximum(top[i], -si * flow(ri, peak)[0])
+            top[i] = np.maximum(top[i], -si * z_of(peak, ai + PI * peak, c0i, c1i))
         # a piece that starts at or past a wall holds no crossing of it
         near = (wa < half) & (top >= half)
         far = ~near & (wa > -half) & (wb <= -half)
         hit = near | far
         if hit.any():
             h = rows[hit]
-            out_side[h] = np.where(near, -s, s)[hit]
+            out_side[h] = np.where(near, ns, s)[hit]
             lo[h] = ta[hit]
             hi[h] = np.where(near & (wb < half), te, tb)[hit]
             # Newton approaches the crossing monotonically from this end
             start[h] = np.where(near[hit], lo[h], hi[h])
         keep = ~hit & (tb < HORIZON)
-        rows, k, ta, za, zda = rows[keep], k[keep] + 1, tb[keep], zb[keep], zdb[keep]
+        ta, za, zda, k = tb, zb, zdb, k + 1
+        if not keep.all():
+            j = np.flatnonzero(keep)
+            rows, k, ta, za, zda = rows[j], k[j], ta[j], za[j], zda[j]
+            ph, a0, cc0, cc1 = ph[j], a0[j], cc0[j], cc1[j]
 
     out_t = np.full(n, np.nan)
     out_v = np.full(n, np.nan)
     status = np.full(n, STATUS_NO_IMPACT, dtype=np.int8)
     r = np.flatnonzero(out_side)
     if r.size:
-        wall = out_side[r].astype(float)
-
-        def past(j, tau):   # >= 0 at or past the wall, as in wall * Z >= d/2
-            z, zdot, _ = flow(r[j], tau)
-            return wall[j] * z - half, wall[j] * zdot
-
-        t_star = _bracketed_newton(past, lo[r], hi[r], start[r])
-        zdot = flow(r, t_star)[1]
+        a0, cc0, cc1 = arg0[r], c0[r], c1[r]
+        t_star = _bracketed_newton(past, lo[r], hi[r], start[r],
+                                   a0, cc0, cc1, out_side[r].astype(float))
+        zdot = zdot_of(t_star, a0 + PI * t_star, cc1)
         out_t[r] = t0[r] + t_star
         out_v[r] = zdot
         status[r] = np.where(np.abs(zdot) < GRAZING_TOL, STATUS_GRAZING, STATUS_OK)

@@ -32,10 +32,15 @@ def poly2d_exponents(deg_phi: int, deg_v: int) -> list[tuple[int, int]]:
 
 
 def design_matrix(v, phi, exponents) -> np.ndarray:
+    """Columns phi**i * v**j, one per (i, j); each distinct power is taken once."""
     v = np.asarray(v, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    cols = [phi**i * v**j for (i, j) in exponents]
-    return np.column_stack(cols)
+    phi_pow = {i: phi**i for i in {i for i, _ in exponents}}
+    v_pow = {j: v**j for j in {j for _, j in exponents}}
+    design = np.empty((len(v), len(exponents)))
+    for k, (i, j) in enumerate(exponents):
+        np.multiply(phi_pow[i], v_pow[j], out=design[:, k])
+    return design
 
 
 @dataclass(frozen=True)

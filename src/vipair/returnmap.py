@@ -10,7 +10,7 @@ reason code.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 
 import numpy as np
@@ -77,6 +77,11 @@ class GridSpec:
     def phi_nodes(self) -> np.ndarray:
         return np.linspace(self.phi_range[0], self.phi_range[1], self.n_phi)
 
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat (v, phi) of every node, node (i_v, i_phi) at i_v * n_phi + i_phi."""
+        V, P = np.meshgrid(self.v_nodes(), self.phi_nodes(), indexing="ij")
+        return V.ravel(), P.ravel()
+
 
 @dataclass
 class SurfaceData:
@@ -119,6 +124,12 @@ class SurfaceData:
             phi_out=float(self.phi_out[idx]) if out_ok else None,
             intermediate_events=events, reason=REASONS[self.reason[idx]])
 
+    def rows(self, index: slice) -> "SurfaceData":
+        """The rows at index as a point set; its arrays are views of these."""
+        return replace(self, grid=None, **{
+            f.name: getattr(self, f.name)[index] for f in fields(self)
+            if isinstance(getattr(self, f.name), np.ndarray)})
+
     def class_samples(self, klass: ReturnClass):
         """Arrays (v_in, phi_in, v_out, phi_out) of one class."""
         m = self.klass == klass
@@ -141,10 +152,7 @@ def first_return_B(v: float, phi: float, p: NondimParams) -> ReturnSample:
 
 def sweep_surfaces(grid: GridSpec, p: NondimParams) -> SurfaceData:
     """Evaluate the first-return map on every grid node (deterministic)."""
-    vs = grid.v_nodes()
-    ps = grid.phi_nodes()
-    V, P = np.meshgrid(vs, ps, indexing="ij")
-    surface = _sweep_points(V.ravel(), P.ravel(), p)
+    surface = _sweep_points(*grid.points(), p)
     surface.grid = grid
     return surface
 

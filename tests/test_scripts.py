@@ -51,16 +51,30 @@ def test_solver_agreement_runs_both_checkouts(monkeypatch):
     agreement = _load("solver_agreement")
     rows = agreement.agreement(ROOT, ROOT, 300)
     assert [row[:3] for row in rows] == [(d, 300, 0) for d in agreement.D_VALUES]
-    assert all(dt == 0.0 for *_, dt in rows)
+    assert all(row[3:] == (0.0, 0, 0.0) for row in rows)
     legs = agreement.legs(0, 300)
     assert np.all(np.sign(legs["vels"]) == legs["sides"])
     assert np.all((np.abs(legs["vels"]) >= 1e-3) & (np.abs(legs["vels"]) <= 1.6))
-    # one leg with another side, one with a slightly later impact
-    old = {"side": np.array([1, -1, 1]), "status": np.array([0, 0, 1]),
-           "time": np.array([1.0, 2.0, np.nan])}
-    new = {**old, "side": np.array([1, 1, 1]), "time": np.array([1.0 + 1e-13, 2.0, np.nan])}
-    bad, dt = agreement.compare(old, new)
-    assert bad == 1 and dt == pytest.approx(1e-13, rel=1e-3)
+    # one leg with another side, one with a slightly later impact, one whose
+    # velocity alone differs in its last bit; the no-impact rows are NaN on
+    # both sides
+    old = {"side": np.array([1, -1, 1, -1]), "status": np.array([0, 0, 1, 0]),
+           "time": np.array([1.0, 2.0, np.nan, 3.0]),
+           "vel": np.array([0.5, -0.4, np.nan, -0.3])}
+    new = {"side": np.array([1, 1, 1, -1]), "status": old["status"],
+           "time": np.array([1.0 + 1e-13, 2.0, np.nan, 3.0]),
+           "vel": np.array([0.5, -0.4, np.nan, np.nextafter(-0.3, 0.0)])}
+    bad, dt, bits, dv = agreement.compare(old, new)
+    assert bad == 1 and dt == pytest.approx(1e-13, rel=1e-3, abs=0)
+    assert bits == 3 and dv == np.spacing(0.3)
+
+
+def test_leg_timing_runs_both_checkouts(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff and solver_agreement imports
+    timing = _load("leg_timing")
+    rows = timing.timing(ROOT, ROOT, batches=((1, 3), (20, 40)), reps=2)
+    assert [row[:2] for row in rows] == [(1, 3), (20, 40)]
+    assert all(old > 0 and new > 0 and ratio > 0 for *_, old, new, ratio in rows)
 
 
 def test_benchmark_hooks_resolve(monkeypatch):
