@@ -4,11 +4,12 @@
 Unpacks REF with digest_diff.py's ``ref_checkout`` and times each checkout's
 ``vipair.core.next_impact_batch`` (each in its own process, on its own
 ``src/``) on the same seeded legs of solver_agreement.py at d = 0.35: 2,000
-legs one per call (batch 1) and 40,000 legs in one call (batch 40k).  The
-child processes alternate between the checkouts, REPS pairs per batch size,
-and each pass is timed after one warm-up call.  Prints, per batch size, each
-checkout's median time per leg and the median of the paired ratios (working
-tree / REF; below 1 is faster).  The working tree's side includes
+legs one per call (batch 1), 36,864 legs in calls of 6,144 (the largest
+batch ``vipair calibrate`` runs) and 40,000 legs in one call (batch 40k).
+The child processes alternate between the checkouts, REPS pairs per batch
+size, and each pass is timed after one warm-up call.  Prints, per batch size,
+each checkout's median time per leg and the median of the paired ratios
+(working tree / REF; below 1 is faster).  The working tree's side includes
 uncommitted edits.
 
 Run from the repository root:  python scripts/leg_timing.py REF
@@ -28,7 +29,7 @@ from digest_diff import ref_checkout
 from solver_agreement import legs
 
 ROOT = Path(__file__).resolve().parents[1]
-BATCHES = ((1, 2000), (40000, 40000))   # (rows per call, legs per pass)
+BATCHES = ((1, 2000), (6144, 36864), (40000, 40000))   # (rows per call, legs per pass)
 REPS = 7
 
 # Run in a child process with one checkout's src/ on the path: time one pass

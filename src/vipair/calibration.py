@@ -14,8 +14,9 @@ table refitted from the event-driven exact map with the same structure:
   and columns of the surfaces, per d, then d-polynomials.
 
 One d's R1 grid and six representative curves are swept as one batch and
-split by position; that is exact, because each row of a sweep depends on
-that row alone (tests/test_calibration.py checks the split bit for bit).
+split by position, and R3 sweeps only the 2,610 of its 8,100 grid nodes that
+lie in region 3; both are exact, because each row of a sweep depends on that
+row alone (tests/test_calibration.py checks both bit for bit).
 
 Each region's maps are fitted to one return class (FIT_CLASS).  Every fit is
 ordinary least squares through an orthogonal decomposition; the recipe
@@ -33,6 +34,8 @@ from .core import NondimParams, baseline_params
 from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_poly2d, fit_poly2d_scaled,
                       scaled_fit_2d, scaled_to_monomial_matrix_2d, design_matrix,
                       poly2d_exponents)
+# sweep_surfaces is not called here, but bench/workloads.py counts swept points
+# at this module's sweep_surfaces and _sweep_points, so it stays importable
 from .returnmap import (R1_DELTA, GridSpec, ReturnClass, near_diagonal, sweep_surfaces,
                         _sweep_points)
 
@@ -221,12 +224,23 @@ def calibrate_separable(region: Region, d_grid, curves, log=None):
     return np.array(rows_b), np.array(rows_a), t_v, t_p
 
 
+def _r3_nodes():
+    """(v, phi) of the R3_GRID nodes inside region 3, in grid order.  The
+    region depends on (v, phi) alone, so every d sweeps these nodes."""
+    v, phi = R3_GRID.points()
+    inside = np.array([region_of(a, b) == Region.R3 for a, b in zip(v, phi)], dtype=bool)
+    return v[inside], phi[inside]
+
+
 def calibrate_r3(base: NondimParams, log=None):
-    """Pooled, once-trimmed fit of the low-velocity BB surfaces (d-independent)."""
+    """Pooled, once-trimmed fit of the low-velocity BB surfaces (d-independent),
+    swept at the R3_GRID nodes inside region 3 only: each row of a sweep
+    depends on that row alone, so these are region_samples of the whole grid."""
     vks, pks, vns, pns = [], [], [], []
+    nodes = _r3_nodes()
     for d in R3_POOL_D:
-        surface = sweep_surfaces(R3_GRID, base.replace(length=d))
-        vk, pk, vn, pn = region_samples(surface, FIT_CLASS[Region.R3], Region.R3)
+        surface = _sweep_points(*nodes, base.replace(length=d))
+        vk, pk, vn, pn = surface.class_samples(FIT_CLASS[Region.R3])
         vks.append(vk); pks.append(pk)
         vns.append(vn); pns.append(pn)
     vk = np.concatenate(vks); pk = np.concatenate(pks)

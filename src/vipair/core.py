@@ -270,9 +270,10 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
     once, while falling.  The rows walk their pieces in lockstep until the
     first on which Z rises through +d/2 (side B) or falls through -d/2
     (side T), from strictly inside: a ball that is not strictly inside at
-    START_OFFSET has not left its wall.  The values at the piece ends decide
-    most pieces; a piece's interior maximum of W is solved for (Newton on
-    Zdot) only where the tangent lines at both ends meet above the upper wall.
+    START_OFFSET has not left its wall.  The values at the piece ends, in
+    closed form at the breakpoints (no cosine), decide most pieces; a piece's
+    interior maximum of W is solved for (Newton on Zdot) only where the
+    tangent lines at both ends meet above the upper wall.
     Each crossing then has an exact bracket on which W is monotone, and
     _bracketed_newton, started at the end from which Newton approaches the
     crossing monotonically, refines it until a step is at most TIME_TOL.
@@ -328,6 +329,8 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
     # forcing period; Zdd >= 0 before an even one when A > 0.
     bends = abs(amplitude) > gbar
     alpha = math.acos(-gbar / amplitude) if bends else 0.0
+    # |A*sin/pi| at every breakpoint, where A*cos = -gbar
+    crest = abs(amplitude) * math.sqrt(1.0 - (gbar / amplitude) ** 2) / PI if bends else 0.0
     ph0 = np.mod(arg0, 2.0 * PI)
 
     def piece(ph, k):
@@ -337,6 +340,21 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
         even = k % 2 == 0
         phase = np.where(even, alpha, 2.0 * PI - alpha) + 2.0 * PI * (k // 2)
         return (phase - ph) / PI, np.where(even == (amplitude > 0), 1.0, -1.0)
+
+    def piece_end(tb, end, s, a0, c0, c1):
+        """Z and Zdot at each row's piece end tb.  Where tb is the breakpoint
+        end itself, A*cos = -gbar and A*sin/pi = s*crest (A*sin > 0 where Zdd
+        falls through zero, s = 1), so no cosine is taken; ends clamped to
+        the piece start or to HORIZON, and a flight without breakpoints, take
+        the flow."""
+        if not bends:
+            return flow(tb, a0, c0, c1)
+        z = c0 + tb * (c1 + 0.5 * gbar * tb) + gbar / PI**2
+        zdot = c1 + gbar * tb + s * crest
+        j = np.flatnonzero(tb != end)
+        if j.size:
+            z[j], zdot[j] = flow(tb[j], a0[j], c0[j], c1[j])
+        return z, zdot
 
     out_side = np.zeros(n, dtype=np.int8)
     lo, hi, start = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -351,7 +369,7 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
         end, s = piece(ph, k)
         # a breakpoint that rounds to the piece start still ends a piece
         tb = np.minimum(np.maximum(end, np.nextafter(ta, np.inf)), HORIZON)
-        zb, zdb = flow(tb, a0, cc0, cc1)
+        zb, zdb = piece_end(tb, end, s, a0, cc0, cc1)
         # W = -s*Z is concave on the piece: it reaches +d/2 (the wall on side
         # -s) only while rising and -d/2 (side s) only while falling, each at
         # most once.  Its maximum is at an end, or inside (dwa > 0 > dwb) and

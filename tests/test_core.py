@@ -21,6 +21,7 @@ from vipair.core import (
     NoImpactWithinHorizon,
     NondimParams,
     PhysicalParams,
+    _flow,
     apply_impact_law,
     baseline_params,
     event_on_b,
@@ -500,20 +501,53 @@ def test_next_impact_breakpoint_at_the_start():
         _assert_matches_dense([side] * 4, times, [v] * 4, p)
 
 
-def test_next_impact_crossing_on_a_zdd_breakpoint():
-    # Choose the start velocity so that Z reaches the top wall exactly when
-    # Zdd changes sign (Z is linear in the post-impact velocity)
-    p = baseline_params(0.35)
-    alpha = math.acos(-p.gravity_term)
-    t0 = 0.2
-    tau = (2 * PI - alpha - PI * t0) / PI       # breakpoint at phase 2*pi - alpha
-    z = [flow_between_impacts(event_on_b(v, PI * t0, p), tau, p).displacement
-         for v in (1.0, 2.0)]
-    v_in = 1.0 + (-0.5 * p.length - z[0]) / (z[1] - z[0])
-    side, t, v, status = next_impact_batch([1], [t0], [v_in], p)
-    assert side[0] == -1 and status[0] == STATUS_OK
-    assert t[0] - t0 == pytest.approx(tau, abs=1e-9)
-    _assert_matches_dense([1], [t0], [v_in], p)
+def _bisected_first_crossing(side, t0, v_in, p, amplitude, tau_max=4.0, n=2**16):
+    """(side, tau, Zdot) of the first wall crossing of core._flow: the dense
+    sample interval that holds it, bisected down to adjacent floats."""
+    first, lo, hi = _dense_first_crossing(side, t0, v_in, p, tau_max, amplitude, n)
+    if first == 0:
+        return 0, math.nan, math.nan
+    half = 0.5 * p.length
+    z0, vplus = side * half, apply_impact_law(v_in, p.restitution)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        z, _ = _flow(z0, vplus, t0, mid, p, amplitude)
+        lo, hi = (lo, mid) if first * z >= half else (mid, hi)
+    return first, hi, _flow(z0, vplus, t0, hi, p, amplitude)[1]
+
+
+@pytest.mark.parametrize("amplitude", [1.0, -0.7])
+@pytest.mark.parametrize("psi", [0.0, 0.7])
+def test_crossings_on_zdd_breakpoints_match_bisection(amplitude, psi):
+    # Z is linear in the post-impact velocity, so each leg's velocity puts Z
+    # on a wall exactly at one of the first Zdd breakpoints after its start.
+    # Legs whose first crossing is that one keep their side, status and time.
+    p = baseline_params(0.35).replace(general_phase=psi)
+    half = 0.5 * p.length
+    alpha = math.acos(-p.gravity_term / amplitude)
+    on_breakpoint = 0
+    for t0 in np.linspace(0.0, 2.0, 9):
+        ph0 = float(np.mod(PI * t0 + psi, 2 * PI))
+        phases = np.sort(np.concatenate([np.array([alpha, 2 * PI - alpha]) + 2 * PI * m
+                                         for m in range(3)]))
+        for tau in ((phases[phases > ph0 + PI * START_OFFSET] - ph0) / PI)[:3]:
+            for side, wall in ((1, half), (1, -half), (-1, half), (-1, -half)):
+                z_still, _ = _flow(side * half, 0.0, t0, tau, p, amplitude)
+                vplus = (wall - z_still) / tau
+                if side * vplus >= 0:   # the ball must leave its wall
+                    continue
+                v_in = -vplus / p.restitution
+                want_side, want_tau, zdot = _bisected_first_crossing(side, t0, v_in, p,
+                                                                      amplitude)
+                if want_side == 0 or abs(want_tau - tau) > 1e-9:
+                    continue   # another crossing comes first
+                on_breakpoint += 1
+                got_side, t, _, status = next_impact_batch([side], [t0], [v_in], p,
+                                                           amplitude=amplitude)
+                assert got_side[0] == want_side == (1 if wall > 0 else -1)
+                assert abs(zdot) > GRAZING_TOL and status[0] == STATUS_OK
+                assert abs(t[0] - t0 - want_tau) <= TIME_TOL
+    assert on_breakpoint >= 40
 
 
 # (params, amplitude) of the bit-pinned leg sets: calibrate's own forcing at

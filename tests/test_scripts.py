@@ -69,6 +69,20 @@ def test_solver_agreement_runs_both_checkouts(monkeypatch):
     assert bits == 3 and dv == np.spacing(0.3)
 
 
+def test_solver_agreement_slow_family_runs_both_checkouts(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    agreement = _load("solver_agreement")
+    rows = agreement.slow_agreement(ROOT, ROOT, 50)
+    assert [row[:2] for row in rows] == [(d, a) for d in agreement.D_VALUES
+                                         for a in agreement.AMPLITUDES]
+    assert all(row[2:] == (50, 0, 0.0, 0, 0.0) for row in rows)
+    legs = agreement.slow_legs(2, 1, 300)
+    assert legs["d"] == 0.26 and legs["amplitude"] == -0.7
+    assert np.all(np.sign(legs["vels"]) == legs["sides"])
+    assert np.all((np.abs(legs["vels"]) >= 1e-10) & (np.abs(legs["vels"]) <= 1e-3))
+    assert np.all((legs["times"] >= 0.0) & (legs["times"] <= 40.0)) and legs["times"].max() > 30
+
+
 def test_leg_timing_runs_both_checkouts(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff and solver_agreement imports
     timing = _load("leg_timing")
