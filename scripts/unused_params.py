@@ -15,6 +15,12 @@ elsewhere can hide a dead parameter; a call through an alias or a variable
 is not seen.  Each printed line is ``path:line  Owner.param``.  A second
 section lists the defaulted parameters that only calls under ``tests/`` set.
 
+A third section lists the top-level names (functions, classes and
+module-level assignments, dunders aside) of the package that no code under
+``src/`` loads by name or reads as an attribute: API that only tests or
+scripts use.  It too matches by name alone, so a same-named attribute
+anywhere under ``src/`` counts as a use.
+
 Run from the repository root:  python scripts/unused_params.py
 """
 
@@ -135,11 +141,40 @@ def set_only_by_tests() -> list[str]:
             if line not in never]
 
 
+def _top_level_names(module: ast.Module) -> list[tuple[int, str]]:
+    out = []
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def unreferenced() -> list[str]:
+    """Top-level names of the package that nothing under ``src/`` uses."""
+    used = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{path.relative_to(ROOT).as_posix()}:{line}  {name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for line, name in _top_level_names(_parse(path)) if name not in used]
+
+
 def main() -> None:
     lines = unused()
     print("\n".join(lines) if lines else "no unused defaulted parameters")
     lines = set_only_by_tests()
     print("\nset only by tests:")
+    print("\n".join(lines) if lines else "none")
+    lines = unreferenced()
+    print("\ntop-level names nothing under src/ uses:")
     print("\n".join(lines) if lines else "none")
 
 

@@ -12,7 +12,7 @@ from . import auxmap
 from .composite import (TAIL_FRACTION, AttractorClass, CoeffTable, CompositeMap,
                         ExtrapolationWarning, detect_attractor, load_table)
 from .core import NondimParams, baseline_params
-from .returnmap import ReturnClass, first_return_B
+from .returnmap import ReturnClass, _sweep_points
 
 SCAN_STEPS = 400
 SCAN_DISCARD = 300
@@ -38,10 +38,10 @@ def _iterate_exact(v0: float, phi0: float, p: NondimParams, n_steps: int):
     phi = np.empty(n_steps + 1)
     v[0], phi[0] = v0, phi0
     for k in range(n_steps):
-        sample = first_return_B(v[k], phi[k], p)
-        if sample.klass == ReturnClass.OTHER:
+        step = _sweep_points(v[k:k + 1], phi[k:k + 1], p)
+        if step.klass[0] == ReturnClass.OTHER:
             return v[:k + 1], phi[:k + 1], False
-        v[k + 1], phi[k + 1] = sample.v_out, sample.phi_out
+        v[k + 1], phi[k + 1] = step.v_out[0], step.phi_out[0]
     return v, phi, True
 
 

@@ -44,7 +44,7 @@ class NoStableRoot(RuntimeError):
 
 
 class EscapedBox(Warning):
-    """A generic-cobweb iterate left the source box."""
+    """An updated box left the map's trust region."""
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,8 @@ class DomainBox:
     def widths(self) -> tuple[float, float]:
         return self.v_max - self.v_min, self.phi_max - self.phi_min
 
-    def contains(self, v: float, phi: float, slack: float = 0.0) -> bool:
-        return (self.v_min - slack <= v <= self.v_max + slack
-                and self.phi_min - slack <= phi <= self.phi_max + slack)
+    def contains(self, v: float, phi: float) -> bool:
+        return self.v_min <= v <= self.v_max and self.phi_min <= phi <= self.phi_max
 
     def as_tuple(self):
         return self.v_min, self.v_max, self.phi_min, self.phi_max
@@ -338,32 +337,6 @@ def iterate_wcs(curves: BoundCurves) -> WcsHistory:
 def _same_bounds(a, b) -> bool:
     """Whether two (v_min, v_max, phi_min, phi_max) tuples agree within WCS_TOL."""
     return all(abs(x - y) < WCS_TOL for x, y in zip(a, b))
-
-
-def generic_cobweb(curves: BoundCurves, start: tuple[float, float]):
-    """Alternate upper and lower branches from a point for WCS_MAX_STEPS steps;
-    returns the orbit and the extrema of its final 10%.
-
-    Escaping the source box is reported through an EscapedBox warning, not an
-    error (transients may enter from outside region 1).
-    """
-    v, phi = start
-    orbit = np.empty((WCS_MAX_STEPS + 1, 2))
-    orbit[0] = (v, phi)
-    escaped = False
-    for k in range(WCS_MAX_STEPS):
-        if k % 2 == 0:
-            v, phi = curves.xi_u(v), curves.eta_u(phi)
-        else:
-            v, phi = curves.xi_l(v), curves.eta_l(phi)
-        orbit[k + 1] = (v, phi)
-        if not curves.box.contains(v, phi, slack=0.5):
-            escaped = True
-    if escaped:
-        warnings.warn("generic cobweb left the source box", EscapedBox, stacklevel=2)
-    tail = orbit[-(WCS_MAX_STEPS // 10):]
-    extrema = (tail[:, 0].min(), tail[:, 0].max(), tail[:, 1].min(), tail[:, 1].max())
-    return orbit, extrema
 
 
 @dataclass(frozen=True)

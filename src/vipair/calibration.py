@@ -83,10 +83,15 @@ R3_GRID = GridSpec(n_v=90, n_phi=90, v_range=(0.0, 0.63), phi_range=(0.0, np.pi)
 R3_TRIM_SIGMA = 3.0
 
 
+def _in_region(v, phi, region: Region) -> np.ndarray:
+    """Mask of the states (v, phi) that region_of dispatches to region."""
+    return np.array([region_of(a, b) == region for a, b in zip(v, phi)], dtype=bool)
+
+
 def region_samples(surface, klass, region: Region):
     """Arrays (v_in, phi_in, v_out, phi_out) of one return class inside one region."""
     vk, pk, vn, pn = surface.class_samples(klass)
-    inside = np.array([region_of(v, p) == region for v, p in zip(vk, pk)], dtype=bool)
+    inside = _in_region(vk, pk, region)
     return vk[inside], pk[inside], vn[inside], pn[inside]
 
 
@@ -228,7 +233,7 @@ def _r3_nodes():
     """(v, phi) of the R3_GRID nodes inside region 3, in grid order.  The
     region depends on (v, phi) alone, so every d sweeps these nodes."""
     v, phi = R3_GRID.points()
-    inside = np.array([region_of(a, b) == Region.R3 for a, b in zip(v, phi)], dtype=bool)
+    inside = _in_region(v, phi, Region.R3)
     return v[inside], phi[inside]
 
 

@@ -28,9 +28,6 @@ import numpy as np
 
 PI = math.pi
 
-SIDE_B = "B"
-SIDE_T = "T"
-
 # Event-solver constants: the search starts START_OFFSET after an impact and
 # ends HORIZON after it (20 forcing periods); crossing times are refined until
 # a Newton step is at most TIME_TOL; a crossing slower than GRAZING_TOL is
@@ -48,14 +45,6 @@ STATUS_GRAZING = 2
 
 class DegenerateParamsError(ValueError):
     """Physical parameters that collapse the nondimensionalization."""
-
-
-class NoImpactWithinHorizon(RuntimeError):
-    """No wall crossing found in (t_j, t_j + HORIZON]."""
-
-
-class GrazingImpact(RuntimeError):
-    """A wall crossing with |Zdot| below GRAZING_TOL."""
 
 
 def _check_finite(params):
@@ -162,48 +151,12 @@ def impact_phase(t, psi: float = 0.0):
     return np.mod(PI * np.asarray(t, dtype=float) + psi, 2.0 * PI)
 
 
-@dataclass(frozen=True)
-class ImpactEvent:
-    """One impact: wall side, absolute time, signed pre-impact velocity, phase.
-
-    Sign convention: side "B" events have velocity_in > 0, side "T" events
-    velocity_in < 0.
-    """
-
-    side: str
-    time: float
-    velocity_in: float
-    phase: float
-
-    def __post_init__(self):
-        if self.side not in (SIDE_B, SIDE_T):
-            raise ValueError(f"side must be 'B' or 'T', got {self.side!r}")
-
-
-@dataclass(frozen=True)
-class FlowSample:
-    """Relative displacement/velocity at one time along the between-impact flow."""
-
-    displacement: float
-    velocity: float
-    time: float
-
-
-def event_on_b(v: float, phase: float, p: NondimParams) -> ImpactEvent:
-    """A bottom-wall event with pre-impact velocity v at the given forcing phase.
-
-    The representative absolute time is (phase - psi)/pi; the dynamics depend
-    on time only through the phase, so any representative is equivalent.
-    """
-    if v <= 0:
-        raise ValueError(f"a B-side event needs velocity_in > 0, got {v}")
-    t0 = (phase - p.general_phase) / PI
-    return ImpactEvent(side=SIDE_B, time=t0, velocity_in=v,
-                       phase=float(impact_phase(t0, p.general_phase)))
-
-
 def _flow(z0, vplus, t0, tau, p: NondimParams, amplitude: float):
-    """Closed-form Z and Zdot at t0 + tau given post-impact state (z0, vplus)."""
+    """Closed-form Z and Zdot at t0 + tau given post-impact state (z0, vplus).
+
+    The reference the event solver is checked against; the package itself
+    calls next_impact_batch only.
+    """
     t = t0 + tau
     _, f1_t, f2_t = forcing_antiderivatives(t, p.general_phase, amplitude)
     _, f1_0, f2_0 = forcing_antiderivatives(t0, p.general_phase, amplitude)
@@ -211,23 +164,6 @@ def _flow(z0, vplus, t0, tau, p: NondimParams, amplitude: float):
     z = (z0 + vplus * tau + 0.5 * p.gravity_term * tau**2
          + f2_t - f2_0 - f1_0 * tau)
     return z, zdot
-
-
-def flow_between_impacts(event: ImpactEvent, tau, p: NondimParams,
-                         amplitude: float = 1.0) -> FlowSample:
-    """Evaluate the between-impact flow a time tau >= 0 after an impact.
-
-    Applies the impact law to event.velocity_in and integrates the forced
-    free flight from Z = +d/2 (side B) or -d/2 (side T).  Validity past the
-    next impact is the caller's concern.  tau may be an array.
-    """
-    z0 = 0.5 * p.length if event.side == SIDE_B else -0.5 * p.length
-    vplus = apply_impact_law(event.velocity_in, p.restitution)
-    z, zdot = _flow(z0, vplus, event.time, np.asarray(tau, dtype=float), p, amplitude)
-    if np.ndim(tau) == 0:
-        return FlowSample(displacement=float(z), velocity=float(zdot),
-                          time=event.time + float(tau))
-    return FlowSample(displacement=z, velocity=zdot, time=event.time + np.asarray(tau))
 
 
 def _bracketed_newton(f, lo, hi, x, *cols):
@@ -423,24 +359,3 @@ def next_impact_batch(sides, times, velocities, p: NondimParams, *,
 
     return out_side, out_t, out_v, status
 
-
-def next_impact(event: ImpactEvent, p: NondimParams, *,
-                amplitude: float = 1.0) -> ImpactEvent:
-    """Earliest impact after `event`: side, time, signed pre-impact velocity, phase.
-
-    Raises:
-        NoImpactWithinHorizon: no wall crossing in (t_j, t_j + HORIZON].
-        GrazingImpact: the first crossing has |Zdot| < GRAZING_TOL.
-    """
-    side_code = np.array([1 if event.side == SIDE_B else -1])
-    s, t, v, st = next_impact_batch(side_code, [event.time], [event.velocity_in], p,
-                                    amplitude=amplitude)
-    if st[0] == STATUS_NO_IMPACT:
-        raise NoImpactWithinHorizon(
-            f"no impact within {HORIZON} time units after t={event.time}")
-    if st[0] == STATUS_GRAZING:
-        raise GrazingImpact(
-            f"grazing crossing (|Zdot|={abs(v[0]):.2e}) at t={t[0]}")
-    return ImpactEvent(side=SIDE_B if s[0] > 0 else SIDE_T, time=float(t[0]),
-                       velocity_in=float(v[0]),
-                       phase=float(impact_phase(t[0], p.general_phase)))

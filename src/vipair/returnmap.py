@@ -15,16 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .core import (
-    PI,
-    SIDE_T,
-    STATUS_NO_IMPACT,
-    STATUS_OK,
-    ImpactEvent,
-    NondimParams,
-    impact_phase,
-    next_impact_batch,
-)
+from .core import PI, STATUS_NO_IMPACT, STATUS_OK, NondimParams, impact_phase, next_impact_batch
 
 
 class ReturnClass(IntEnum):
@@ -36,24 +27,10 @@ class ReturnClass(IntEnum):
     OTHER = 3
 
 
-# Reason codes are next_impact_batch's statuses plus MANY_T_IMPACTS; REASONS
-# holds the printed string of each.
+# Reason codes are next_impact_batch's statuses (core.STATUS_*) plus
+# MANY_T_IMPACTS, a third top impact before the return.
 MANY_T_IMPACTS = 3
-REASONS = ("", "no_impact_within_horizon", "grazing", "many_t_impacts")
 _MAX_T_IMPACTS = 2
-
-
-@dataclass(frozen=True)
-class ReturnSample:
-    """One first-return map evaluation; outputs present unless class is OTHER."""
-
-    v_in: float
-    phi_in: float
-    klass: ReturnClass
-    v_out: float | None = None
-    phi_out: float | None = None
-    intermediate_events: tuple[ImpactEvent, ...] = ()
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -88,20 +65,17 @@ class SurfaceData:
     """Sampled first-return map over a grid, stored column-wise.
 
     Arrays are flat with node (i_v, i_phi) at index i_v * n_phi + i_phi.
-    t-impact intermediate states are kept as (time, velocity) pairs, NaN
-    where absent.
     """
 
     params: NondimParams
-    grid: GridSpec | None        # None for a point set (first_return_B, curve samples)
+    grid: GridSpec | None        # None for a point set (_sweep_points, curve samples)
     v_in: np.ndarray
     phi_in: np.ndarray
     klass: np.ndarray            # int8 ReturnClass codes
     v_out: np.ndarray            # NaN where class is OTHER
     phi_out: np.ndarray
     n_intermediate: np.ndarray
-    t_events: np.ndarray         # (n, 2, 2): [k][0]=time, [k][1]=velocity
-    reason: np.ndarray           # int8 reason codes, see REASONS
+    reason: np.ndarray           # int8 reason codes: core.STATUS_*, MANY_T_IMPACTS
 
     @property
     def d(self) -> float:
@@ -109,20 +83,6 @@ class SurfaceData:
 
     def __len__(self) -> int:
         return len(self.v_in)
-
-    def sample(self, idx: int) -> ReturnSample:
-        # a start with more than two top impacts keeps the first two
-        events = tuple(
-            ImpactEvent(side=SIDE_T, time=float(t), velocity_in=float(v),
-                        phase=float(impact_phase(t, self.params.general_phase)))
-            for t, v in self.t_events[idx, :self.n_intermediate[idx]])
-        klass = ReturnClass(self.klass[idx])
-        out_ok = klass != ReturnClass.OTHER
-        return ReturnSample(
-            v_in=float(self.v_in[idx]), phi_in=float(self.phi_in[idx]), klass=klass,
-            v_out=float(self.v_out[idx]) if out_ok else None,
-            phi_out=float(self.phi_out[idx]) if out_ok else None,
-            intermediate_events=events, reason=REASONS[self.reason[idx]])
 
     def rows(self, index: slice) -> "SurfaceData":
         """The rows at index as a point set; its arrays are views of these."""
@@ -138,16 +98,6 @@ class SurfaceData:
     def class_counts(self) -> dict:
         counts = np.bincount(self.klass, minlength=len(ReturnClass))
         return {k: int(n) for k, n in zip(ReturnClass, counts)}
-
-
-def first_return_B(v: float, phi: float, p: NondimParams) -> ReturnSample:
-    """First return to the bottom wall from state (v, phi).
-
-    Solver failures never raise; they classify the sample as OTHER with a
-    reason code.
-    """
-    surface = _sweep_points(np.array([v]), np.array([phi]), p)
-    return surface.sample(0)
 
 
 def sweep_surfaces(grid: GridSpec, p: NondimParams) -> SurfaceData:
@@ -175,7 +125,6 @@ def _sweep_points(v_in, phi_in, p: NondimParams) -> SurfaceData:
     v_out = np.full(n, np.nan)
     phi_out = np.full(n, np.nan)
     n_inter = np.zeros(n, dtype=np.int64)
-    t_events = np.full((n, 2, 2), np.nan)
 
     active = np.flatnonzero(v_in > 0)
     while active.size:
@@ -189,14 +138,11 @@ def _sweep_points(v_in, phi_in, p: NondimParams) -> SurfaceData:
 
         to_t = ok & (s < 0)
         cont = active[to_t]
-        k = n_inter[cont]
-        many = k == _MAX_T_IMPACTS
+        many = n_inter[cont] == _MAX_T_IMPACTS
         reason[cont[many]] = MANY_T_IMPACTS
         n_inter[cont] += 1
 
-        active, k, t, v = cont[~many], k[~many], t[to_t][~many], v[to_t][~many]
-        t_events[active, k, 0] = t
-        t_events[active, k, 1] = v
+        active, t, v = cont[~many], t[to_t][~many], v[to_t][~many]
         sides[active] = -1
         times[active] = t
         vels[active] = v
@@ -204,7 +150,7 @@ def _sweep_points(v_in, phi_in, p: NondimParams) -> SurfaceData:
     klass = np.where(reason == STATUS_OK, n_inter, ReturnClass.OTHER).astype(np.int8)
     return SurfaceData(params=p, grid=None, v_in=v_in, phi_in=phi_in, klass=klass,
                        v_out=v_out, phi_out=phi_out, n_intermediate=n_inter,
-                       t_events=t_events, reason=reason)
+                       reason=reason)
 
 
 def partition_by_class(surface: SurfaceData) -> np.ndarray:
@@ -227,8 +173,8 @@ class EmptyFilterResult(UserWarning):
     pass
 
 
-# The diagonal-proximity ratio that carves out region 1 (R1 fits, the
-# phase-plane annotation, and the CLI's --delta default)
+# The diagonal-proximity ratio that carves out region 1 (R1 fits and the
+# CLI's --delta default)
 R1_DELTA = 1.2
 
 
@@ -270,33 +216,3 @@ def r1_filter(surfaces, delta: float) -> R1FilterResult:
                points[:, 2].min(), points[:, 2].max())
     return R1FilterResult(points=points, bounding_box=box, delta=delta,
                           d_values=tuple(d_values))
-
-
-@dataclass(frozen=True)
-class Strand:
-    """One fixed-phase slice of the return surfaces, ordered by v_in."""
-
-    phi: float
-    v_in: np.ndarray
-    v_out: np.ndarray
-    phi_out: np.ndarray
-    klass: np.ndarray
-    near_diagonal: np.ndarray    # ratio test against both diagonals
-
-
-def project_phase_planes(surface: SurfaceData) -> list[Strand]:
-    """Per-phase strands for the v and phi phase-plane projections.
-
-    The near-diagonal annotation applies the R1 filter's ratio test at
-    R1_DELTA, so "near the diagonal" means one thing throughout.
-    """
-    n_v, n_phi = surface.grid.n_v, surface.grid.n_phi
-    v = surface.v_in.reshape(n_v, n_phi)
-    vo = surface.v_out.reshape(n_v, n_phi)
-    po = surface.phi_out.reshape(n_v, n_phi)
-    kl = surface.klass.reshape(n_v, n_phi)
-    phis = surface.grid.phi_nodes()
-    near = near_diagonal(v, phis, vo, po, R1_DELTA)
-    return [Strand(phi=float(phi), v_in=v[:, j], v_out=vo[:, j], phi_out=po[:, j],
-                   klass=kl[:, j], near_diagonal=near[:, j])
-            for j, phi in enumerate(phis)]

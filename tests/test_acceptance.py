@@ -21,9 +21,9 @@ from vipair.composite import (
     load_table,
     region_of,
 )
-from vipair.core import PI, baseline_params, event_on_b, flow_between_impacts, next_impact
-from vipair.returnmap import (GridSpec, ReturnClass, first_return_B, partition_by_class,
-                              sweep_surfaces)
+from vipair.core import (PI, STATUS_OK, _flow, apply_impact_law, baseline_params,
+                         next_impact_batch)
+from vipair.returnmap import GridSpec, ReturnClass, partition_by_class, sweep_surfaces
 
 RESULTS = []
 
@@ -179,35 +179,38 @@ def test_criterion_8_property_suites(table, sweep35, rng):
     p35 = baseline_params(0.35)
     failures = []
 
+    def legs_from_b(starts, **kw):
+        """Start times and next_impact_batch outputs of bottom-wall impacts at
+        the (speed, phase) starts; a row that is not STATUS_OK fails the suite."""
+        v_in, phase = np.array(starts).T
+        t_start = (phase - p35.general_phase) / PI
+        side, t, v, status = next_impact_batch(np.ones(len(starts), dtype=np.int8), t_start,
+                                               v_in, p35, **kw)
+        if (status != STATUS_OK).any():
+            failures.append(f"{np.count_nonzero(status != STATUS_OK)} events without "
+                            f"a clean impact ({kw or 'forced'})")
+        return v_in, t_start, side, t, v
+
     # event-solver residuals on 1e3 random events
-    res_max = 0.0
-    for _ in range(1000):
-        e = event_on_b(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0, PI)), p35)
-        nxt = next_impact(e, p35)
-        s = flow_between_impacts(e, nxt.time - e.time, p35)
-        wall = 0.5 * p35.length if nxt.side == "B" else -0.5 * p35.length
-        res_max = max(res_max, abs(s.displacement - wall))
-    if res_max > 1e-10:
+    v_in, t_start, side, t, _ = legs_from_b(
+        [(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0, PI))) for _ in range(1000)])
+    z, _ = _flow(0.5 * p35.length, apply_impact_law(v_in, p35.restitution), t_start,
+                 t - t_start, p35, 1.0)
+    res_max = np.max(np.abs(z - side * 0.5 * p35.length))
+    if not res_max <= 1e-10:
         failures.append(f"event residual {res_max:.1e}")
 
     # zero-forcing oracle equivalence on 1e3 random events
-    import math
-
-    err = 0.0
-    for _ in range(1000):
-        v_in = float(rng.uniform(0.05, 2.0))
-        e = event_on_b(v_in, float(rng.uniform(0, 2 * PI)), p35)
-        nxt = next_impact(e, p35, amplitude=0.0)
-        r, d, g = p35.restitution, p35.length, p35.gravity_term
-        w = r * v_in
-        disc = w * w - 2 * g * d
-        if disc > 0:
-            tau, vel = (w - math.sqrt(disc)) / g, None
-            vel = -(w - g * tau)
-        else:
-            tau, vel = 2 * w / g, w
-        err = max(err, abs(nxt.time - e.time - tau), abs(nxt.velocity_in - vel))
-    if err > 1e-10:
+    v_in, t_start, _, t, v = legs_from_b(
+        [(float(rng.uniform(0.05, 2.0)), float(rng.uniform(0, 2 * PI))) for _ in range(1000)],
+        amplitude=0.0)
+    r, d, g = p35.restitution, p35.length, p35.gravity_term
+    w = r * v_in
+    disc = w * w - 2 * g * d
+    tau = np.where(disc > 0, (w - np.sqrt(np.maximum(disc, 0.0))) / g, 2 * w / g)
+    vel = np.where(disc > 0, -(w - g * tau), w)
+    err = max(np.max(np.abs(t - t_start - tau)), np.max(np.abs(v - vel)))
+    if not err <= 1e-10:
         failures.append(f"zero-forcing oracle err {err:.1e}")
 
     # classification totality on the 200x200 grid

@@ -8,27 +8,19 @@ from vipair.core import (
     GRAZING_TOL,
     HORIZON,
     PI,
-    SIDE_B,
-    SIDE_T,
     START_OFFSET,
     STATUS_GRAZING,
     STATUS_NO_IMPACT,
     STATUS_OK,
     TIME_TOL,
     DegenerateParamsError,
-    GrazingImpact,
-    ImpactEvent,
-    NoImpactWithinHorizon,
     NondimParams,
     PhysicalParams,
     _flow,
     apply_impact_law,
     baseline_params,
-    event_on_b,
-    flow_between_impacts,
     forcing_antiderivatives,
     impact_phase,
-    next_impact,
     next_impact_batch,
     nondimensionalize,
 )
@@ -111,32 +103,36 @@ def test_impact_phase():
     assert 0.0 <= impact_phase(-7.3, 1.0) < 2 * PI
 
 
+def _leg_start(v, phase, p):
+    """(z0, vplus, t0) just after a bottom-wall impact at speed v and the given phase."""
+    return (0.5 * p.length, apply_impact_law(v, p.restitution),
+            (phase - p.general_phase) / PI)
+
+
 def test_flow_initial_condition(params35):
-    e = event_on_b(0.4, 0.26, params35)
-    s = flow_between_impacts(e, 0.0, params35)
-    assert s.displacement == pytest.approx(0.5 * params35.length)
-    assert s.velocity == pytest.approx(-0.5 * 0.4)
-    e_top = ImpactEvent(side=SIDE_T, time=0.0, velocity_in=-0.3, phase=0.0)
-    s = flow_between_impacts(e_top, 0.0, params35)
-    assert s.displacement == pytest.approx(-0.5 * params35.length)
-    assert s.velocity == pytest.approx(0.15)
+    z, zdot = _flow(*_leg_start(0.4, 0.26, params35), 0.0, params35, 1.0)
+    assert z == pytest.approx(0.5 * params35.length)
+    assert zdot == pytest.approx(-0.5 * 0.4)
+    z, zdot = _flow(-0.5 * params35.length, apply_impact_law(-0.3, params35.restitution),
+                    0.0, 0.0, params35, 1.0)
+    assert z == pytest.approx(-0.5 * params35.length)
+    assert zdot == pytest.approx(0.15)
 
 
 def test_flow_zero_forcing_closed_form():
     # with the forcing off the flight is a plain quadratic in elapsed time
     p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.2113)
-    e = event_on_b(0.4, 0.0, p)
-    s = flow_between_impacts(e, 0.5, p, amplitude=0.0)
-    assert s.velocity == pytest.approx(-0.2 + 0.2113 * 0.5)
-    assert s.displacement == pytest.approx(0.175 - 0.1 + 0.5 * 0.2113 * 0.25)
+    z, zdot = _flow(*_leg_start(0.4, 0.0, p), 0.5, p, 0.0)
+    assert zdot == pytest.approx(-0.2 + 0.2113 * 0.5)
+    assert z == pytest.approx(0.175 - 0.1 + 0.5 * 0.2113 * 0.25)
 
 
 def test_flow_matches_rk4_integrator(params35):
     # fixed-step 4th-order integration of Zdd = cos(pi t + psi) + gbar
-    e = event_on_b(0.43, 0.26, params35)
+    start = _leg_start(0.43, 0.26, params35)
     z = 0.5 * params35.length
     zdot = -params35.restitution * 0.43
-    t = e.time
+    t = start[2]
     h = 1e-4
     acc = lambda tt: math.cos(PI * tt) + params35.gravity_term
     n = int(2.0 / h)
@@ -148,57 +144,64 @@ def test_flow_matches_rk4_integrator(params35):
         z += h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
         zdot += h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         t += h
-    s = flow_between_impacts(e, n * h, params35)
-    assert s.displacement == pytest.approx(z, abs=1e-8)
-    assert s.velocity == pytest.approx(zdot, abs=1e-8)
+    z_closed, zdot_closed = _flow(*start, n * h, params35, 1.0)
+    assert z_closed == pytest.approx(z, abs=1e-8)
+    assert zdot_closed == pytest.approx(zdot, abs=1e-8)
 
 
 def _zero_forcing_oracle(v_in, p):
-    """Closed-form next impact from side B with the forcing off."""
+    """Closed-form next impact (side code, tau, velocity) from side B with the
+    forcing off."""
     r, d, g = p.restitution, p.length, p.gravity_term
     w = r * v_in
     disc = w * w - 2 * g * d
     if disc > 0:  # reaches the top wall at the smaller quadratic root
         tau = (w - math.sqrt(disc)) / g
-        return SIDE_T, tau, -(w - g * tau)
-    return SIDE_B, 2 * w / g, w  # falls back to the bottom wall
+        return -1, tau, -(w - g * tau)
+    return 1, 2 * w / g, w  # falls back to the bottom wall
+
+
+def _legs_from_b(v, phase, p, **kw):
+    """next_impact_batch from bottom-wall impacts at speeds v and phases phase:
+    (start times, sides, times, velocities, statuses)."""
+    t0 = (np.asarray(phase, dtype=float) - p.general_phase) / PI
+    return (t0, *next_impact_batch(np.ones(t0.size, dtype=np.int8), t0, v, p, **kw))
 
 
 def test_next_impact_zero_forcing_reaches_top():
     p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.2113)
     v_in = 1.5  # (r v)^2/(2 gbar) = 1.33 > d
     assert (0.5 * v_in) ** 2 / (2 * p.gravity_term) > p.length
-    e = event_on_b(v_in, 0.2, p)
-    nxt = next_impact(e, p, amplitude=0.0)
-    side, tau, vel = _zero_forcing_oracle(v_in, p)
-    assert nxt.side == SIDE_T == side
-    assert nxt.time - e.time == pytest.approx(tau, abs=1e-10)
-    assert nxt.velocity_in == pytest.approx(vel, abs=1e-10)
+    t0, side, t, v, status = _legs_from_b([v_in], [0.2], p, amplitude=0.0)
+    want_side, tau, vel = _zero_forcing_oracle(v_in, p)
+    assert status[0] == STATUS_OK
+    assert side[0] == -1 == want_side
+    assert t[0] - t0[0] == pytest.approx(tau, abs=1e-10)
+    assert v[0] == pytest.approx(vel, abs=1e-10)
 
 
 def test_next_impact_zero_forcing_oracle_random(rng):
     p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.2113)
-    for v_in in rng.uniform(0.05, 2.0, 200):
-        e = event_on_b(float(v_in), float(rng.uniform(0, 2 * PI)), p)
-        nxt = next_impact(e, p, amplitude=0.0)
-        side, tau, vel = _zero_forcing_oracle(float(v_in), p)
-        assert nxt.side == side
-        assert nxt.time - e.time == pytest.approx(tau, abs=1e-10)
-        assert nxt.velocity_in == pytest.approx(vel, abs=1e-10)
+    v_in = rng.uniform(0.05, 2.0, 200)
+    phase = [float(rng.uniform(0, 2 * PI)) for _ in v_in]
+    t0, side, t, v, status = _legs_from_b(v_in, phase, p, amplitude=0.0)
+    assert (status == STATUS_OK).all()
+    for i in range(v_in.size):
+        want_side, tau, vel = _zero_forcing_oracle(float(v_in[i]), p)
+        assert side[i] == want_side
+        assert t[i] - t0[i] == pytest.approx(tau, abs=1e-10)
+        assert v[i] == pytest.approx(vel, abs=1e-10)
 
 
 def test_next_impact_residual_and_sign(params35, rng):
-    for _ in range(50):
-        e = event_on_b(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0, PI)), params35)
-        nxt = next_impact(e, params35)
-        s = flow_between_impacts(e, nxt.time - e.time, params35)
-        wall = 0.5 * params35.length if nxt.side == SIDE_B else -0.5 * params35.length
-        assert abs(s.displacement - wall) <= 1e-10
-        assert s.velocity == pytest.approx(nxt.velocity_in, abs=1e-10)
-        if nxt.side == SIDE_B:
-            assert nxt.velocity_in > 0
-        else:
-            assert nxt.velocity_in < 0
+    starts = [(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0, PI))) for _ in range(50)]
+    v_in, phase = np.array(starts).T
+    t0, side, t, v, status = _legs_from_b(v_in, phase, params35)
+    assert (status == STATUS_OK).all() and set(side.tolist()) <= {1, -1}
+    z, zdot = _flow(*_leg_start(v_in, phase, params35), t - t0, params35, 1.0)
+    assert np.all(np.abs(z - side * 0.5 * params35.length) <= 1e-10)
+    assert zdot == pytest.approx(v, abs=1e-10)
+    assert np.all(np.sign(v) == side)
 
 
 # Zero forcing, from side B at t = 0.6, with just enough speed to pass the top
@@ -210,67 +213,60 @@ SHALLOW_V_IN = math.sqrt(2 * 0.2113 * 0.35) / 0.5 * (1 + 1e-12)
 
 def test_shallow_top_crossing_oracle():
     side, tau, vel = _zero_forcing_oracle(SHALLOW_V_IN, SHALLOW_PARAMS)
-    assert side == SIDE_T
+    assert side == -1
     assert tau == pytest.approx(1.82011, abs=1e-5)
     assert abs(vel) == pytest.approx(5.4e-7, rel=0.01)
     assert abs(vel) > GRAZING_TOL
 
 
 def test_next_impact_finds_shallow_top_crossing():
-    e = ImpactEvent(side=SIDE_B, time=0.6, velocity_in=SHALLOW_V_IN,
-                    phase=float(impact_phase(0.6)))
-    nxt = next_impact(e, SHALLOW_PARAMS, amplitude=0.0)
+    side, t, v, status = next_impact_batch([1], [0.6], [SHALLOW_V_IN], SHALLOW_PARAMS,
+                                           amplitude=0.0)
     _, tau, vel = _zero_forcing_oracle(SHALLOW_V_IN, SHALLOW_PARAMS)
-    assert nxt.side == SIDE_T
-    assert nxt.time - e.time == pytest.approx(tau, abs=1e-10)
-    assert nxt.velocity_in == pytest.approx(vel, rel=1e-3)
+    assert status[0] == STATUS_OK and side[0] == -1
+    assert t[0] - 0.6 == pytest.approx(tau, abs=1e-10)
+    assert v[0] == pytest.approx(vel, rel=1e-3)
 
 
 def test_no_wall_penetration(params35, rng):
+    half = 0.5 * params35.length
     for _ in range(10):
-        e = event_on_b(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0, PI)), params35)
-        nxt = next_impact(e, params35)
-        taus = np.linspace(1e-9, nxt.time - e.time, 1000)
-        s = flow_between_impacts(e, taus, params35)
-        half = 0.5 * params35.length
-        assert np.all(s.displacement >= -half - 1e-8)
-        assert np.all(s.displacement <= half + 1e-8)
+        v_in, phase = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0, PI))
+        t0, _, t, _, status = _legs_from_b([v_in], [phase], params35)
+        assert status[0] == STATUS_OK
+        taus = np.linspace(1e-9, t[0] - t0[0], 1000)
+        z, _ = _flow(*_leg_start(v_in, phase, params35), taus, params35, 1.0)
+        assert np.all(z >= -half - 1e-8)
+        assert np.all(z <= half + 1e-8)
 
 
 def test_chain_from_figure_start_reaches_alternating_motion(params35):
     # from (0.43, 0.26) the motion settles into sustained 1:1 B/T alternation
-    e = event_on_b(0.43, 0.26, params35)
+    side, t, v = [1], [0.26 / PI], [0.43]
     sides = []
     for _ in range(40):
-        e = next_impact(e, params35)
-        sides.append(e.side)
+        side, t, v, status = next_impact_batch(side, t, v, params35)
+        assert status[0] == STATUS_OK
+        sides.append(int(side[0]))
     assert all(a != b for a, b in zip(sides[-12:], sides[-11:]))  # alternating tail
-    assert e.phase == pytest.approx(impact_phase(e.time, 0.0))
 
 
 def test_no_impact_within_horizon():
     # no forcing, no gravity: the coast to the far wall outlasts the horizon
     p = NondimParams(restitution=0.5, length=0.35, gravity_term=0.0)
-    e = event_on_b(1e-3, 0.0, p)  # crossing due at tau = 700 > HORIZON
-    with pytest.raises(NoImpactWithinHorizon):
-        next_impact(e, p, amplitude=0.0)
+    # crossing due at tau = 700 > HORIZON
+    side, t, v, status = next_impact_batch([1], [0.0], [1e-3], p, amplitude=0.0)
+    assert status[0] == STATUS_NO_IMPACT
+    assert side[0] == 0 and np.isnan(t[0]) and np.isnan(v[0])
 
 
 def test_grazing_detection():
     # a near-rest start from the first fuzz case of the frozen-march test:
     # the forcing pushes the ball back into the bottom wall at |Zdot| ~ 7.5e-9
-    e = ImpactEvent(side=SIDE_B, time=1.7048851055613437,
-                    velocity_in=1.1848686624457046e-08,
-                    phase=float(impact_phase(1.7048851055613437)))
-    with pytest.raises(GrazingImpact):
-        next_impact(e, baseline_params(0.35))
-
-
-def test_event_requires_positive_velocity(params35):
-    with pytest.raises(ValueError):
-        event_on_b(-0.1, 0.2, params35)
-    with pytest.raises(ValueError):
-        ImpactEvent(side="X", time=0.0, velocity_in=0.1, phase=0.0)
+    side, _, v, status = next_impact_batch([1], [1.7048851055613437],
+                                           [1.1848686624457046e-08], baseline_params(0.35))
+    assert status[0] == STATUS_GRAZING
+    assert side[0] == 1 and abs(v[0]) < GRAZING_TOL
 
 
 def test_baseline_params():
@@ -428,7 +424,7 @@ def test_next_impact_batch_top_wall_tangency():
     assert status.tolist() == [STATUS_GRAZING, STATUS_GRAZING, STATUS_OK]
     for i, v_in in enumerate(vels):
         want_side, tau, vel = _zero_forcing_oracle(v_in, p)
-        assert want_side == SIDE_T and side[i] == -1
+        assert want_side == -1 == side[i]
         assert t[i] - times[i] == pytest.approx(tau, abs=1e-7)
         assert v[i] == pytest.approx(vel, abs=GRAZING_TOL)
 
@@ -437,11 +433,10 @@ def _dense_first_crossing(side, t0, v_in, p, tau_max, amplitude=1.0, n=2**20):
     """(side, lo, hi): the first wall crossing on n uniform samples of
     (START_OFFSET, tau_max], as the sample interval (lo, hi] that holds it;
     side 0 when there is none."""
-    event = ImpactEvent(side=SIDE_B if side > 0 else SIDE_T, time=t0, velocity_in=v_in,
-                        phase=float(impact_phase(t0, p.general_phase)))
-    taus = np.linspace(START_OFFSET, tau_max, n)
-    z = flow_between_impacts(event, taus, p, amplitude=amplitude).displacement
     half = 0.5 * p.length
+    taus = np.linspace(START_OFFSET, tau_max, n)
+    z0 = half if side > 0 else -half
+    z, _ = _flow(z0, apply_impact_law(v_in, p.restitution), t0, taus, p, amplitude)
     up = (z[:-1] < half) & (z[1:] >= half)
     down = (z[:-1] > -half) & (z[1:] <= -half)
     hit = up | down

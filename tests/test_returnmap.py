@@ -3,77 +3,83 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from vipair.core import PI, SIDE_T, NondimParams, baseline_params, event_on_b, next_impact
+from vipair.core import (PI, STATUS_NO_IMPACT, STATUS_OK, NondimParams, baseline_params,
+                         impact_phase, next_impact_batch)
 from vipair.returnmap import (
+    MANY_T_IMPACTS,
     EmptyFilterResult,
     GridSpec,
     ReturnClass,
     SurfaceData,
     _sweep_points,
-    first_return_B,
     partition_by_class,
-    project_phase_planes,
     r1_filter,
     sweep_surfaces,
 )
 
 
 def test_first_return_classes(params35):
+    s = _sweep_points([0.2, 0.7], [0.1, 0.3], params35)
     # low-speed, early-phase starts hop on the bottom wall (BB)
-    s = first_return_B(0.2, 0.1, params35)
-    assert s.klass == ReturnClass.BB
-    assert s.intermediate_events == ()
-    assert s.v_out == pytest.approx(0.0945, abs=2e-4)
-    assert s.phi_out == pytest.approx(0.6394, abs=2e-4)
+    assert s.klass[0] == ReturnClass.BB and s.n_intermediate[0] == 0
+    assert s.v_out[0] == pytest.approx(0.0945, abs=2e-4)
+    assert s.phi_out[0] == pytest.approx(0.6394, abs=2e-4)
     # the attracting band returns through one top impact (BTB)
-    s = first_return_B(0.7, 0.3, params35)
-    assert s.klass == ReturnClass.BTB
-    assert len(s.intermediate_events) == 1
-    assert s.intermediate_events[0].side == SIDE_T
+    assert s.klass[1] == ReturnClass.BTB and s.n_intermediate[1] == 1
 
 
-@pytest.mark.parametrize("v, phi, p, reason, n_events", [
+REASON_CODES = {"no_impact_within_horizon": STATUS_NO_IMPACT, "many_t_impacts": MANY_T_IMPACTS}
+
+
+@pytest.mark.parametrize("v, phi, p, reason, n_before", [
     # a start without upward speed never leaves the bottom wall
     (-0.1, 0.3, baseline_params(0.35), "no_impact_within_horizon", 0),
     # a slow start that finds no wall within the solver horizon
     (0.06666666666666667, 3.1948399867014845, NondimParams(0.9, 2.0, 0.0),
      "no_impact_within_horizon", 0),
-    # a third top impact before the return; the first two are kept
+    # a third top impact before the return, after two
     (1.6, 4.898754646275609, baseline_params(0.35), "many_t_impacts", 2),
 ])
-def test_first_return_other_reasons(v, phi, p, reason, n_events):
-    s = first_return_B(v, phi, p)
-    assert s.klass == ReturnClass.OTHER
-    assert s.reason == reason
-    assert s.v_out is None and s.phi_out is None
-    assert len(s.intermediate_events) == n_events
-    assert all(e.side == SIDE_T for e in s.intermediate_events)
+def test_first_return_other_reasons(v, phi, p, reason, n_before):
+    s = _sweep_points([v], [phi], p)
+    code = REASON_CODES[reason]
+    assert s.klass[0] == ReturnClass.OTHER
+    assert s.reason[0] == code
+    assert np.isnan(s.v_out[0]) and np.isnan(s.phi_out[0])
+    # the count includes the third top impact, at which the row stops
+    assert s.n_intermediate[0] == n_before + (code == MANY_T_IMPACTS)
 
 
 def test_first_return_matches_manual_chaining(params35, rng):
-    for _ in range(25):
-        v = float(rng.uniform(0.05, 1.0))
-        phi = float(rng.uniform(0.0, PI))
-        s = first_return_B(v, phi, params35)
-        e = event_on_b(v, phi, params35)
-        inter = 0
+    starts = [(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, PI))) for _ in range(25)]
+    v_in, phi_in = np.array(starts).T
+    s = _sweep_points(v_in, phi_in, params35)
+    for i, (v, phi) in enumerate(starts):
+        side, t, vel = [1], [(phi - params35.general_phase) / PI], [v]
+        n_top = 0
         while True:
-            e = next_impact(e, params35)
-            if e.side == "B":
+            side, t, vel, status = next_impact_batch(side, t, vel, params35)
+            assert status[0] == STATUS_OK
+            if side[0] > 0:
                 break
-            inter += 1
-        assert s.n_intermediate if hasattr(s, "n_intermediate") else True
-        assert len(s.intermediate_events) == inter
-        assert s.v_out == pytest.approx(e.velocity_in, abs=1e-12)
-        assert s.phi_out == pytest.approx(e.phase, abs=1e-12)
+            n_top += 1
+        assert s.klass[i] == n_top   # BB or BTB below unit speed
+        assert s.n_intermediate[i] == n_top
+        assert s.v_out[i] == pytest.approx(vel[0], abs=1e-12)
+        assert s.phi_out[i] == pytest.approx(impact_phase(t[0]), abs=1e-12)
 
 
 def test_btb_samples_are_ordered(params35):
-    s = first_return_B(0.8, 0.4, params35)
-    assert s.klass == ReturnClass.BTB
-    t_mid = s.intermediate_events[0].time
-    assert event_on_b(0.8, 0.4, params35).time < t_mid
-    assert s.v_out > 0
+    s = _sweep_points([0.8], [0.4], params35)
+    assert s.klass[0] == ReturnClass.BTB
+    assert s.v_out[0] > 0
+    # the top impact comes after the start, and the return after it
+    t0 = 0.4 / PI
+    side, t_top, v, _ = next_impact_batch([1], [t0], [0.8], params35)
+    assert side[0] == -1 and t_top[0] > t0
+    side, t_back, v, _ = next_impact_batch(side, t_top, v, params35)
+    assert side[0] == 1 and t_back[0] > t_top[0]
+    assert v[0] == s.v_out[0]
 
 
 def test_sweep_grid_cardinality(params35):
@@ -206,21 +212,3 @@ def test_r1_filter_bounding_box(params35):
     assert hi_v == pytest.approx(0.94, abs=0.05)
     assert lo_p == pytest.approx(0.15, abs=0.05)
     assert hi_p == pytest.approx(0.45, abs=0.05)
-
-
-def test_phase_plane_strands(surface35):
-    strands = project_phase_planes(surface35)
-    assert len(strands) == surface35.grid.n_phi
-    # small-slope near-diagonal BTB points cluster below pi/2
-    small_slope_phis = []
-    for s in strands:
-        btb = s.klass == ReturnClass.BTB
-        pts = s.near_diagonal & btb
-        if not pts.any():
-            continue
-        slope = np.gradient(np.nan_to_num(s.v_out), s.v_in)
-        for i in np.flatnonzero(pts):
-            if abs(slope[i]) < 1.0:
-                small_slope_phis.append(s.phi)
-    assert small_slope_phis
-    assert max(small_slope_phis) < PI / 2

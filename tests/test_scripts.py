@@ -26,14 +26,25 @@ def test_no_unused_defaulted_parameters():
 # Defaulted parameters that only tests set, each a seam kept on purpose.
 TEST_ONLY_SEAMS = {
     "compare_exact_vs_composite.n_steps": "the comparison tests run 80 to 300 returns",
-    "flow_between_impacts.amplitude": "forcing off for the closed-form oracle tests",
-    "next_impact.amplitude": "forcing off for the oracle tests and criterion 8",
+    "next_impact_batch.amplitude": "forcing off or rescaled for the closed-form oracle "
+                                   "tests, criterion 8 and the pinned legs",
 }
 
 
 def test_parameters_only_tests_set_are_the_kept_seams():
     labels = [line.split()[-1] for line in _load("unused_params").set_only_by_tests()]
     assert sorted(labels) == sorted(TEST_ONLY_SEAMS)
+
+
+# Top-level package names that nothing in src/ uses, each kept on purpose.
+REFERENCE_ORACLES = {
+    "_flow": "the closed-form flight that tests check the event solver against",
+}
+
+
+def test_names_src_never_uses_are_the_reference_oracles():
+    labels = [line.split()[-1] for line in _load("unused_params").unreferenced()]
+    assert sorted(labels) == sorted(REFERENCE_ORACLES)
 
 
 def test_digest_flags_non_strict_json(tmp_path):
