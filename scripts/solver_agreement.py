@@ -1,31 +1,28 @@
 #!/usr/bin/env python3
 """Compare the exact event solver of this checkout with the one of a git ref.
 
-Unpacks REF with digest_diff.py's ``ref_checkout`` and runs each checkout's
-``vipair.core.next_impact_batch`` (each in its own process, on its own
-``src/``) on the same seeded legs, at d = 0.35, 0.30 and 0.26 on the baseline
-parameters, from either wall, in two families:
+Unpacks REF with digest_diff.py's ``ref_checkout``, loads each checkout's
+``src/vipair/core.py`` into this one process as a module of its own (so a ref's
+``core.py`` must load on its own), and solves the same seeded legs with both,
+at d = 0.35, 0.30 and 0.26 on the baseline parameters, from either wall: LEGS
+legs per d with t0 uniform in [0, 2], |v| uniform in [1e-3, 1.6] and A = 1,
+and LEGS slow, late legs per d and A in AMPLITUDES, with t0 uniform in [0, 40]
+and |v| log-uniform in [1e-10, 1e-3] (chattering and grazing).
 
-* LEGS legs per d with t0 uniform in [0, 2] and |v| uniform in [1e-3, 1.6],
-  at the forcing amplitude A = 1 of every sweep;
-* LEGS slow, late legs per d and per A in AMPLITUDES, with t0 uniform in
-  [0, 40] and |v| log-uniform in [1e-10, 1e-3] (chattering and grazing).
-
-A leg disagrees when the two solvers return a different side or status, and
-it is bit-different when the bytes of its side, time, velocity or status
-differ (a NaN equals a NaN).  Prints, per d (and per A in the second family),
-the number of legs, disagreements and bit-different legs, and the largest
-|dt| and |dv| over the legs both solvers return as impacts; exits 1 on any
-disagreement.  The working tree's side includes uncommitted edits.
+A leg disagrees when the two solvers return a different side or status; it is
+bit-different when the bytes of its side, time, velocity or status differ (a
+NaN equals a NaN).  Prints, per d (and per A in the slow family), the legs,
+disagreements and bit-different legs, and the largest |dt| and |dv| over the
+legs both return as impacts; exits 1 on any disagreement.  The working tree's
+side includes uncommitted edits.
 
 Run from the repository root:  python scripts/solver_agreement.py REF
 """
 
 import argparse
-import os
-import subprocess
+import importlib.util
 import sys
-import tempfile
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -39,20 +36,23 @@ LEGS = 20000      # per d, and per d and amplitude in the slow family
 SEED = 2000
 BATCH = 1000      # rows per solver call, the size calibration sweeps use
 
-# Run in a child process with one checkout's src/ on the path: read the legs,
-# solve them in batches and write (side, time, velocity, status).
-_SOLVE = """
-import sys
-import numpy as np
-from vipair.core import baseline_params, next_impact_batch
-legs = np.load(sys.argv[1])
-out = [np.concatenate(part) for part in zip(*(
-    next_impact_batch(legs["sides"][i:i + {batch}], legs["times"][i:i + {batch}],
-                      legs["vels"][i:i + {batch}], baseline_params(float(legs["d"])),
-                      amplitude=float(legs["amplitude"]))
-    for i in range(0, legs["sides"].size, {batch})))]
-np.savez(sys.argv[2], side=out[0], time=out[1], vel=out[2], status=out[3])
-""".format(batch=BATCH)
+
+def load_core(checkout: Path):
+    """checkout's src/vipair/core.py, loaded afresh as a module of its own."""
+    path = checkout / "src" / "vipair" / "core.py"
+    spec = importlib.util.spec_from_file_location(f"vipair_core_{uuid.uuid4().hex}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look up their module
+    spec.loader.exec_module(module)
+    return module
+
+
+def check_loads(ref: str, checkout: Path) -> None:
+    """Stop, naming ref, when checkout's core.py does not load on its own."""
+    try:
+        load_core(checkout)
+    except Exception as exc:
+        raise SystemExit(f"{ref}: src/vipair/core.py does not load on its own ({exc!r})")
 
 
 def legs(d_index: int, n: int) -> dict:
@@ -64,8 +64,7 @@ def legs(d_index: int, n: int) -> dict:
 
 
 def slow_legs(d_index: int, a_index: int, n: int) -> dict:
-    """n seeded slow, late legs for the d at D_VALUES[d_index] and the
-    amplitude at AMPLITUDES[a_index]."""
+    """n seeded slow, late legs for D_VALUES[d_index] and AMPLITUDES[a_index]."""
     rng = np.random.default_rng([SEED + 1, d_index, a_index])
     sides = rng.choice(np.array([1, -1], dtype=np.int8), n)
     speed = np.exp(rng.uniform(np.log(1e-10), np.log(1e-3), n))
@@ -73,18 +72,15 @@ def slow_legs(d_index: int, a_index: int, n: int) -> dict:
             "times": rng.uniform(0.0, 40.0, n), "vels": sides * speed}
 
 
-def solve(checkout: Path, leg_set: dict, tmp: Path) -> dict:
-    """That checkout's solver results on the legs."""
-    np.savez(tmp / "legs.npz", **leg_set)
-    run = subprocess.run([sys.executable, "-c", _SOLVE, str(tmp / "legs.npz"),
-                          str(tmp / "out.npz")],
-                         env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-                         capture_output=True, text=True)
-    if run.returncode != 0:
-        sys.stderr.write(run.stderr)
-        raise SystemExit(f"the solver in {checkout} exited with {run.returncode}")
-    with np.load(tmp / "out.npz") as out:
-        return dict(out)
+def solve(core, leg_set: dict) -> dict:
+    """That solver module's results on the legs, solved BATCH rows per call."""
+    p = core.baseline_params(leg_set["d"])
+    s, t, v = leg_set["sides"], leg_set["times"], leg_set["vels"]
+    out = [np.concatenate(part) for part in zip(*(
+        core.next_impact_batch(s[i:i + BATCH], t[i:i + BATCH], v[i:i + BATCH], p,
+                               amplitude=leg_set["amplitude"])
+        for i in range(0, s.size, BATCH)))]
+    return dict(zip(("side", "time", "vel", "status"), out))
 
 
 def _bits_differ(old, new) -> np.ndarray:
@@ -106,13 +102,9 @@ def compare(old: dict, new: dict) -> tuple[int, float, int, float]:
 
 def _agree(old_checkout: Path, new_checkout: Path, leg_sets) -> list[tuple]:
     """(legs, disagreements, max |dt|, bit-different legs, max |dv|) per leg set."""
-    rows = []
-    with tempfile.TemporaryDirectory(prefix="vipair-legs-") as tmp:
-        for leg_set in leg_sets:
-            old = solve(old_checkout, leg_set, Path(tmp))
-            new = solve(new_checkout, leg_set, Path(tmp))
-            rows.append((leg_set["sides"].size, *compare(old, new)))
-    return rows
+    old_core, new_core = load_core(old_checkout), load_core(new_checkout)
+    return [(leg_set["sides"].size, *compare(solve(old_core, leg_set), solve(new_core, leg_set)))
+            for leg_set in leg_sets]
 
 
 def agreement(old_checkout: Path, new_checkout: Path, n: int) -> list[tuple]:
@@ -134,6 +126,7 @@ def main() -> None:
     parser.add_argument("ref", help="git ref to compare with, e.g. HEAD~1")
     ref = parser.parse_args().ref
     with ref_checkout(ref) as checkout:
+        check_loads(ref, checkout)
         rows = [(f"d={d:.2f}", counts) for d, *counts in agreement(checkout, ROOT, LEGS)]
         rows += [(f"slow d={d:.2f} A={a:g}", counts)
                  for d, a, *counts in slow_agreement(checkout, ROOT, LEGS)]

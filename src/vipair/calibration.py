@@ -157,8 +157,8 @@ def calibrate_r1(d_grid, samples, log=None):
     """Per-d poly23 fits of the R1 surfaces to the diagonal-proximity samples;
     ``samples`` holds one _r1_samples result per d of ``d_grid``.
 
-    Returns scaled-basis coefficient rows, exponents, the basis-change
-    matrix, and the relaxed-delta record."""
+    Returns ({target: (scaled-basis coefficient rows, basis-change matrix,
+    exponents)}, recipe metadata with the relaxed-delta record)."""
     rows_b, rows_a, deltas = [], [], {}
     v_win = (R1_FIT_WINDOW[0], R1_FIT_WINDOW[1])
     p_win = (R1_FIT_WINDOW[2], R1_FIT_WINDOW[3])
@@ -173,9 +173,10 @@ def calibrate_r1(d_grid, samples, log=None):
         if log:
             log(f"R1 d={d}: n={len(vk)} delta={used:.2f} "
                 f"delta-set rmse=({rep_b.rmse:.2e},{rep_a.rmse:.2e})")
-    transform = scaled_to_monomial_matrix_2d(deg_phi, deg_v, v_win, p_win)
-    return (np.array(rows_b), np.array(rows_a), poly2d_exponents(deg_phi, deg_v),
-            transform, deltas)
+    basis = (scaled_to_monomial_matrix_2d(deg_phi, deg_v, v_win, p_win),
+             poly2d_exponents(deg_phi, deg_v))
+    return ({"v": (np.array(rows_b), *basis), "phi": (np.array(rows_a), *basis)},
+            {"delta": R1_DELTA, "relaxed_deltas": deltas, "grid": R1_FIT_GRID})
 
 
 def _curve_samples(s):
@@ -209,8 +210,9 @@ def unwrap_phase(phi):
 
 
 def calibrate_separable(region: Region, d_grid, curves, log=None):
-    """Per-d curve fits of a separable region, coefficient rows (ascending);
-    ``curves`` holds one _curve_samples result per d of ``d_grid``."""
+    """Per-d curve fits of a separable region; ``curves`` holds one _curve_samples
+    result per d of ``d_grid``.  Returns ({target: (coefficient rows (ascending),
+    basis-change matrix, exponents)}, recipe metadata)."""
     _, deg_v, _ = REGION_SHAPES[region]["v"]
     deg_p, _, _ = REGION_SHAPES[region]["phi"]
     rec = SEPARABLE_RECIPE[region]
@@ -224,9 +226,11 @@ def calibrate_separable(region: Region, d_grid, curves, log=None):
         if log:
             log(f"{region.value} d={d}: n=({len(v_in)},{len(p_in)}) "
                 f"rmse=({rep_b.rmse:.2e},{rep_a.rmse:.2e})")
-    t_v = cheb_to_monomial_matrix(deg_v, rec["v_window"])
-    t_p = cheb_to_monomial_matrix(deg_p, rec["phi_window"])
-    return np.array(rows_b), np.array(rows_a), t_v, t_p
+    return ({"v": (np.array(rows_b), cheb_to_monomial_matrix(deg_v, rec["v_window"]),
+                   poly2d_exponents(0, deg_v)),
+             "phi": (np.array(rows_a), cheb_to_monomial_matrix(deg_p, rec["phi_window"]),
+                     poly2d_exponents(deg_p, 0))},
+            {"phi_row": rec["phi_row"], "v_col": rec["v_col"]})
 
 
 def _r3_nodes():
@@ -301,27 +305,15 @@ def build_calibrated_table(base: NondimParams | None = None, log=print) -> Coeff
         curves.append(_curve_samples(curve_rows))
         del grid, curve_rows
 
-    rows_b, rows_a, exps1, transform1, deltas = calibrate_r1(D_GRID, r1, log)
-    terms_b, err_b = _d_poly_terms(D_GRID, rows_b, transform1, exps1, D_POLY_DEGREE)
-    terms_a, err_a = _d_poly_terms(D_GRID, rows_a, transform1, exps1, D_POLY_DEGREE)
-    entries[Region.R1] = {"v": terms_b, "phi": terms_a}
-    meta_fit["R1"] = {"delta": R1_DELTA, "relaxed_deltas": deltas,
-                      "grid": R1_FIT_GRID, "d_poly_max_err": max(err_b, err_a)}
-    if log:
-        log(f"R1 d-poly representation error: {max(err_b, err_a):.2e}")
-
-    for region in (Region.R2, Region.R4, Region.R5):
-        rows_b, rows_a, t_v, t_p = calibrate_separable(region, D_GRID, curves, log)
-        exps_v = poly2d_exponents(*REGION_SHAPES[region]["v"][:2])
-        exps_p = poly2d_exponents(*REGION_SHAPES[region]["phi"][:2])
-        terms_v, err_v = _d_poly_terms(D_GRID, rows_b, t_v, exps_v, D_POLY_DEGREE)
-        terms_p, err_p = _d_poly_terms(D_GRID, rows_a, t_p, exps_p, D_POLY_DEGREE)
-        entries[region] = {"v": terms_v, "phi": terms_p}
-        rec = SEPARABLE_RECIPE[region]
-        meta_fit[region.value] = {"phi_row": rec["phi_row"], "v_col": rec["v_col"],
-                                  "d_poly_max_err": max(err_v, err_p)}
+    for region in (Region.R1, *SEPARABLE_RECIPE):
+        maps, meta = (calibrate_r1(D_GRID, r1, log) if region is Region.R1
+                      else calibrate_separable(region, D_GRID, curves, log))
+        fits = {target: _d_poly_terms(D_GRID, *fit, D_POLY_DEGREE) for target, fit in maps.items()}
+        entries[region] = {target: terms for target, (terms, _) in fits.items()}
+        err = max(err for _, err in fits.values())
+        meta_fit[region.value] = {**meta, "d_poly_max_err": err}
         if log:
-            log(f"{region.value} d-poly representation error: {max(err_v, err_p):.2e}")
+            log(f"{region.value} d-poly representation error: {err:.2e}")
 
     cb, exps_f, ca, exps_g = calibrate_r3(base, log)
     entries[Region.R3] = {

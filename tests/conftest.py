@@ -27,6 +27,7 @@ def surface35(params35):
     return sweep_surfaces(GridSpec(n_v=100, n_phi=100), params35)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so a test's data do not depend on the tests before it."""
     return np.random.default_rng(20240817)

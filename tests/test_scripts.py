@@ -26,8 +26,6 @@ def test_no_unused_defaulted_parameters():
 # Defaulted parameters that only tests set, each a seam kept on purpose.
 TEST_ONLY_SEAMS = {
     "compare_exact_vs_composite.n_steps": "the comparison tests run 80 to 300 returns",
-    "next_impact_batch.amplitude": "forcing off or rescaled for the closed-form oracle "
-                                   "tests, criterion 8 and the pinned legs",
 }
 
 
@@ -78,6 +76,31 @@ def test_solver_agreement_runs_both_checkouts(monkeypatch):
     bad, dt, bits, dv = agreement.compare(old, new)
     assert bad == 1 and dt == pytest.approx(1e-13, rel=1e-3, abs=0)
     assert bits == 3 and dv == np.spacing(0.3)
+
+
+def test_solver_agreement_sees_two_different_solvers(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    agreement = _load("solver_agreement")
+    source = (ROOT / "src" / "vipair" / "core.py").read_text()
+    assert source.count("GRAZING_TOL = 1e-8\n") == 1
+    (tmp_path / "src" / "vipair").mkdir(parents=True)
+    (tmp_path / "src" / "vipair" / "core.py").write_text(
+        source.replace("GRAZING_TOL = 1e-8\n", "GRAZING_TOL = 1e-2\n"))
+    first, second = agreement.load_core(tmp_path), agreement.load_core(tmp_path)
+    assert first is not second and first.__name__ != second.__name__
+    assert first.GRAZING_TOL == 1e-2 and agreement.load_core(ROOT).GRAZING_TOL == 1e-8
+    rows = agreement.agreement(tmp_path, ROOT, 300)
+    assert any(bad or bits for _, _, bad, _, bits, _ in rows)
+
+
+def test_solver_agreement_names_a_ref_whose_core_does_not_load(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    agreement = _load("solver_agreement")
+    (tmp_path / "src" / "vipair").mkdir(parents=True)
+    (tmp_path / "src" / "vipair" / "core.py").write_text("from .config import PI\n")
+    with pytest.raises(SystemExit, match="^abc123: src/vipair/core.py does not load on its own"):
+        agreement.check_loads("abc123", tmp_path)
+    agreement.check_loads("HEAD", ROOT)
 
 
 def test_solver_agreement_slow_family_runs_both_checkouts(monkeypatch):
