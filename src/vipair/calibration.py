@@ -13,10 +13,10 @@ table refitted from the event-driven exact map with the same structure:
 * R2/R4/R5: separable single-variable fits along fixed representative rows
   and columns of the surfaces, per d, then d-polynomials.
 
-One d's R1 grid and six representative curves are swept as one batch and
-split by position, and R3 sweeps only the 2,610 of its 8,100 grid nodes that
-lie in region 3; both are exact, because each row of a sweep depends on that
-row alone (tests/test_calibration.py checks both bit for bit).
+Each d of D_GRID is swept as one batch of named parts: the R1 grid, a row and
+a column per separable region and, at the three R3_POOL_D values, the 2,610
+of the 8,100 R3_GRID nodes inside region 3.  Each part splits off exactly, as
+each row of a sweep depends on that row alone (tests/test_calibration.py).
 
 Each region's maps are fitted to one return class (FIT_CLASS).  Every fit is
 ordinary least squares through an orthogonal decomposition; the recipe
@@ -121,26 +121,24 @@ def fit_region_maps(surface, region: Region, *, delta: float | None = None):
             "reports": {"v": rep_v, "phi": rep_p}}
 
 
-def _curve_points():
-    """(v_in, phi_in) of the six representative curves: per separable region
-    a fixed-phase row, then a fixed-velocity column, CURVE_POINTS each."""
-    v_parts, phi_parts = [], []
-    for rec in SEPARABLE_RECIPE.values():
+def _sweep_d(d: float, base: NondimParams, r3_nodes):
+    """One d's named point sets, split from one sweep of all of them: the R1
+    grid (Region.R1), each separable region's fixed-phase row and
+    fixed-velocity column ((region, "row"), (region, "col"), CURVE_POINTS
+    each) and, at the R3_POOL_D values, region 3's nodes (Region.R3)."""
+    parts = {Region.R1: R1_GRID.points()}
+    for region, rec in SEPARABLE_RECIPE.items():
         v_nodes = np.linspace(*rec["v_window"], CURVE_POINTS)
         phi_nodes = np.linspace(*rec["phi_window"], CURVE_POINTS)
-        v_parts += [v_nodes, np.full_like(phi_nodes, rec["v_col"])]
-        phi_parts += [np.full_like(v_nodes, rec["phi_row"]), phi_nodes]
-    return np.concatenate(v_parts), np.concatenate(phi_parts)
-
-
-def _sweep_d(d: float, base: NondimParams):
-    """One d's R1 grid surface and six-curve point set (_curve_points), split
-    by position from one sweep of both."""
-    grid_v, grid_phi = R1_GRID.points()
-    curve_v, curve_phi = _curve_points()
-    s = _sweep_points(np.concatenate([grid_v, curve_v]),
-                      np.concatenate([grid_phi, curve_phi]), base.replace(length=d))
-    return s.rows(slice(grid_v.size)), s.rows(slice(grid_v.size, None))
+        parts[region, "row"] = (v_nodes, np.full_like(v_nodes, rec["phi_row"]))
+        parts[region, "col"] = (np.full_like(phi_nodes, rec["v_col"]), phi_nodes)
+    if d in R3_POOL_D:
+        parts[Region.R3] = r3_nodes
+    v_in, phi_in = map(np.concatenate, zip(*parts.values()))
+    s = _sweep_points(v_in, phi_in, base.replace(length=d))
+    ends = np.cumsum([v.size for v, _ in parts.values()])
+    return {key: s.rows(slice(end - v.size, end))
+            for (key, (v, _)), end in zip(parts.items(), ends)}
 
 
 def _r1_samples(surface, delta: float):
@@ -179,21 +177,16 @@ def calibrate_r1(d_grid, samples, log=None):
             {"delta": R1_DELTA, "relaxed_deltas": deltas, "grid": R1_FIT_GRID})
 
 
-def _curve_samples(s):
+def _curve_samples(parts):
     """{region: ((v_in, v_out), (phi_in, phi_out))} of every separable region,
-    copied from the six-curve rows of one d's sweep: _sweep_d sweeps that d's
-    R1 grid and six curves as one batch."""
+    the FIT_CLASS returns on its row and column of one d's _sweep_d."""
     samples = {}
-    for k, (region, rec) in enumerate(SEPARABLE_RECIPE.items()):
-        row = slice(2 * k * CURVE_POINTS, (2 * k + 1) * CURVE_POINTS)
-        col = slice(row.stop, row.stop + CURVE_POINTS)
-        mask = s.klass[row] == FIT_CLASS[region]
-        v_curve = (s.v_in[row][mask], s.v_out[row][mask])
-        mask = s.klass[col] == FIT_CLASS[region]
-        p_out = s.phi_out[col][mask]
+    for region, rec in SEPARABLE_RECIPE.items():
+        v_in, _, v_out, _ = parts[region, "row"].class_samples(FIT_CLASS[region])
+        _, p_in, _, p_out = parts[region, "col"].class_samples(FIT_CLASS[region])
         if rec["unwrap"]:
             p_out = unwrap_phase(p_out)
-        samples[region] = (v_curve, (s.phi_in[col][mask], p_out))
+        samples[region] = ((v_in, v_out), (p_in, p_out))
     return samples
 
 
@@ -235,25 +228,17 @@ def calibrate_separable(region: Region, d_grid, curves, log=None):
 
 def _r3_nodes():
     """(v, phi) of the R3_GRID nodes inside region 3, in grid order.  The
-    region depends on (v, phi) alone, so every d sweeps these nodes."""
+    region depends on (v, phi) alone, so every R3_POOL_D sweeps these nodes."""
     v, phi = R3_GRID.points()
     inside = _in_region(v, phi, Region.R3)
     return v[inside], phi[inside]
 
 
-def calibrate_r3(base: NondimParams, log=None):
-    """Pooled, once-trimmed fit of the low-velocity BB surfaces (d-independent),
-    swept at the R3_GRID nodes inside region 3 only: each row of a sweep
-    depends on that row alone, so these are region_samples of the whole grid."""
-    vks, pks, vns, pns = [], [], [], []
-    nodes = _r3_nodes()
-    for d in R3_POOL_D:
-        surface = _sweep_points(*nodes, base.replace(length=d))
-        vk, pk, vn, pn = surface.class_samples(FIT_CLASS[Region.R3])
-        vks.append(vk); pks.append(pk)
-        vns.append(vn); pns.append(pn)
-    vk = np.concatenate(vks); pk = np.concatenate(pks)
-    vn = np.concatenate(vns); pn = np.concatenate(pns)
+def calibrate_r3(samples, log=None):
+    """Pooled, once-trimmed fit of the low-velocity BB surfaces (d-independent);
+    ``samples`` holds the BB class_samples of region 3's nodes swept at each
+    R3_POOL_D (_sweep_d), which are the region_samples of the whole R3_GRID."""
+    vk, pk, vn, pn = map(np.concatenate, zip(*samples))
 
     v_win, p_win = R3_GRID.v_range, R3_GRID.phi_range
 
@@ -298,12 +283,15 @@ def build_calibrated_table(base: NondimParams | None = None, log=print) -> Coeff
     entries: dict = {}
     meta_fit: dict = {}
 
-    r1, curves = [], []
+    r1, curves, r3 = [], [], []
+    r3_nodes = _r3_nodes()
     for d in D_GRID:   # keep one d's samples, not its surfaces
-        grid, curve_rows = _sweep_d(d, base)
-        r1.append(_r1_samples(grid, R1_DELTA))
-        curves.append(_curve_samples(curve_rows))
-        del grid, curve_rows
+        parts = _sweep_d(d, base, r3_nodes)
+        r1.append(_r1_samples(parts[Region.R1], R1_DELTA))
+        curves.append(_curve_samples(parts))
+        if Region.R3 in parts:
+            r3.append(parts[Region.R3].class_samples(FIT_CLASS[Region.R3]))
+        del parts
 
     for region in (Region.R1, *SEPARABLE_RECIPE):
         maps, meta = (calibrate_r1(D_GRID, r1, log) if region is Region.R1
@@ -315,7 +303,7 @@ def build_calibrated_table(base: NondimParams | None = None, log=print) -> Coeff
         if log:
             log(f"{region.value} d-poly representation error: {err:.2e}")
 
-    cb, exps_f, ca, exps_g = calibrate_r3(base, log)
+    cb, exps_f, ca, exps_g = calibrate_r3(r3, log)
     entries[Region.R3] = {
         "v": [(tuple(e), np.array([c])) for e, c in zip(exps_f, cb)],
         "phi": [(tuple(e), np.array([c])) for e, c in zip(exps_g, ca)],

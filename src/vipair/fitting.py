@@ -85,13 +85,22 @@ def fit_poly2d(v, phi, target, deg_phi: int, deg_v: int):
     return coeffs, exponents, report
 
 
+def _trimmed(c):
+    """c without trailing zeros, but at least one coefficient long."""
+    while len(c) > 1 and c[-1] == 0:
+        c = c[:-1]
+    return c
+
+
 def compose(outer, inner) -> np.ndarray:
     """Coefficients (ascending) of outer(inner(x)), by Horner's rule on the
-    coefficient arrays."""
-    P = np.polynomial.polynomial
+    coefficient arrays, trimmed of trailing zeros as numpy.polynomial trims."""
+    inner = _trimmed(np.asarray(inner, dtype=float))
     acc = np.array([outer[-1]])
     for c in outer[-2::-1]:
-        acc = P.polyadd(P.polymul(acc, inner), [c])
+        acc = np.convolve(acc, inner)
+        acc[0] += c
+        acc = _trimmed(acc)
     return acc
 
 

@@ -1,6 +1,6 @@
 """Calibration regenerates the shipped coefficient table bit for bit, from one
-sweep per d that splits into the separate sweeps bit for bit, and from R3
-sweeps of the region's own nodes that give the whole grid's R3 samples."""
+sweep per d that splits into the separate sweeps of its parts bit for bit;
+region 3's part, its own nodes, gives the whole grid's R3 samples."""
 
 import json
 from dataclasses import fields
@@ -9,8 +9,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from vipair.calibration import (R1_GRID, R3_GRID, _curve_points, _r3_nodes, _sweep_d,
-                                build_calibrated_table, region_samples)
+from vipair import calibration
+from vipair.calibration import (CURVE_POINTS, R1_GRID, R3_GRID, R3_POOL_D, SEPARABLE_RECIPE,
+                                _r3_nodes, _sweep_d, build_calibrated_table, region_samples)
 from vipair.composite import Region
 from vipair.core import baseline_params
 from vipair.returnmap import ReturnClass, _sweep_points, sweep_surfaces
@@ -36,14 +37,37 @@ def _same_rows(part, whole):
         _same_bytes(getattr(part, name), getattr(whole, name), name)
 
 
-@pytest.mark.parametrize("d", [0.26, 0.35])
+def test_calibration_sweeps_once_per_d(monkeypatch):
+    # one batch per d of D_GRID, with region 3's nodes inside the batches at
+    # the three R3_POOL_D values
+    rows = []
+
+    def counted(v_in, phi_in, p):
+        rows.append(len(v_in))
+        return _sweep_points(v_in, phi_in, p)
+
+    monkeypatch.setattr(calibration, "_sweep_points", counted)
+    build_calibrated_table(log=None)
+    assert (len(rows), sum(rows)) == (19, 124_566)
+
+
+@pytest.mark.parametrize("d", [0.26, 0.30, 0.305, 0.35])
 def test_one_sweep_per_d_splits_into_the_separate_sweeps(d):
-    # rows are independent, so the R1 grid and the six curves swept as one
-    # batch give what each gives swept alone
-    base = baseline_params(0.30)
-    grid, curves = _sweep_d(d, base)
-    _same_rows(grid, sweep_surfaces(R1_GRID, base.replace(length=d)))
-    _same_rows(curves, _sweep_points(*_curve_points(), base.replace(length=d)))
+    # rows are independent, so each named part of one d's batch gives what
+    # that part gives swept alone
+    base, nodes = baseline_params(0.30), _r3_nodes()
+    alone = {Region.R1: R1_GRID.points()}
+    for region, rec in SEPARABLE_RECIPE.items():
+        v = np.linspace(*rec["v_window"], CURVE_POINTS)
+        phi = np.linspace(*rec["phi_window"], CURVE_POINTS)
+        alone[region, "row"] = (v, np.full_like(v, rec["phi_row"]))
+        alone[region, "col"] = (np.full_like(phi, rec["v_col"]), phi)
+    if d in R3_POOL_D:
+        alone[Region.R3] = nodes
+    parts = _sweep_d(d, base, nodes)
+    assert list(parts) == list(alone) and (Region.R3 in parts) == (d != 0.30)
+    for key, points in alone.items():
+        _same_rows(parts[key], _sweep_points(*points, base.replace(length=d)))
 
 
 def test_r3_sweep_of_its_region_nodes_gives_the_whole_grids_samples():

@@ -1,10 +1,8 @@
-import contextlib
 import csv
-import hashlib
-import io
+import importlib.util
 import json
 import math
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,17 +371,18 @@ def test_artifacts_are_reproducible(tmp_path):
             == (tmp_path / "b" / "surface.gp").read_bytes())
 
 
-def _run_and_hash(tmp_path, commands) -> dict:
-    """Run each (label, argv) with `--out <label>` from tmp_path, keep its stdout
-    as <label>/stdout.txt, and return the sha256 of every file by relative path."""
-    for label, argv in commands:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert run_command(argv + ["--out", label]) == 0
-        (tmp_path / label / "stdout.txt").write_text(stdout.getvalue())
-    return {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in tmp_path.rglob("*") if path.is_file()}
+def _digests(tmp_path, monkeypatch, commands) -> dict:
+    """{relative path: sha256} of every file that scripts/artifact_digest.py's
+    run_all writes from tmp_path for commands, stdout files included."""
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digest", Path(__file__).resolve().parents[1] / "scripts" / "artifact_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    monkeypatch.setattr(digest, "COMMANDS", commands)
+    monkeypatch.chdir(tmp_path)   # the stdout lists the relative artifact paths
+    digest.run_all(tmp_path)
+    return {path: sha for sha, path in (line.split("  ", 1)
+                                        for line in digest.digest_lines(tmp_path))}
 
 
 # sha256 of every file `case --name FP|PD|CD --out case-<name>` writes, and of
@@ -419,9 +418,8 @@ def test_case_artifacts_keep_their_bytes(tmp_path, monkeypatch):
     elsewhere, compare with the digest script's output at the previous commit
     on the same machine before suspecting the change.
     """
-    monkeypatch.chdir(tmp_path)   # the stdout lists the relative artifact paths
-    got = _run_and_hash(tmp_path, [(f"case-{name}", ["case", "--name", name])
-                                   for name in ("FP", "PD", "CD")])
+    got = _digests(tmp_path, monkeypatch, [(f"case-{name}", ["case", "--name", name])
+                                           for name in ("FP", "PD", "CD")])
     assert got == CASE_DIGESTS
 
 
@@ -460,5 +458,4 @@ def test_csv_artifacts_keep_their_bytes(tmp_path, monkeypatch):
     elsewhere, compare with the same runs at the previous commit on the same
     machine before suspecting the change.
     """
-    monkeypatch.chdir(tmp_path)   # the stdout lists the relative artifact paths
-    assert _run_and_hash(tmp_path, CSV_COMMANDS) == CSV_DIGESTS
+    assert _digests(tmp_path, monkeypatch, CSV_COMMANDS) == CSV_DIGESTS

@@ -5,6 +5,7 @@ from vipair.fitting import (
     RankDeficientFit,
     cheb_fit_1d,
     cheb_to_monomial_matrix,
+    compose,
     design_matrix,
     fit_poly2d,
     fit_poly2d_scaled,
@@ -93,3 +94,28 @@ def test_cheb_fit_report(rng):
     cheb, report = cheb_fit_1d(x, y, 3, (0.0, 1.0))
     assert report.n_samples == 80
     assert report.rmse < 1e-12
+
+
+def _compose_by_polynomial_module(outer, inner):
+    """compose's Horner loop on numpy.polynomial's polyadd and polymul: the
+    reference that compose must match bit for bit."""
+    P = np.polynomial.polynomial
+    acc = np.array([outer[-1]])
+    for c in outer[-2::-1]:
+        acc = P.polyadd(P.polymul(acc, inner), [c])
+    return acc
+
+
+def test_compose_matches_the_polynomial_module_bit_for_bit(rng):
+    cases = [(rng.normal(size=n), rng.normal(size=m))
+             for n, m in ((1, 2), (2, 2), (4, 4), (9, 2), (10, 4))]
+    cases += [
+        (np.append(rng.normal(size=4), 0.0), rng.normal(size=3)),   # zero leading coefficient
+        (rng.normal(size=4), np.append(rng.normal(size=2), [0.0, 0.0])),   # inner trails zeros
+        (np.zeros(3), rng.normal(size=3)),
+        (np.array([-2.0, 1.0, 0.0]), np.array([2.0, 0.0])),   # cancels to a constant 0
+        (np.polynomial.chebyshev.cheb2poly(np.eye(9)[8]), [-1.0 / 0.3, 1.0 / 0.3]),
+    ]
+    for outer, inner in cases:
+        got, want = compose(outer, inner), _compose_by_polynomial_module(outer, inner)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (outer, inner)
