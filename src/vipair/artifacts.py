@@ -142,7 +142,7 @@ def write_aux_report(path: Path, report: UpdateReport):
 
 def write_widths_csv(path: Path, report: UpdateReport):
     return _write_csv(path, [["N", "v_width", "phi_width"]] + [
-        [int(row[0]), _fmt(row[1]), _fmt(row[2])] for row in report.widths_table()])
+        [n, *map(_fmt, box.widths)] for n, box in enumerate(report.boxes, 1)])
 
 
 def write_case_result(outdir: Path, result: CaseResult):

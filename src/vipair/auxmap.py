@@ -71,21 +71,19 @@ class DomainBox:
         return self.v_min, self.v_max, self.phi_min, self.phi_max
 
 
-CASE_D = {"FP": 0.35, "PD": 0.30, "CD": 0.26}
-CASE_UPDATES = {"FP": 11, "PD": 11, "CD": 6}
-
-_R1_PLUS = {
-    "FP": (0.70, 1.0, 0.20, PI / 3),
-    "PD": (0.65, 1.0, 0.13, PI / 3),
-    "CD": (0.64, 1.0, 0.08, PI / 3),
+# case -> (d, number of updates, enlarged region-1 box R1+)
+CASES = {
+    "FP": (0.35, 11, (0.70, 1.0, 0.20, PI / 3)),
+    "PD": (0.30, 11, (0.65, 1.0, 0.13, PI / 3)),
+    "CD": (0.26, 6, (0.64, 1.0, 0.08, PI / 3)),
 }
 
 
 def r1_plus(case: str) -> DomainBox:
     """The enlarged region-1 box anchoring the auxiliary construction."""
-    if case not in _R1_PLUS:
-        raise ValueError(f"case must be one of {sorted(_R1_PLUS)}, got {case!r}")
-    return DomainBox(*_R1_PLUS[case])
+    if case not in CASES:
+        raise ValueError(f"case must be one of {sorted(CASES)}, got {case!r}")
+    return DomainBox(*CASES[case][2])
 
 
 def _coeff_grid(poly: Poly2D) -> np.ndarray:
@@ -356,20 +354,19 @@ class TwoCycle:
             raise ValueError(f"cycle values out of order: {self}")
 
 
-def second_iterate_v(curves: BoundCurves,
-                     window: tuple[float, float] | None = None):
+def second_iterate_v(curves: BoundCurves, window: tuple[float, float]):
     """Closed-form second-iterate velocity map and its stable 2-cycle.
 
     Composes f1 at the box's two phase endpoints into a degree-9 polynomial
     by exact coefficient arithmetic, locates the stable fixed point inside
-    the window (by default the box's velocity interval), and returns
-    (polynomial, p_v, q_v, slope at the fixed point).
+    the velocity window, and returns (polynomial, p_v, q_v, slope at the
+    fixed point).
     """
     box = curves.box
     inner = curves.f1.partial_phi(box.phi_max)      # lower branch applied first
     outer = curves.f1.partial_phi(box.phi_min)
     composed = Poly1D(compose(outer.coeffs, inner.coeffs))
-    lo, hi = window if window is not None else (box.v_min, box.v_max)
+    lo, hi = window
     deriv = composed.derivative()
     root, slope = _stable_root(lambda x: composed(x) - x,
                                np.arange(lo, hi + ROOT_SCAN, ROOT_SCAN),
@@ -380,12 +377,11 @@ def second_iterate_v(curves: BoundCurves,
     return composed, p_v, q_v, slope
 
 
-def second_iterate_phase(curves: BoundCurves,
-                         window: tuple[float, float] | None = None):
+def second_iterate_phase(curves: BoundCurves, window: tuple[float, float]):
     """Stable 2-cycle of the exact closed-form phase envelopes: p_phi from
     the composition eta_L(eta_U(.)), scanned on ENVELOPE_GRID nodes of the
-    window; q_phi = eta_U(p_phi); slope by central difference."""
-    lo, hi = window if window is not None else (curves.box.phi_min, curves.box.phi_max)
+    phase window; q_phi = eta_U(p_phi); slope by central difference."""
+    lo, hi = window
     comp = lambda x: curves.eta_l(curves.eta_u(np.asarray(x, dtype=float)))
     h = 1e-6 * max(hi - lo, 1.0)
     p_phi, slope = _stable_root(lambda x: comp(x) - np.asarray(x, dtype=float),
@@ -435,26 +431,19 @@ def statement61_case(history: WcsHistory) -> str:
 
     Part1: at every step that still moved the intervals, the extremizers of
     the bound curves fell outside the step's output intervals (so generic and
-    WCS cobwebbing coincide).  Part2: the intervals stabilized exactly while
-    the exclusion property failed.  Anything else is indeterminate.
+    WCS cobwebbing coincide).  Part2: the intervals stabilized while the
+    exclusion property failed.  Anything else is indeterminate.  Whether the
+    intervals stabilized is iterate_wcs's converged flag; its last record
+    then repeats the one before, so it is the one step left unchecked.
     """
     if len(history.records) < 2:
         return STATEMENT_INDETERMINATE
-    exclusion_ok = True
-    stabilized = history.converged
-    for k, rec in enumerate(history.records):
-        if k and _same_bounds(rec.as_tuple(), history.records[k - 1].as_tuple()):
-            break
-        iv, ip = rec.interval_v, rec.interval_phi
-        inside = (iv[0] <= rec.argmax_xi_u <= iv[1]) or (iv[0] <= rec.argmin_xi_l <= iv[1]) \
-            or (ip[0] <= rec.argmax_eta_u <= ip[1]) or (ip[0] <= rec.argmin_eta_l <= ip[1])
-        if inside:
-            exclusion_ok = False
-    if exclusion_ok:
-        return STATEMENT_PART1
-    if stabilized:
-        return STATEMENT_PART2
-    return STATEMENT_INDETERMINATE
+    for rec in history.records[:-1] if history.converged else history.records:
+        (v0, v1), (p0, p1) = rec.interval_v, rec.interval_phi
+        if (v0 <= rec.argmax_xi_u <= v1 or v0 <= rec.argmin_xi_l <= v1
+                or p0 <= rec.argmax_eta_u <= p1 or p0 <= rec.argmin_eta_l <= p1):
+            return STATEMENT_PART2 if history.converged else STATEMENT_INDETERMINATE
+    return STATEMENT_PART1
 
 
 @dataclass
@@ -470,14 +459,6 @@ class UpdateReport:
     crossing_detected: bool
     escaped: bool = False        # an update left the map's trust region
 
-    @property
-    def final_box(self) -> DomainBox:
-        return self.boxes[-1]
-
-    def widths_table(self) -> np.ndarray:
-        """Rows (N, v width, phi width) across the updates; box N is boxes[N - 1]."""
-        return np.array([(n, *b.widths) for n, b in enumerate(self.boxes, 1)])
-
 
 # Updated boxes may exceed the case box somewhat (the chaotic case does), but
 # far outside it the fitted region-1 maps carry no information; an update
@@ -486,10 +467,9 @@ TRUST_MARGIN = 0.35
 
 
 def _trust_region(case: str) -> DomainBox:
-    v_lo, v_hi, p_lo, p_hi = _R1_PLUS[case]
-    dv = TRUST_MARGIN * (v_hi - v_lo)
-    dp = TRUST_MARGIN * (p_hi - p_lo)
-    return DomainBox(v_lo - dv, v_hi + dv, p_lo - dp, p_hi + dp)
+    box = r1_plus(case)
+    dv, dp = (TRUST_MARGIN * w for w in box.widths)
+    return DomainBox(box.v_min - dv, box.v_max + dv, box.phi_min - dp, box.phi_max + dp)
 
 
 def iterate_updates(case: str, d: float | None = None, n_updates: int | None = None,
@@ -502,8 +482,9 @@ def iterate_updates(case: str, d: float | None = None, n_updates: int | None = N
     """
     current = r1_plus(case)
     table = table if table is not None else load_table()
-    d = CASE_D[case] if d is None else d
-    n_updates = CASE_UPDATES[case] if n_updates is None else n_updates
+    case_d, case_updates, _ = CASES[case]
+    d = case_d if d is None else d
+    n_updates = case_updates if n_updates is None else n_updates
 
     boxes = [current]
     histories: list[WcsHistory] = []

@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("aux-domain", help="auxiliary-map attracting-domain updates")
-    p.add_argument("--case", choices=list(auxmap.CASE_D), required=True)
+    p.add_argument("--case", choices=list(auxmap.CASES), required=True)
     p.add_argument("--d", type=float)
     p.add_argument("--updates", type=int)
     p.add_argument("--table", default="calibrated")
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aux_domain)
 
     p = sub.add_parser("case", help="full preset: trajectory + aux domain + reports")
-    p.add_argument("--name", choices=list(auxmap.CASE_D), required=True)
+    p.add_argument("--name", choices=list(auxmap.CASES), required=True)
     p.add_argument("--table", default="calibrated")
     p.add_argument("--out")
     p.set_defaults(func=cmd_case)

@@ -130,10 +130,6 @@ class Poly1D:
             raise ValueError("derivative undefined through the absolute-value wrapper")
         return Poly1D(np.polynomial.polynomial.polyder(self.coeffs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 # Region map shapes: target -> (deg_phi, deg_v, absolute), the largest phi and
 # v powers of a term and the |.| wrapper.  A separable map has 0 in its unused
@@ -265,6 +261,8 @@ class CoeffTable:
 
     def coeffs_for(self, region: Region, d: float) -> dict:
         """Evaluate the d-polynomials of one region; {'v': map, 'phi': map}."""
+        if not d > 0:
+            raise CoeffTableError(f"d must be positive, got {d}")
         if region not in self.entries:
             raise CoeffTableError(f"coefficient table {self.name!r} has no "
                                   f"{region.value} maps")
@@ -284,17 +282,21 @@ class CoeffTable:
         return out
 
 
+SHIPPED_TABLES = ("calibrated", "supplement")
+
+
 def _data_path(name: str) -> Path:
     return Path(str(resources.files("vipair").joinpath("data", f"{name}_coefficients.json")))
 
 
 def load_table(name: str = "calibrated") -> CoeffTable:
-    """Load a shipped coefficient table ("calibrated" or "supplement") or a path."""
+    """Load a shipped coefficient table (one of SHIPPED_TABLES) or a path."""
     path = Path(name)
-    if not path.exists():
+    if not path.exists() and name in SHIPPED_TABLES:
         path = _data_path(name)
     if not path.exists():
-        raise FileNotFoundError(f"no coefficient table named {name!r} ({path})")
+        raise FileNotFoundError(f"no coefficient table at {name!r}; the shipped tables "
+                                f"are {', '.join(SHIPPED_TABLES)}")
     return CoeffTable.from_dict(json.loads(path.read_text()))
 
 

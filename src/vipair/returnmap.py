@@ -46,6 +46,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n_v < 2 or self.n_phi < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
+        if not (self.v_range[0] < self.v_range[1] and self.phi_range[0] < self.phi_range[1]):
+            raise ValueError(f"grid ranges must increase, got v {self.v_range}, "
+                             f"phi {self.phi_range}")
 
     def v_nodes(self) -> np.ndarray:
         lo, hi = self.v_range

@@ -18,7 +18,6 @@ from vipair.composite import (
     CompositeMap,
     Region,
     detect_attractor,
-    load_table,
     region_of,
 )
 from vipair.core import (PI, STATUS_OK, _flow, apply_impact_law, baseline_params,
@@ -41,11 +40,6 @@ def _write_report(tmp_path_factory):
     out = tmp_path_factory.getbasetemp() / "acceptance_report.txt"
     out.write_text("\n".join(RESULTS) + "\n")
     print("\n".join(["", "acceptance summary:"] + RESULTS))
-
-
-@pytest.fixture(scope="module")
-def table():
-    return load_table("calibrated")
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +70,7 @@ def test_criterion_2_fp_attracting_domain(table):
     t0 = time.perf_counter()
     rep = auxmap.iterate_updates("FP", d=0.35, n_updates=11, table=table)
     elapsed = time.perf_counter() - t0
-    box = rep.final_box
+    box = rep.boxes[-1]
     contains = (box.v_min <= 0.8488 and box.v_max >= 0.8490
                 and box.phi_min <= 0.3804 and box.phi_max >= 0.3811)
     widths_ok = box.widths[0] <= 5e-4 and box.widths[1] <= 5e-4
@@ -93,7 +87,7 @@ def test_criterion_3_pd_attracting_domain(table):
         warnings.simplefilter("ignore")
         rep = auxmap.iterate_updates("PD", d=0.30, n_updates=11, table=table)
     elapsed = time.perf_counter() - t0
-    box = rep.final_box
+    box = rep.boxes[-1]
     ends = (box.v_min, box.v_max, box.phi_min, box.phi_max)
     ends_ok = all(abs(a - b) <= 0.02 for a, b in zip(ends, target))
     widths_ok = (abs(box.widths[0] - 0.1472) <= 0.02
@@ -112,7 +106,7 @@ def test_criterion_4_cd_attracting_domain(table):
         warnings.simplefilter("ignore")
         rep = auxmap.iterate_updates("CD", d=0.26, n_updates=6, table=table)
     elapsed = time.perf_counter() - t0
-    box = rep.final_box
+    box = rep.boxes[-1]
     ends = (box.v_min, box.v_max, box.phi_min, box.phi_max)
     ends_ok = all(abs(a - b) <= 0.03 for a, b in zip(ends, target))
     widths_ok = (abs(box.widths[0] - 0.166) <= 0.03
@@ -229,7 +223,8 @@ def test_criterion_8_property_suites(table, sweep35, rng):
 
     # degree-9 composition vs nested evaluation
     composed, *_ = auxmap.second_iterate_v(
-        auxmap.build_bound_curves(auxmap.DomainBox(0.6, 1.0, 0.2, PI / 3), 0.35, table))
+        auxmap.build_bound_curves(auxmap.DomainBox(0.6, 1.0, 0.2, PI / 3), 0.35, table),
+        window=(0.6, 1.0))
     f1 = table.coeffs_for(Region.R1, 0.35)["v"]
     inner = f1.partial_phi(PI / 3)
     outer = f1.partial_phi(0.2)

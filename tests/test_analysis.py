@@ -107,7 +107,7 @@ def test_compare_cd_tails_in_r1_r2(table):
 def test_run_case_preset_fp(table):
     result = run_case_preset("FP", table=table)
     assert str(result.classification) == "FP"
-    box = result.aux_report.final_box
+    box = result.aux_report.boxes[-1]
     assert box.widths[0] <= 1e-2 and box.widths[1] <= 1e-2
     # the trajectory's limit lies inside the final box
     assert _grown(box).contains(result.trajectory_v[-1], result.trajectory_phi[-1])
@@ -135,6 +135,6 @@ def test_composite_tail_inside_aux_box(table):
 
     samples = bifurcation_scan("composite", 0.35, 0.35, 0.01, table=table)
     rep = iterate_updates("FP", table=table)
-    box = rep.final_box
+    box = rep.boxes[-1]
     for v, p in zip(samples[0].tail_v, samples[0].tail_phi):
         assert _grown(box).contains(v, p)

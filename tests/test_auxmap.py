@@ -8,9 +8,11 @@ from vipair.auxmap import (
     _rect_range,
     DomainBox,
     EscapedBox,
+    STATEMENT_INDETERMINATE,
     STATEMENT_PART1,
     STATEMENT_PART2,
     TwoCycle,
+    _same_bounds,
     build_bound_curves,
     iterate_updates,
     iterate_wcs,
@@ -122,10 +124,10 @@ def test_iterate_updates_fp(table):
     rep = iterate_updates("FP", table=table)
     assert not rep.escaped
     assert rep.statement_case == STATEMENT_PART1
-    widths = rep.widths_table()
-    assert np.all(np.diff(widths[:, 1]) <= 1e-12)  # v widths non-increasing
-    assert np.all(np.diff(widths[:, 2]) <= 1e-12)
-    final = rep.final_box
+    widths = np.array([box.widths for box in rep.boxes])
+    assert np.all(np.diff(widths[:, 0]) <= 1e-12)  # v widths non-increasing
+    assert np.all(np.diff(widths[:, 1]) <= 1e-12)
+    final = rep.boxes[-1]
     assert final.widths[0] < 1e-2 and final.widths[1] < 1e-2
     # the composite fixed point lies inside every update's box
     from vipair.composite import CompositeMap
@@ -154,8 +156,8 @@ def test_iterate_updates_pd_cd_escape(table):
 
 def test_second_iterate_composition(table, rng):
     composed, p_v, q_v, slope = second_iterate_v(
-        build_bound_curves(DomainBox(0.6, 1.0, 0.2, PI / 3), 0.35, table))
-    assert composed.degree == 9
+        build_bound_curves(DomainBox(0.6, 1.0, 0.2, PI / 3), 0.35, table), window=(0.6, 1.0))
+    assert len(composed.coeffs) - 1 == 9
     f1 = table.coeffs_for(Region.R1, 0.35)["v"]
     inner = f1.partial_phi(PI / 3)
     outer = f1.partial_phi(0.2)
@@ -167,7 +169,7 @@ def test_second_iterate_composition(table, rng):
 
 def test_second_iterate_v_near_composite_fixed_point(table):
     rep = iterate_updates("FP", table=table)
-    fb = rep.final_box
+    fb = rep.boxes[-1]
     _, p_v, q_v, _ = second_iterate_v(build_bound_curves(fb, 0.35, table),
                                       window=(fb.v_min - 0.05, fb.v_max + 0.05))
     assert p_v == pytest.approx(fb.v_min, abs=5e-3)
@@ -179,7 +181,7 @@ def test_second_iterate_phase_constant_envelopes():
     g1 = _linear_poly2d(0.3, 0.4, 0.0)   # eta_U = 0.7, eta_L = 0.3 constants
     box = DomainBox(0.0, 1.0, 0.0, 1.0)
     curves = BoundCurves(box=box, f1=f1, g1=g1)
-    p_phi, q_phi, slope = second_iterate_phase(curves)
+    p_phi, q_phi, slope = second_iterate_phase(curves, window=(0.0, 1.0))
     assert p_phi == pytest.approx(0.3, abs=1e-6)
     assert q_phi == pytest.approx(0.7, abs=1e-6)
     assert abs(slope) < 1e-6
@@ -195,6 +197,60 @@ def test_statement_cases(table):
     curves = BoundCurves(box=DomainBox(0.0, 1.0, 0.0, 1.0), f1=f1, g1=g1)
     hist = iterate_wcs(curves)
     assert statement61_case(hist) == STATEMENT_PART1
+
+
+def _per_record_statement(history):
+    """statement61_case as it was before it read the stop from the history's
+    converged flag, kept verbatim as the reference."""
+    if len(history.records) < 2:
+        return STATEMENT_INDETERMINATE
+    exclusion_ok = True
+    stabilized = history.converged
+    for k, rec in enumerate(history.records):
+        if k and _same_bounds(rec.as_tuple(), history.records[k - 1].as_tuple()):
+            break
+        iv, ip = rec.interval_v, rec.interval_phi
+        inside = (iv[0] <= rec.argmax_xi_u <= iv[1]) or (iv[0] <= rec.argmin_xi_l <= iv[1]) \
+            or (ip[0] <= rec.argmax_eta_u <= ip[1]) or (ip[0] <= rec.argmin_eta_l <= ip[1])
+        if inside:
+            exclusion_ok = False
+    if exclusion_ok:
+        return STATEMENT_PART1
+    if stabilized:
+        return STATEMENT_PART2
+    return STATEMENT_INDETERMINATE
+
+
+def _seeded_histories(table):
+    """iterate_wcs histories on 20 seeded boxes at each of three d."""
+    rng = np.random.default_rng(61)
+    histories = []
+    for d in (0.26, 0.30, 0.35):
+        for _ in range(20):
+            v_lo, v_hi = np.sort(rng.uniform(0.6, 1.0, 2))
+            p_lo, p_hi = np.sort(rng.uniform(0.1, PI / 3, 2))
+            box = DomainBox(v_lo, v_hi, p_lo, p_hi)
+            histories.append(iterate_wcs(build_bound_curves(box, d, table)))
+    return histories
+
+
+@pytest.mark.filterwarnings("ignore::vipair.auxmap.EscapedBox")
+def test_statement_reads_the_stop_from_the_converged_flag(table, monkeypatch):
+    histories = [h for case in ("FP", "PD", "CD")
+                 for h in iterate_updates(case, table=table).histories]
+    histories += _seeded_histories(table)
+    seen = set()
+    for history in histories:
+        assert statement61_case(history) == _per_record_statement(history)
+        seen.add(statement61_case(history))
+    assert seen == {STATEMENT_PART1, STATEMENT_PART2}
+    # cut off before the intervals settle, most histories are indeterminate
+    monkeypatch.setattr("vipair.auxmap.WCS_MAX_STEPS", 3)
+    seen = set()
+    for history in _seeded_histories(table):
+        assert statement61_case(history) == _per_record_statement(history)
+        seen.add((statement61_case(history), history.converged))
+    assert {(STATEMENT_INDETERMINATE, False), (STATEMENT_PART1, False)} <= seen
 
 
 def test_two_cycle_ordering_enforced():

@@ -226,9 +226,14 @@ def test_cli_table_off_its_region_shapes_is_machine_readable(tmp_path, capsys, e
     assert message in err["message"]
 
 
+_MISSING_TABLE = ("no coefficient table at '/x/missing.json'; the shipped tables are "
+                  "calibrated, supplement")
 # The error of each refusal below that is not a ConfigError
 _REFUSAL_ERRORS = {"more than 100000 steps": "ValueError",
-                   "Unable to allocate": "MemoryError"}
+                   "Unable to allocate": "MemoryError",
+                   "d must be positive": "CoeffTableError",
+                   "grid ranges must increase": "ValueError",
+                   _MISSING_TABLE: "FileNotFoundError"}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -244,6 +249,14 @@ _REFUSAL_ERRORS = {"more than 100000 steps": "ValueError",
     # numpy refuses the 8 TB trajectory array at once
     (["composite", "--v0", "0.2", "--phi0", "0.1", "--steps", "1000000000000"],
      "Unable to allocate"),
+    # the reduced map exists for d > 0 only, as the exact map does
+    (["aux-domain", "--case", "FP", "--d", "0"], "d must be positive"),
+    (["aux-domain", "--case", "FP", "--d", "-0.1"], "d must be positive"),
+    (["bifurcation", "--kind", "composite", "--d-from", "0", "--d-to", "0",
+      "--step", "0.001"], "d must be positive"),
+    (["sweep", "--grid", "3x3", "--v-max", "0"], "grid ranges must increase"),
+    (["composite", "--v0", "0.2", "--phi0", "0.1", "--table", "/x/missing.json"],
+     _MISSING_TABLE),
 ])
 def test_cli_rejects_empty_ranges_with_error_json(tmp_path, capsys, argv, message):
     assert run_command(argv + ["--out", str(tmp_path)]) == 2

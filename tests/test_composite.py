@@ -202,7 +202,7 @@ def test_region_samples_of_an_empty_class(params35):
 def test_poly_partial_evaluation(table):
     f1 = table.coeffs_for(Region.R1, 0.35)["v"]
     poly_v = f1.partial_phi(0.3)
-    assert poly_v.degree == 3
+    assert len(poly_v.coeffs) - 1 == 3
     for v in (0.7, 0.85):
         assert poly_v(v) == pytest.approx(f1(v, 0.3), abs=1e-12)
 

@@ -161,8 +161,11 @@ def test_grid_nodes_cover_open_interval():
     assert v.min() > 0 and v.max() == pytest.approx(1.0)
     p = g.phi_nodes()
     assert p[0] == 0.0 and p[-1] == pytest.approx(PI)
-    with pytest.raises(ValueError):
-        GridSpec(n_v=1, n_phi=5)
+    # too few nodes, and ranges that do not increase
+    for bad in ({"n_v": 1}, {"v_range": (0.0, 0.0)}, {"v_range": (0.0, -1.0)},
+                {"phi_range": (0.0, 0.0)}, {"phi_range": (1.0, 0.5)}):
+        with pytest.raises(ValueError):
+            GridSpec(**{"n_v": 10, "n_phi": 5} | bad)
 
 
 def test_bttb_only_beyond_unit_velocity():
