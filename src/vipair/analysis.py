@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import auxmap
-from .composite import (TAIL_FRACTION, AttractorClass, CoeffTable, CompositeMap,
-                        ExtrapolationWarning, detect_attractor, load_table)
+from .composite import (TAIL_FRACTION, AttractorClass, CoeffTable, CoeffTableError,
+                        CompositeMap, ExtrapolationWarning, detect_attractor, load_table)
 from .core import NondimParams, baseline_params
 from .returnmap import ReturnClass, _sweep_points
 
@@ -72,6 +72,9 @@ def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
     direction = 1.0 if d_to >= d_from else -1.0
     ds = [d_from + direction * i * step for i in range(n_d)]
     if kind == "composite":
+        bad = [d for d in ds if not d > 0]    # as coeffs_for would, before any warning
+        if bad:
+            raise CoeffTableError(f"d must be positive, got {bad[0]}")
         outside = sum(not table.covers(d) for d in ds)
         if outside:
             lo, hi = table.d_range

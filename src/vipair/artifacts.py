@@ -51,7 +51,7 @@ def write_json(path: Path, payload: dict):
     return path
 
 
-def _write_csv(path: Path, rows):
+def write_csv(path: Path, rows):
     """Write rows (the header first, if any) as one CSV file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -72,7 +72,7 @@ def write_surface_csv(path: Path, surface: SurfaceData):
             _fmt(surface.phi_out[i]) if ok else "",
             int(surface.n_intermediate[i]),
         ])
-    return _write_csv(path, rows)
+    return write_csv(path, rows)
 
 
 def write_surface_json(path: Path, surface: SurfaceData):
@@ -84,13 +84,8 @@ def write_surface_json(path: Path, surface: SurfaceData):
     return write_json(path, payload)
 
 
-def write_partition_csv(path: Path, labels: np.ndarray):
-    """Label matrix raster, one grid row per line."""
-    return _write_csv(path, labels)
-
-
 def write_trajectory_csv(path: Path, v, phi, regions):
-    return _write_csv(path, [["k", "v", "phi", "region"]] + [
+    return write_csv(path, [["k", "v", "phi", "region"]] + [
         [k, _fmt(a), _fmt(b), r.value] for k, (a, b, r) in enumerate(zip(v, phi, regions))])
 
 
@@ -101,7 +96,7 @@ def write_bifurcation_csv(path: Path, samples: list[BifurcationSample]):
         rows += [[_fmt(s.d), _fmt(a), _fmt(b), label] for a, b in zip(s.tail_v, s.tail_phi)]
         if not len(s.tail_v):
             rows.append([_fmt(s.d), "", "", label])
-    return _write_csv(path, rows)
+    return write_csv(path, rows)
 
 
 def write_comparison_csv(path: Path, records: list[ComparisonRecord]):
@@ -115,7 +110,7 @@ def write_comparison_csv(path: Path, records: list[ComparisonRecord]):
                 _fmt(rec.composite_v[k]), _fmt(rec.composite_phi[k]),
                 rec.composite_regions[k].value, _fmt(rec.tail_distance),
             ])
-    return _write_csv(path, rows)
+    return write_csv(path, rows)
 
 
 def aux_report_payload(report: UpdateReport) -> dict:
@@ -136,12 +131,8 @@ def aux_report_payload(report: UpdateReport) -> dict:
     return payload
 
 
-def write_aux_report(path: Path, report: UpdateReport):
-    return write_json(path, aux_report_payload(report))
-
-
 def write_widths_csv(path: Path, report: UpdateReport):
-    return _write_csv(path, [["N", "v_width", "phi_width"]] + [
+    return write_csv(path, [["N", "v_width", "phi_width"]] + [
         [n, *map(_fmt, box.widths)] for n, box in enumerate(report.boxes, 1)])
 
 
@@ -151,7 +142,7 @@ def write_case_result(outdir: Path, result: CaseResult):
     outdir.mkdir(parents=True, exist_ok=True)
     traj = write_trajectory_csv(outdir / "trajectory.csv", result.trajectory_v,
                                 result.trajectory_phi, result.trajectory_regions)
-    rep = write_aux_report(outdir / "aux_report.json", result.aux_report)
+    rep = write_json(outdir / "aux_report.json", aux_report_payload(result.aux_report))
     widths = write_widths_csv(outdir / "widths.csv", result.aux_report)
     plots = [
         write_plot_script(outdir / "trajectory.gp", traj.name,

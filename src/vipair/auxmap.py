@@ -176,9 +176,9 @@ def _rect_range(curve: _Curve, v_range, phi_range):
     (a0, b0), (a1, b1) = curve.v_roots(p0, v0, v1), curve.v_roots(p1, v0, v1)
     vs = [v0, v0, v1, v1, a0, a1, b0, b1]
     ps = [p0, p1] * 4
-    # along v = v0, v1: both ends, then the vertex
-    vs += [v0, v1] * 3
-    ps += [p0, p0, p1, p1, curve.phi_vertex(v0, p0, p1), curve.phi_vertex(v1, p0, p1)]
+    # along v = v0, v1: the vertex (the ends are the corners above)
+    vs += [v0, v1]
+    ps += [curve.phi_vertex(v0, p0, p1), curve.phi_vertex(v1, p0, p1)]
     for v, phi in curve.interior:
         if v0 <= v <= v1 and p0 <= phi <= p1:
             vs.append(v)

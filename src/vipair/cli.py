@@ -96,7 +96,7 @@ def cmd_partition(args) -> int:
     grid = _grid(args.grid)
     surface = sweep_surfaces(grid, _params(args))
     labels = partition_by_class(surface)
-    artifacts.write_partition_csv(out / "partition.csv", labels)
+    artifacts.write_csv(out / "partition.csv", labels)
     print(artifacts.dumps({"written": str(out / "partition.csv"),
                            "shape": list(labels.shape)}))
     return 0
@@ -113,13 +113,9 @@ def cmd_r1_filter(args) -> int:
     out = _outdir(args)
     grid = _grid(args.grid)
     surfaces = (sweep_surfaces(grid, baseline_params(float(d))) for d in d_values)
-    result = r1_filter(surfaces, args.delta)
-    payload = {
-        "delta": result.delta,
-        "d_values": list(result.d_values),
-        "bounding_box": list(result.bounding_box),
-        "n_points": int(len(result.points)),
-    }
+    points, box = r1_filter(surfaces, args.delta)
+    payload = {"delta": args.delta, "d_values": d_values, "bounding_box": list(box),
+               "n_points": len(points)}
     artifacts.write_json(out / "r1_filter.json", payload)
     print(artifacts.dumps(payload))
     return 0
@@ -197,10 +193,11 @@ def cmd_aux_domain(args) -> int:
     out = _outdir(args)
     report = auxmap.iterate_updates(args.case, d=args.d, n_updates=args.updates,
                                     table=load_table(args.table))
-    artifacts.write_aux_report(out / "aux_report.json", report)
+    payload = artifacts.aux_report_payload(report)
+    artifacts.write_json(out / "aux_report.json", payload)
     artifacts.write_widths_csv(out / "widths.csv", report)
-    print(artifacts.dumps(artifacts.aux_report_payload(report)["boxes"][-1]
-                          | {"statement": report.statement_case, "escaped": report.escaped}))
+    print(artifacts.dumps(payload["boxes"][-1] | {"statement": payload["statement"],
+                                                 "escaped": payload["escaped"]}))
     return 0
 
 
@@ -228,82 +225,71 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="vibro-impact pair return-map toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--d", type=float, default=0.35, help="dimensionless length")
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--out", help=f"output directory (default $" + DEFAULT_OUT_ENV + " or runs/)")
+    def command(name, func, help, *, params=False, table=False, grid=None):
+        """A subcommand with --out and, on request, --d/--config, --table and --grid."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--out", help=f"output directory (default ${DEFAULT_OUT_ENV} or runs/)")
+        if params:
+            p.add_argument("--d", type=float, default=0.35, help="dimensionless length")
+            p.add_argument("--config", help="JSON run configuration")
+        if table:
+            p.add_argument("--table", default="calibrated")
+        if grid:
+            p.add_argument("--grid", default=grid)
+        return p
 
-    p = sub.add_parser("sweep", help="sweep the first-return surfaces on a grid")
-    common(p)
-    p.add_argument("--grid", default="200x200")
+    p = command("sweep", cmd_sweep, "sweep the first-return surfaces on a grid",
+                params=True, grid="200x200")
     p.add_argument("--v-max", type=float, default=1.0)
     p.add_argument("--phi-max", type=float, default=float(np.pi))
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("partition", help="class-label raster of a sweep")
-    common(p)
-    p.add_argument("--grid", default="200x200")
-    p.set_defaults(func=cmd_partition)
+    command("partition", cmd_partition, "class-label raster of a sweep",
+            params=True, grid="200x200")
 
-    p = sub.add_parser("r1-filter", help="diagonal-proximity filter over a d range")
+    p = command("r1-filter", cmd_r1_filter, "diagonal-proximity filter over a d range",
+                grid="100x100")
     p.add_argument("--d-from", type=float, default=0.26)
     p.add_argument("--d-to", type=float, default=0.35)
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--delta", type=float, default=R1_DELTA)
-    p.add_argument("--grid", default="100x100")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_r1_filter)
 
     # the separable regions R2/R4/R5 need representative curves; `calibrate`
     # refits them
-    p = sub.add_parser("fit", help="refit region R1 or R3 from a sweep")
-    common(p)
+    p = command("fit", cmd_fit, "refit region R1 or R3 from a sweep",
+                params=True, grid="200x200")
     p.add_argument("--region", default="R1", choices=[Region.R1.value, Region.R3.value])
     p.add_argument("--delta", type=float, default=R1_DELTA,
                    help="R1 diagonal-proximity ratio")
-    p.add_argument("--grid", default="200x200")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("composite", help="iterate the composite map")
-    common(p)
+    p = command("composite", cmd_composite, "iterate the composite map",
+                params=True, table=True)
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--phi0", type=float, required=True)
     p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--table", default="calibrated")
-    p.set_defaults(func=cmd_composite)
 
-    p = sub.add_parser("bifurcation", help="continuation bifurcation scan")
+    p = command("bifurcation", cmd_bifurcation, "continuation bifurcation scan", table=True)
     p.add_argument("--kind", choices=["exact", "composite"], default="exact")
     p.add_argument("--d-from", type=float, default=0.36)
     p.add_argument("--d-to", type=float, default=0.25)
     p.add_argument("--step", type=float, default=0.001)
-    p.add_argument("--table", default="calibrated")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bifurcation)
 
-    p = sub.add_parser("compare", help="exact vs composite trajectories")
-    common(p)
+    p = command("compare", cmd_compare, "exact vs composite trajectories",
+                params=True, table=True)
     p.add_argument("--v0", type=float, default=0.2)
     p.add_argument("--phi0", type=float, default=0.1)
-    p.add_argument("--table", default="calibrated")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("aux-domain", help="auxiliary-map attracting-domain updates")
+    p = command("aux-domain", cmd_aux_domain, "auxiliary-map attracting-domain updates",
+                table=True)
     p.add_argument("--case", choices=list(auxmap.CASES), required=True)
     p.add_argument("--d", type=float)
     p.add_argument("--updates", type=int)
-    p.add_argument("--table", default="calibrated")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_aux_domain)
 
-    p = sub.add_parser("case", help="full preset: trajectory + aux domain + reports")
+    p = command("case", cmd_case, "full preset: trajectory + aux domain + reports", table=True)
     p.add_argument("--name", choices=list(auxmap.CASES), required=True)
-    p.add_argument("--table", default="calibrated")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_case)
 
     p = sub.add_parser("calibrate", help="regenerate the coefficient table from the exact map")
-    p.add_argument("--out")
+    p.add_argument("--out", help="output file (default calibrated_coefficients.json)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_calibrate)
 

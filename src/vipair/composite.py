@@ -252,13 +252,6 @@ class CoeffTable:
         lo, hi = self.d_range
         return lo - 1e-9 <= d <= hi + 1e-9  # scan grids accumulate float noise
 
-    def _check_d(self, d: float):
-        if not self.covers(d):
-            lo, hi = self.d_range
-            warnings.warn(f"d={d} outside the calibrated range [{lo}, {hi}]; "
-                          "extrapolating the coefficient polynomials",
-                          ExtrapolationWarning, stacklevel=3)
-
     def coeffs_for(self, region: Region, d: float) -> dict:
         """Evaluate the d-polynomials of one region; {'v': map, 'phi': map}."""
         if not d > 0:
@@ -266,7 +259,11 @@ class CoeffTable:
         if region not in self.entries:
             raise CoeffTableError(f"coefficient table {self.name!r} has no "
                                   f"{region.value} maps")
-        self._check_d(d)
+        if not self.covers(d):
+            lo, hi = self.d_range
+            warnings.warn(f"d={d} outside the calibrated range [{lo}, {hi}]; "
+                          "extrapolating the coefficient polynomials",
+                          ExtrapolationWarning, stacklevel=2)
         out = {}
         for tname, terms in self.entries[region].items():
             exps = tuple(exp for exp, _ in terms)

@@ -162,16 +162,6 @@ def partition_by_class(surface: SurfaceData) -> np.ndarray:
     return labels.reshape(surface.grid.n_v, surface.grid.n_phi)
 
 
-@dataclass(frozen=True)
-class R1FilterResult:
-    """Union of diagonal-proximate BTB states over a set of d values."""
-
-    points: np.ndarray           # columns d, v, phi
-    bounding_box: tuple[float, float, float, float]
-    delta: float
-    d_values: tuple[float, ...]
-
-
 class EmptyFilterResult(UserWarning):
     pass
 
@@ -193,22 +183,22 @@ def near_diagonal(v_in, phi_in, v_out, phi_out, delta: float) -> np.ndarray:
     return (rv > 1 / delta) & (rv < delta) & (rp > 1 / delta) & (rp < delta)
 
 
-def r1_filter(surfaces, delta: float) -> R1FilterResult:
+def r1_filter(surfaces, delta: float) -> tuple[np.ndarray, tuple]:
     """Diagonal-proximity filter defining region R1.
 
     Keeps BTB samples whose input/output ratios satisfy
     1/delta < |phi_out/phi_in| < delta and 1/delta < |v_out/v_in| < delta,
     unioned over the surfaces (any iterable, so a generator holds one sweep
-    at a time); returns the point set and its axis-aligned bounding box.  A
+    at a time).  Returns (points, box): the kept states as rows (d, v, phi)
+    and their axis-aligned bounding box (v_min, v_max, phi_min, phi_max).  A
     filter that keeps no point (any delta <= 1 does) warns EmptyFilterResult
     and has a NaN box.
     """
-    rows, d_values = [], []
+    rows = []
     for surface in surfaces:
         vk, pk, vn, pn = surface.class_samples(ReturnClass.BTB)
         keep = near_diagonal(vk, pk, vn, pn, delta)
         rows.append(np.column_stack([np.full(keep.sum(), surface.d), vk[keep], pk[keep]]))
-        d_values.append(surface.d)
     points = np.concatenate(rows) if rows else np.empty((0, 3))
     if not len(points):
         warnings.warn(f"R1 filter with delta={delta} kept no points",
@@ -217,5 +207,4 @@ def r1_filter(surfaces, delta: float) -> R1FilterResult:
     else:
         box = (points[:, 1].min(), points[:, 1].max(),
                points[:, 2].min(), points[:, 2].max())
-    return R1FilterResult(points=points, bounding_box=box, delta=delta,
-                          d_values=tuple(d_values))
+    return points, box

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vipair.artifacts import write_surface_csv
-from vipair.cli import run_command
+from vipair.cli import build_parser, run_command
 from vipair.composite import _data_path, table_checksum
 from vipair.config import ConfigError, load_config, parse_config
 from vipair.core import baseline_params
@@ -258,6 +258,7 @@ _REFUSAL_ERRORS = {"more than 100000 steps": "ValueError",
     (["composite", "--v0", "0.2", "--phi0", "0.1", "--table", "/x/missing.json"],
      _MISSING_TABLE),
 ])
+@pytest.mark.filterwarnings("error::vipair.composite.ExtrapolationWarning")
 def test_cli_rejects_empty_ranges_with_error_json(tmp_path, capsys, argv, message):
     assert run_command(argv + ["--out", str(tmp_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
@@ -265,6 +266,40 @@ def test_cli_rejects_empty_ranges_with_error_json(tmp_path, capsys, argv, messag
     err = json.loads(lines[0])
     assert err["error"] == _REFUSAL_ERRORS.get(message, "ConfigError")
     assert message in err["message"]
+
+
+# Every subcommand's options as dest -> (default, required)
+_SUBCOMMAND_OPTIONS = {
+    "sweep": {"out": (None, False), "d": (0.35, False), "config": (None, False),
+              "grid": ("200x200", False), "v_max": (1.0, False), "phi_max": (math.pi, False)},
+    "partition": {"out": (None, False), "d": (0.35, False), "config": (None, False),
+                  "grid": ("200x200", False)},
+    "r1-filter": {"out": (None, False), "grid": ("100x100", False), "d_from": (0.26, False),
+                  "d_to": (0.35, False), "step": (0.01, False), "delta": (1.2, False)},
+    "fit": {"out": (None, False), "d": (0.35, False), "config": (None, False),
+            "grid": ("200x200", False), "region": ("R1", False), "delta": (1.2, False)},
+    "composite": {"out": (None, False), "d": (0.35, False), "config": (None, False),
+                  "table": ("calibrated", False), "v0": (None, True), "phi0": (None, True),
+                  "steps": (4, False)},
+    "bifurcation": {"out": (None, False), "table": ("calibrated", False),
+                    "kind": ("exact", False), "d_from": (0.36, False),
+                    "d_to": (0.25, False), "step": (0.001, False)},
+    "compare": {"out": (None, False), "d": (0.35, False), "config": (None, False),
+                "table": ("calibrated", False), "v0": (0.2, False), "phi0": (0.1, False)},
+    "aux-domain": {"out": (None, False), "table": ("calibrated", False),
+                   "case": (None, True), "d": (None, False), "updates": (None, False)},
+    "case": {"out": (None, False), "table": ("calibrated", False), "name": (None, True)},
+    "calibrate": {"out": (None, False), "verbose": (False, False)},
+}
+
+
+def test_subcommand_options_keep_their_defaults():
+    parser = build_parser()
+    subcommands = parser._subparsers._group_actions[0].choices
+    assert set(subcommands) == set(_SUBCOMMAND_OPTIONS)
+    for name, sub in subcommands.items():
+        options = {a.dest: (a.default, a.required) for a in sub._actions if a.dest != "help"}
+        assert options == _SUBCOMMAND_OPTIONS[name], name
 
 
 _BASELINE_PHYSICAL = {"capsule_mass": 0.1245, "capsule_length": 0.5622,

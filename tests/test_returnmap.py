@@ -188,10 +188,10 @@ def test_partition_raster(params35):
 def test_r1_filter_monotone_in_delta(params35):
     grid = GridSpec(n_v=30, n_phi=30)
     surf = sweep_surfaces(grid, params35)
-    small = r1_filter([surf], 1.2)
-    big = r1_filter([surf], 1.4)
-    pts_small = {tuple(row) for row in small.points}
-    pts_big = {tuple(row) for row in big.points}
+    small, _ = r1_filter([surf], 1.2)
+    big, _ = r1_filter([surf], 1.4)
+    pts_small = {tuple(row) for row in small}
+    pts_big = {tuple(row) for row in big}
     assert pts_small
     assert pts_small < pts_big
 
@@ -200,8 +200,9 @@ def test_r1_filter_delta_one_empty(params35):
     grid = GridSpec(n_v=10, n_phi=10)
     surf = sweep_surfaces(grid, params35)
     with pytest.warns(EmptyFilterResult) as record:
-        res = r1_filter([surf], 1.0)
-    assert len(res.points) == 0
+        points, box = r1_filter([surf], 1.0)
+    assert len(points) == 0
+    assert np.isnan(box).all()
     assert len(record) == 1
 
 
@@ -209,8 +210,8 @@ def test_r1_filter_bounding_box(params35):
     # union over the d range pins the region near the published rectangle
     d_values = [round(d, 2) for d in np.arange(0.26, 0.351, 0.01)]
     grid = GridSpec(n_v=40, n_phi=40)
-    res = r1_filter((sweep_surfaces(grid, params35.replace(length=d)) for d in d_values), 1.2)
-    lo_v, hi_v, lo_p, hi_p = res.bounding_box
+    _, box = r1_filter((sweep_surfaces(grid, params35.replace(length=d)) for d in d_values), 1.2)
+    lo_v, hi_v, lo_p, hi_p = box
     assert lo_v == pytest.approx(0.63, abs=0.05)
     assert hi_v == pytest.approx(0.94, abs=0.05)
     assert lo_p == pytest.approx(0.15, abs=0.05)
