@@ -11,6 +11,7 @@ import numpy as np
 from . import auxmap
 from .composite import (TAIL_FRACTION, AttractorClass, CoeffTable, CoeffTableError,
                         CompositeMap, ExtrapolationWarning, detect_attractor, load_table)
+from .config import ConfigError
 from .core import NondimParams, baseline_params
 from .returnmap import ReturnClass, _sweep_points
 
@@ -30,7 +31,7 @@ class BifurcationSample:
     d: float
     tail_v: np.ndarray
     tail_phi: np.ndarray
-    classification: AttractorClass | None   # None marks a gap (OTHER tail)
+    classification: AttractorClass | None   # None marks a gap
 
 
 def _iterate_exact(v0: float, phi0: float, p: NondimParams, n_steps: int):
@@ -45,63 +46,62 @@ def _iterate_exact(v0: float, phi0: float, p: NondimParams, n_steps: int):
     return v, phi, True
 
 
-def check_d_steps(span: float, step: float) -> None:
-    """Refuse a d range of more than MAX_D_STEPS steps (an infinite count too)."""
+def d_values(d_from: float, d_to: float, step: float) -> list[float]:
+    """The d values from d_from towards d_to, either way, in steps of step; the
+    last never passes d_to.  Refuses a step <= 0 and more than MAX_D_STEPS steps."""
+    if not step > 0:
+        raise ConfigError(f"step must be positive, got {step}")
+    span = abs(d_to - d_from)
     if not span / step <= MAX_D_STEPS:
         raise ValueError(f"a d range of {span} in steps of {step} takes more than "
                          f"{MAX_D_STEPS} steps")
+    direction = 1.0 if d_to >= d_from else -1.0
+    return [d_from + direction * i * step for i in range(int((span + 1e-9) / step) + 1)]
 
 
 def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
                      table: CoeffTable | None = None) -> list[BifurcationSample]:
-    """Continuation scan of the exact or composite map over a d range; the
-    exact map runs at baseline_params(d).
+    """Continuation scan of the exact or composite map over d_values(d_from,
+    d_to, step); the exact map runs at baseline_params(d).
 
-    The attracting state at each d seeds the next one; OTHER-classified
-    tails are recorded as gaps and the seed falls back to the default.
+    The attracting state at each d seeds the next one; a tail that
+    detect_attractor cannot judge (an OTHER return, a diverged orbit) is
+    recorded as a gap and the seed falls back to the default.
     """
     if kind not in ("exact", "composite"):
         raise ValueError(f"kind must be 'exact' or 'composite', got {kind!r}")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    check_d_steps(abs(d_to - d_from), step)
-    if kind == "composite" and table is None:
-        table = load_table()
-
-    n_d = int(round(abs(d_to - d_from) / step)) + 1
-    direction = 1.0 if d_to >= d_from else -1.0
-    ds = [d_from + direction * i * step for i in range(n_d)]
-    if kind == "composite":
+    ds = d_values(d_from, d_to, step)
+    if kind == "exact":
+        params = [baseline_params(d) for d in ds]    # refuses d <= 0 before any run
+    else:
+        table = table if table is not None else load_table()
         bad = [d for d in ds if not d > 0]    # as coeffs_for would, before any warning
         if bad:
             raise CoeffTableError(f"d must be positive, got {bad[0]}")
         outside = sum(not table.covers(d) for d in ds)
         if outside:
             lo, hi = table.d_range
-            warnings.warn(f"{outside} of {n_d} d values outside the calibrated range "
+            warnings.warn(f"{outside} of {len(ds)} d values outside the calibrated range "
                           f"[{lo}, {hi}]; extrapolating the coefficient polynomials",
                           ExtrapolationWarning, stacklevel=2)
     samples: list[BifurcationSample] = []
     state = DEFAULT_SEED_STATE
     with warnings.catch_warnings():  # counted once above, not once per map
         warnings.simplefilter("ignore", ExtrapolationWarning)
-        for d in ds:
+        for i, d in enumerate(ds):
             if kind == "exact":
-                v, phi, ok = _iterate_exact(state[0], state[1], baseline_params(d),
-                                            SCAN_STEPS)
+                v, phi, ok = _iterate_exact(*state, params[i], SCAN_STEPS)
             else:
-                v, phi, _ = CompositeMap(table=table, d=d).iterate(state[0], state[1],
-                                                                    SCAN_STEPS)
-                ok = np.isfinite(v).all() and np.isfinite(phi).all()
-            if not ok or len(v) <= SCAN_DISCARD:
+                v, phi, _ = CompositeMap(table=table, d=d).iterate(*state, SCAN_STEPS)
+                ok = True
+            cls = detect_attractor(v, phi) if ok else None
+            if cls is None:
                 samples.append(BifurcationSample(d=d, tail_v=np.empty(0),
                                                  tail_phi=np.empty(0), classification=None))
                 state = DEFAULT_SEED_STATE
                 continue
-            tail_v, tail_phi = v[SCAN_DISCARD:], phi[SCAN_DISCARD:]
-            cls = detect_attractor(v, phi)
-            samples.append(BifurcationSample(d=d, tail_v=tail_v, tail_phi=tail_phi,
-                                             classification=cls))
+            samples.append(BifurcationSample(d=d, tail_v=v[SCAN_DISCARD:],
+                                             tail_phi=phi[SCAN_DISCARD:], classification=cls))
             state = (float(v[-1]), float(phi[-1]))
     return samples
 
@@ -175,7 +175,7 @@ class CaseResult:
     trajectory_v: np.ndarray
     trajectory_phi: np.ndarray
     trajectory_regions: np.ndarray
-    classification: AttractorClass
+    classification: AttractorClass | None   # None for a diverged trajectory
     aux_report: auxmap.UpdateReport
 
 

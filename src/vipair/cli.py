@@ -103,16 +103,12 @@ def cmd_partition(args) -> int:
 
 
 def cmd_r1_filter(args) -> int:
-    if args.step <= 0:
-        raise ConfigError(f"step must be positive, got {args.step}")
-    stop = args.d_to + 1e-9
-    analysis.check_d_steps(stop - args.d_from, args.step)
-    d_values = [round(d, 6) for d in np.arange(args.d_from, stop, args.step)]
-    if not d_values:
+    if args.d_from > args.d_to + 1e-9:
         raise ConfigError(f"no d values from {args.d_from} up to {args.d_to}")
+    d_values = [round(d, 6) for d in analysis.d_values(args.d_from, args.d_to, args.step)]
     out = _outdir(args)
     grid = _grid(args.grid)
-    surfaces = (sweep_surfaces(grid, baseline_params(float(d))) for d in d_values)
+    surfaces = (sweep_surfaces(grid, baseline_params(d)) for d in d_values)
     points, box = r1_filter(surfaces, args.delta)
     payload = {"delta": args.delta, "d_values": d_values, "bounding_box": list(box),
                "n_points": len(points)}
@@ -205,17 +201,15 @@ def cmd_case(args) -> int:
     out = _outdir(args)
     result = analysis.run_case_preset(args.name, table=load_table(args.table))
     written = artifacts.write_case_result(out, result)
-    print(artifacts.dumps({"case": args.name,
-                           "classification": str(result.classification),
+    cls = result.classification
+    print(artifacts.dumps({"case": args.name, "classification": str(cls) if cls else None,
                            "written": [str(p) for p in written]}))
     return 0
 
 
 def cmd_calibrate(args) -> int:
     table = build_calibrated_table(log=print if args.verbose else None)
-    path = Path(args.out or "calibrated_coefficients.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(artifacts.dumps(table.to_dict(), indent=1))
+    path = artifacts.write_json(args.out or "calibrated_coefficients.json", table.to_dict())
     print(artifacts.dumps({"written": str(path)}))
     return 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -160,6 +161,11 @@ class CoeffTableError(ValueError):
     pass
 
 
+def _is_number(x) -> bool:
+    """Whether x is a finite int or float (a bool is neither)."""
+    return type(x) in (int, float) and math.isfinite(x)
+
+
 def _region_terms(region: Region, targets) -> dict:
     """{target: [(exponent pair, d-polynomial)]} of one region's table entry,
     checked against REGION_SHAPES; a ValueError names the first fault."""
@@ -182,10 +188,9 @@ def _region_terms(region: Region, targets) -> dict:
                     and 0 <= exps[0] <= max_i and 0 <= exps[1] <= max_j):
                 raise ValueError(f"{tname}-map exponents {exps} do not fit its shape "
                                  f"(phi power <= {max_i}, v power <= {max_j})")
-            if not (isinstance(poly, list) and poly
-                    and all(type(c) in (int, float) for c in poly)):
+            if not (isinstance(poly, list) and poly and all(map(_is_number, poly))):
                 raise ValueError(f"{tname}-map d_poly {poly} is not a nonempty list "
-                                 "of numbers")
+                                 "of finite numbers")
             entries[tname].append((tuple(exps), np.asarray(poly, dtype=float)))
     return entries
 
@@ -230,8 +235,21 @@ class CoeffTable:
             except ValueError as err:
                 raise CoeffTableError(f"coefficient table {payload['name']!r}: "
                                       f"{rname} {err}") from None
-        return cls(name=payload["name"], d_range=tuple(payload["d_range"]),
-                   entries=entries, metadata=payload.get("metadata", {}))
+        d_range, metadata = payload["d_range"], payload.get("metadata", {})
+        if not (isinstance(d_range, (list, tuple)) and len(d_range) == 2
+                and all(map(_is_number, d_range)) and d_range[0] < d_range[1]):
+            raise CoeffTableError(f"coefficient table {payload['name']!r}: 'd_range' must "
+                                  f"be two finite numbers lo < hi, got {d_range}")
+        if not isinstance(metadata, dict):
+            raise CoeffTableError(f"coefficient table {payload['name']!r}: 'metadata' "
+                                  "must be an object")
+        base = metadata.get("base_params")
+        if base and not (isinstance(base, dict)
+                         and all(_is_number(base.get(key)) for key in TABLE_PARAMS)):
+            raise CoeffTableError(f"coefficient table {payload['name']!r}: 'base_params' "
+                                  f"must give a number for each of {', '.join(TABLE_PARAMS)}")
+        return cls(name=payload["name"], d_range=tuple(d_range), entries=entries,
+                   metadata=metadata)
 
     def to_dict(self) -> dict:
         regions = {}
@@ -354,8 +372,9 @@ MAX_PERIOD = 16
 PERIOD_TOL = 1e-4
 
 
-def detect_attractor(v, phi) -> AttractorClass:
-    """Classify the tail of a trajectory as FP, PD(p) or CD.
+def detect_attractor(v, phi) -> AttractorClass | None:
+    """Classify the tail of a trajectory as FP, PD(p) or CD, or None when the
+    trajectory holds a non-finite state (it diverged).
 
     FP: the last TAIL_FRACTION of states repeat with period 1 within
     PERIOD_TOL (sup-norm over both coordinates); PD(p): smallest
@@ -365,6 +384,8 @@ def detect_attractor(v, phi) -> AttractorClass:
     phi = np.asarray(phi, dtype=float)
     if len(v) < 4 * MAX_PERIOD:
         raise InsufficientData(f"need at least {4 * MAX_PERIOD} states, got {len(v)}")
+    if not (np.isfinite(v).all() and np.isfinite(phi).all()):
+        return None
     n_tail = max(int(len(v) * TAIL_FRACTION), 2 * MAX_PERIOD)
     tv, tp = v[-n_tail:], phi[-n_tail:]
     for period in range(1, MAX_PERIOD + 1):

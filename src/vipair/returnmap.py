@@ -175,12 +175,14 @@ def near_diagonal(v_in, phi_in, v_out, phi_out, delta: float) -> np.ndarray:
     """Diagonal-proximity ratio test: 1/delta < |v_out/v_in| < delta and
     1/delta < |phi_out/phi_in| < delta.
 
-    A zero input makes its ratio inf or NaN, which fails the open interval.
+    A zero input makes its ratio inf or NaN, which fails the open interval;
+    delta = 0 makes 1/delta inf, so, like every delta <= 1, it keeps no point.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         rv = np.abs(v_out / v_in)
         rp = np.abs(phi_out / phi_in)
-    return (rv > 1 / delta) & (rv < delta) & (rp > 1 / delta) & (rp < delta)
+        lo = 1 / np.float64(delta)
+    return (rv > lo) & (rv < delta) & (rp > lo) & (rp < delta)
 
 
 def r1_filter(surfaces, delta: float) -> tuple[np.ndarray, tuple]:

@@ -6,6 +6,7 @@ import pytest
 from vipair.analysis import (
     bifurcation_scan,
     compare_exact_vs_composite,
+    d_values,
     first_period_doubling,
     hausdorff_distance,
     run_case_preset,
@@ -59,6 +60,21 @@ def test_scan_rejects_bad_arguments(table):
         bifurcation_scan("wrong", 0.3, 0.2, 0.01)
     with pytest.raises(ValueError):
         bifurcation_scan("composite", 0.3, 0.2, -0.01, table=table)
+
+
+def test_d_values_stop_at_d_to():
+    assert d_values(0.35, 0.35, 0.01) == [0.35]
+    assert d_values(0.30, 0.32, 0.01) == [0.30, 0.31, 0.32]
+    up = d_values(0.25, 0.36, 0.003)
+    assert len(up) == 37 and up[-1] == pytest.approx(0.358)
+
+
+def test_scan_stops_at_d_to(table):
+    # 0.11 is not a whole number of steps of 0.003: the last d stays above d_to
+    with pytest.warns(ExtrapolationWarning):
+        samples = bifurcation_scan("composite", 0.36, 0.25, 0.003, table=table)
+    assert len(samples) == 37
+    assert samples[-1].d == pytest.approx(0.252)
 
 
 def test_first_period_doubling_detection(table):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vipair import analysis
 from vipair.artifacts import write_surface_csv
 from vipair.cli import build_parser, run_command
 from vipair.composite import _data_path, table_checksum
@@ -172,6 +173,7 @@ def test_cli_malformed_config_is_machine_readable(tmp_path, capsys, payload, err
 
 
 _NOT_A_REGION = {"R9": {}}
+_SHIPPED = json.loads(_data_path("calibrated").read_text())
 
 
 @pytest.mark.parametrize("payload, error, message", [
@@ -180,7 +182,16 @@ _NOT_A_REGION = {"R9": {}}
     ({"name": "x", "d_range": [0.25, 0.36], "regions": _NOT_A_REGION,
       "checksum": table_checksum(_NOT_A_REGION)}, "CoeffTableError", "region names"),
     (None, "IsADirectoryError", "Is a directory"),
-], ids=["no-regions", "list", "unknown-region", "directory"])
+    (_SHIPPED | {"d_range": None}, "CoeffTableError", "'d_range'"),
+    (_SHIPPED | {"d_range": 5}, "CoeffTableError", "'d_range'"),
+    (_SHIPPED | {"d_range": ["a", "b"]}, "CoeffTableError", "'d_range'"),
+    (_SHIPPED | {"d_range": [0.35, 0.26]}, "CoeffTableError", "'d_range'"),
+    (_SHIPPED | {"metadata": []}, "CoeffTableError", "'metadata'"),
+    (_SHIPPED | {"metadata": {"base_params": {"restitution": 0.5}}}, "CoeffTableError",
+     "'base_params'"),
+], ids=["no-regions", "list", "unknown-region", "directory", "d-range-null",
+        "d-range-number", "d-range-strings", "d-range-descending", "metadata-list",
+        "base-params-partial"])
 def test_cli_malformed_table_is_machine_readable(tmp_path, capsys, payload, error, message):
     path = tmp_path / "table.json"
     _write_or_mkdir(path, None if payload is None else json.dumps(payload))
@@ -207,6 +218,8 @@ _OFF_SHAPE_EDITS = {
     "empty-d-poly": (lambda r: r["R2"]["v"]["terms"][0].update(d_poly=[]), "d_poly"),
     "d-poly-not-numbers": (lambda r: r["R2"]["v"]["terms"][0].update(d_poly={"a": 1}),
                            "d_poly"),
+    "d-poly-nan": (lambda r: r["R3"]["v"]["terms"][0]["d_poly"].__setitem__(0, math.nan),
+                   "d_poly"),
 }
 
 
@@ -354,7 +367,10 @@ def _strict_loads(text: str):
       "--d-to", "0.35"], "bounding_box"),
     # v0 = 0 is OTHER at the first return: the exact trajectory holds its start only
     (["compare", "--d", "0.35", "--v0", "0", "--phi0", "0.1"], "tail_distances"),
-], ids=["compare", "r1-filter", "compare-stopped-exact"])
+    # delta = 0 keeps no point either
+    (["r1-filter", "--delta", "0", "--grid", "10x10", "--d-from", "0.35",
+      "--d-to", "0.35"], "bounding_box"),
+], ids=["compare", "r1-filter", "compare-stopped-exact", "r1-filter-delta-0"])
 def test_cli_writes_non_finite_numbers_as_null(tmp_path, capsys, argv, key):
     assert run_command(argv + ["--out", str(tmp_path)]) == 0
     payload = _strict_loads(capsys.readouterr().out)
@@ -365,14 +381,74 @@ def test_cli_writes_non_finite_numbers_as_null(tmp_path, capsys, argv, key):
         _strict_loads(path.read_text())
 
 
-def test_cli_rank_deficient_fit_is_machine_readable(tmp_path, capsys):
-    # delta = 1 keeps no sample, so no coefficient is determined
-    rc = run_command(["fit", "--region", "R1", "--grid", "20x20", "--delta", "1.0",
+@pytest.mark.parametrize("delta", ["1.0", "0.0"])
+def test_cli_rank_deficient_fit_is_machine_readable(tmp_path, capsys, delta):
+    # delta <= 1 keeps no sample, so no coefficient is determined
+    rc = run_command(["fit", "--region", "R1", "--grid", "20x20", "--delta", delta,
                       "--out", str(tmp_path)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "RankDeficientFit"
     assert "coefficients" in err["message"]
+
+
+def test_cli_r1_filter_default_d_values(tmp_path, capsys):
+    assert run_command(["r1-filter", "--grid", "2x2", "--out", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["d_values"] == [0.26, 0.27, 0.28, 0.29, 0.3, 0.31, 0.32, 0.33, 0.34, 0.35]
+
+
+def test_cli_exact_scan_refuses_d_at_most_zero_before_any_run(tmp_path, capsys,
+                                                               monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exact map ran before the d range was checked")
+
+    monkeypatch.setattr(analysis, "_iterate_exact", refuse)
+    assert run_command(["bifurcation", "--d-from", "0.005", "--d-to", "0",
+                        "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "DegenerateParamsError",
+                   "message": "dimensionless length must be positive, got 0.0"}
+
+
+def test_cli_case_with_a_diverged_trajectory_has_no_class(tmp_path, capsys):
+    # the supplement table's FP trajectory from CASE_START ends in NaN states
+    assert run_command(["case", "--name", "FP", "--table", "supplement",
+                        "--out", str(tmp_path)]) == 0
+    assert _strict_loads(capsys.readouterr().out)["classification"] is None
+    last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1]
+    assert last.split(",")[1:3] == ["nan", "nan"]
+
+
+# Small runs of every subcommand that has a float option; each option is set
+# to 0 and to -1 on top of these
+_SMALL_RUNS = {
+    "sweep": ["--grid", "3x3"],
+    "partition": ["--grid", "3x3"],
+    "r1-filter": ["--grid", "3x3", "--d-from", "0.34", "--d-to", "0.35"],
+    "fit": ["--grid", "10x10"],
+    "composite": ["--v0", "0.2", "--phi0", "0.1", "--steps", "2"],
+    "bifurcation": ["--d-from", "0.35", "--d-to", "0.349", "--step", "0.001"],
+    "compare": [],
+    "aux-domain": ["--case", "FP", "--updates", "1"],
+}
+_FLOAT_OPTIONS = [
+    (name, action.option_strings[0])
+    for name, sub in build_parser()._subparsers._group_actions[0].choices.items()
+    for action in sub._actions if action.type is float]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("name, option", _FLOAT_OPTIONS,
+                         ids=[f"{n}{o}" for n, o in _FLOAT_OPTIONS])
+def test_cli_float_options_at_zero_and_below_never_crash(tmp_path, capsys, name, option,
+                                                          value):
+    rc = run_command([name, *_SMALL_RUNS[name], f"{option}={value}", "--out", str(tmp_path)])
+    assert rc in (0, 2)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == (rc == 2)
+    if lines:
+        assert set(json.loads(lines[0])) == {"error", "message"}
 
 
 def test_cli_fit_r3_ignores_r1_delta(tmp_path, capsys):

@@ -168,6 +168,17 @@ def test_detect_attractor_synthetic():
         detect_attractor(np.ones(10), np.ones(10))
 
 
+def test_detect_attractor_judges_no_diverged_orbit():
+    # a non-finite state anywhere, not only in the tail, leaves no class
+    v, phi = np.full(200, 0.7), np.full(200, 0.7)
+    phi[5] = np.nan
+    assert detect_attractor(v, phi) is None
+    v[-1] = np.inf
+    assert detect_attractor(v, np.full(200, 0.7)) is None
+    with pytest.raises(InsufficientData):
+        detect_attractor(np.full(10, np.nan), np.ones(10))
+
+
 def test_fit_region_r1_quality(surface35):
     fit = fit_region_maps(surface35, Region.R1, delta=1.2)
     assert fit["reports"]["v"].r_squared >= 0.999
