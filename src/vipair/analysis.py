@@ -48,7 +48,8 @@ def _iterate_exact(v0: float, phi0: float, p: NondimParams, n_steps: int):
 
 def d_values(d_from: float, d_to: float, step: float) -> list[float]:
     """The d values from d_from towards d_to, either way, in steps of step; the
-    last never passes d_to.  Refuses a step <= 0 and more than MAX_D_STEPS steps."""
+    last never passes d_to, as the rounding tolerance is a share of one step.
+    Refuses a step <= 0 and more than MAX_D_STEPS steps."""
     if not step > 0:
         raise ConfigError(f"step must be positive, got {step}")
     span = abs(d_to - d_from)
@@ -56,7 +57,7 @@ def d_values(d_from: float, d_to: float, step: float) -> list[float]:
         raise ValueError(f"a d range of {span} in steps of {step} takes more than "
                          f"{MAX_D_STEPS} steps")
     direction = 1.0 if d_to >= d_from else -1.0
-    return [d_from + direction * i * step for i in range(int((span + 1e-9) / step) + 1)]
+    return [d_from + direction * i * step for i in range(int(span / step + 1e-9) + 1)]
 
 
 def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
@@ -71,13 +72,13 @@ def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
     if kind not in ("exact", "composite"):
         raise ValueError(f"kind must be 'exact' or 'composite', got {kind!r}")
     ds = d_values(d_from, d_to, step)
+    lowest = min(ds[0], ds[-1])    # ds is monotone; d <= 0 is refused before any run
     if kind == "exact":
-        params = [baseline_params(d) for d in ds]    # refuses d <= 0 before any run
+        baseline_params(lowest)
     else:
         table = table if table is not None else load_table()
-        bad = [d for d in ds if not d > 0]    # as coeffs_for would, before any warning
-        if bad:
-            raise CoeffTableError(f"d must be positive, got {bad[0]}")
+        if not lowest > 0:    # as coeffs_for would, before any warning
+            raise CoeffTableError(f"d must be positive, got {lowest}")
         outside = sum(not table.covers(d) for d in ds)
         if outside:
             lo, hi = table.d_range
@@ -88,9 +89,9 @@ def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
     state = DEFAULT_SEED_STATE
     with warnings.catch_warnings():  # counted once above, not once per map
         warnings.simplefilter("ignore", ExtrapolationWarning)
-        for i, d in enumerate(ds):
+        for d in ds:
             if kind == "exact":
-                v, phi, ok = _iterate_exact(*state, params[i], SCAN_STEPS)
+                v, phi, ok = _iterate_exact(*state, baseline_params(d), SCAN_STEPS)
             else:
                 v, phi, _ = CompositeMap(table=table, d=d).iterate(*state, SCAN_STEPS)
                 ok = True

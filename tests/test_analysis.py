@@ -67,6 +67,11 @@ def test_d_values_stop_at_d_to():
     assert d_values(0.30, 0.32, 0.01) == [0.30, 0.31, 0.32]
     up = d_values(0.25, 0.36, 0.003)
     assert len(up) == 37 and up[-1] == pytest.approx(0.358)
+    # however fine the step, a zero span is one value and a wide one is refused
+    assert d_values(0.35, 0.35, 1e-20) == [0.35]
+    with pytest.raises(ValueError, match="more than 100000 steps"):
+        d_values(0.35, 0.35 + 1e-12, 1e-20)
+    assert len(d_values(0.35 - 1e-10, 0.35, 1e-14)) == 10001
 
 
 def test_scan_stops_at_d_to(table):
