@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import auxmap
+# load_table is not called here, but bench/tracing.py patches it on this module
 from .composite import (TAIL_FRACTION, AttractorClass, CoeffTable, CoeffTableError,
                         CompositeMap, ExtrapolationWarning, detect_attractor, load_table)
 from .config import ConfigError
@@ -63,7 +64,7 @@ def d_values(d_from: float, d_to: float, step: float) -> list[float]:
 def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
                      table: CoeffTable | None = None) -> list[BifurcationSample]:
     """Continuation scan of the exact or composite map over d_values(d_from,
-    d_to, step); the exact map runs at baseline_params(d).
+    d_to, step); the exact map runs at baseline_params(d), the composite on table.
 
     The attracting state at each d seeds the next one; a tail that
     detect_attractor cannot judge (an OTHER return, a diverged orbit) is
@@ -75,16 +76,15 @@ def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
     lowest = min(ds[0], ds[-1])    # ds is monotone; d <= 0 is refused before any run
     if kind == "exact":
         baseline_params(lowest)
-    else:
-        table = table if table is not None else load_table()
-        if not lowest > 0:    # as coeffs_for would, before any warning
-            raise CoeffTableError(f"d must be positive, got {lowest}")
-        outside = sum(not table.covers(d) for d in ds)
-        if outside:
-            lo, hi = table.d_range
-            warnings.warn(f"{outside} of {len(ds)} d values outside the calibrated range "
-                          f"[{lo}, {hi}]; extrapolating the coefficient polynomials",
-                          ExtrapolationWarning, stacklevel=2)
+    elif table is None:
+        raise ValueError("a composite scan needs a coefficient table")
+    elif not lowest > 0:    # as coeffs_for would, before any warning
+        raise CoeffTableError(f"d must be positive, got {lowest}")
+    elif outside := sum(not table.covers(d) for d in ds):
+        lo, hi = table.d_range
+        warnings.warn(f"{outside} of {len(ds)} d values outside the calibrated range "
+                      f"[{lo}, {hi}]; extrapolating the coefficient polynomials",
+                      ExtrapolationWarning, stacklevel=2)
     samples: list[BifurcationSample] = []
     state = DEFAULT_SEED_STATE
     with warnings.catch_warnings():  # counted once above, not once per map
@@ -146,14 +146,12 @@ class ComparisonRecord:
     tail_distance: float
 
 
-def compare_exact_vs_composite(initial_conditions, p: NondimParams,
-                               table: CoeffTable | None = None, *,
+def compare_exact_vs_composite(initial_conditions, p: NondimParams, table: CoeffTable, *,
                                n_steps: int = SCAN_STEPS) -> list[ComparisonRecord]:
     """Run both maps at p (the composite map at d = p.length) from shared
     initial conditions and measure the Hausdorff distance between their
     trajectory tails; NaN when the exact trajectory stops on an OTHER return
     before n_steps returns."""
-    table = table if table is not None else load_table()
     cmap = CompositeMap(table=table, d=p.length)
     records = []
     n_tail = max(int(n_steps * TAIL_FRACTION), 2)
@@ -180,10 +178,9 @@ class CaseResult:
     aux_report: auxmap.UpdateReport
 
 
-def run_case_preset(case: str, table: CoeffTable | None = None) -> CaseResult:
+def run_case_preset(case: str, table: CoeffTable) -> CaseResult:
     """Composite trajectory plus the full auxiliary-domain update report for
     one of the named cases (FP, PD, CD); the update report refuses any other."""
-    table = table if table is not None else load_table()
     report = auxmap.iterate_updates(case, table=table)
     v, phi, regions = CompositeMap(table=table, d=report.d).iterate(*CASE_START, SCAN_STEPS)
     cls = detect_attractor(v, phi)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# load_table is not called here, but bench/tracing.py patches it on this module
 from .composite import CoeffTable, Poly1D, Poly2D, Region, horner, load_table
 from .fitting import compose
 
@@ -254,9 +255,8 @@ class BoundCurves:
         return _envelope(self.g1(_stacked(lo, hi, roots, 2, phi.shape), phi), upper)
 
 
-def build_bound_curves(box: DomainBox, d: float, table: CoeffTable | None = None) -> BoundCurves:
+def build_bound_curves(box: DomainBox, d: float, table: CoeffTable) -> BoundCurves:
     """Bound curves of the region-1 maps on a box at dimensionless length d."""
-    table = table if table is not None else load_table()
     maps = table.coeffs_for(Region.R1, d)
     return BoundCurves(box=box, f1=maps["v"], g1=maps["phi"])
 
@@ -472,8 +472,8 @@ def _trust_region(case: str) -> DomainBox:
     return DomainBox(box.v_min - dv, box.v_max + dv, box.phi_min - dp, box.phi_max + dp)
 
 
-def iterate_updates(case: str, d: float | None = None, n_updates: int | None = None,
-                    table: CoeffTable | None = None) -> UpdateReport:
+def iterate_updates(case: str, d: float | None = None, n_updates: int | None = None, *,
+                    table: CoeffTable) -> UpdateReport:
     """Repeated bound-curve construction and WCS convergence for one case.
 
     Starts from the case's enlarged region-1 box, rebuilds the curves on each
@@ -481,7 +481,6 @@ def iterate_updates(case: str, d: float | None = None, n_updates: int | None = N
     moves the box.  The final box's 2-cycle is extracted from the last curves.
     """
     current = r1_plus(case)
-    table = table if table is not None else load_table()
     case_d, case_updates, _ = CASES[case]
     d = case_d if d is None else d
     n_updates = case_updates if n_updates is None else n_updates

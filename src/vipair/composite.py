@@ -12,6 +12,9 @@ dimensionless length d (ascending powers); two sets ship with the package:
   in-repo fitting pipeline; the default for all dynamics.
 * ``supplement`` -- a verbatim transcription of the published tables, kept
   for reference and comparison.
+
+``load_table`` (the CLI's ``--table``) reads these names as the shipped files,
+whatever the working directory holds; any other string is a path.
 """
 
 from __future__ import annotations
@@ -305,10 +308,8 @@ def _data_path(name: str) -> Path:
 
 
 def load_table(name: str = "calibrated") -> CoeffTable:
-    """Load a shipped coefficient table (one of SHIPPED_TABLES) or a path."""
-    path = Path(name)
-    if not path.exists() and name in SHIPPED_TABLES:
-        path = _data_path(name)
+    """Load the shipped table of a name in SHIPPED_TABLES, else the table at a path."""
+    path = _data_path(name) if name in SHIPPED_TABLES else Path(name)
     if not path.exists():
         raise FileNotFoundError(f"no coefficient table at {name!r}; the shipped tables "
                                 f"are {', '.join(SHIPPED_TABLES)}")

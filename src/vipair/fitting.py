@@ -122,11 +122,12 @@ def cheb_to_monomial_matrix(degree: int, window: tuple[float, float]) -> np.ndar
     """Constant matrix T with monomial_coeffs = T @ cheb_coeffs on the window."""
     a, b = window
     offset, scale = 0.5 * (a + b), 0.5 * (b - a)
+    # T_k in powers of u by T_{k+1} = 2u T_k - T_{k-1}: small integers, exact in floats
+    series = [np.ones(1), np.array([0.0, 1.0])]
+    while len(series) <= degree:
+        series.append(np.append(0.0, 2.0 * series[-1]) - np.append(series[-2], (0.0, 0.0)))
     T = np.zeros((degree + 1, degree + 1))
-    for k in range(degree + 1):
-        unit = np.zeros(k + 1)
-        unit[k] = 1.0
-        power_u = np.polynomial.chebyshev.cheb2poly(unit)
+    for k, power_u in enumerate(series[: degree + 1]):
         coeffs = compose(power_u, [-offset / scale, 1.0 / scale])  # u = (x - offset)/scale
         T[: len(coeffs), k] = coeffs
     return T

@@ -58,6 +58,8 @@ def test_scan_determinism(table):
 def test_scan_rejects_bad_arguments(table):
     with pytest.raises(ValueError):
         bifurcation_scan("wrong", 0.3, 0.2, 0.01)
+    with pytest.raises(ValueError, match="needs a coefficient table"):
+        bifurcation_scan("composite", 0.35, 0.35, 0.01)
     with pytest.raises(ValueError):
         bifurcation_scan("composite", 0.3, 0.2, -0.01, table=table)
 

@@ -69,6 +69,29 @@ def test_cli_composite_table(tmp_path, capsys):
     assert (tmp_path / "composite_trajectory.csv").exists()
 
 
+def test_cli_table_is_a_shipped_name_or_else_a_path(tmp_path, monkeypatch, capsys):
+    """A shipped name reads the shipped table even where the working directory
+    holds a folder or a file of that name; any other string is a path."""
+    argv = ["composite", "--d", "0.35", "--v0", "0.2", "--phi0", "0.1", "--steps", "4"]
+
+    def stdout(*extra):
+        assert run_command(argv + list(extra)) == 0
+        return capsys.readouterr().out
+
+    shipped = stdout("--out", str(tmp_path / "shipped"))
+    supplement = stdout("--table", "supplement", "--out", str(tmp_path / "supplement"))
+    assert supplement != shipped
+    (tmp_path / "folder").mkdir()
+    monkeypatch.chdir(tmp_path / "folder")
+    assert stdout("--out", "calibrated") == shipped   # the run makes ./calibrated first
+    assert Path("calibrated", "composite_trajectory.csv").exists()
+    (tmp_path / "file").mkdir()
+    monkeypatch.chdir(tmp_path / "file")
+    Path("calibrated").write_text(_data_path("supplement").read_text())
+    assert stdout("--out", str(tmp_path / "out")) == shipped
+    assert stdout("--table", "./calibrated", "--out", str(tmp_path / "out")) == supplement
+
+
 def test_cli_sweep_row_count(tmp_path, capsys):
     rc = run_command(["sweep", "--d", "0.3", "--grid", "10x10", "--out", str(tmp_path)])
     assert rc == 0

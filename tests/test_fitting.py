@@ -96,6 +96,29 @@ def test_cheb_fit_report(rng):
     assert report.rmse < 1e-12
 
 
+def _cheb_to_monomial_by_cheb2poly(degree, window):
+    """cheb_to_monomial_matrix with T_k's power series from numpy's cheb2poly on
+    unit vectors: the reference that the recurrence must match bit for bit."""
+    offset, scale = 0.5 * (window[0] + window[1]), 0.5 * (window[1] - window[0])
+    T = np.zeros((degree + 1, degree + 1))
+    for k in range(degree + 1):
+        coeffs = compose(np.polynomial.chebyshev.cheb2poly(np.eye(k + 1)[k]),
+                         [-offset / scale, 1.0 / scale])
+        T[: len(coeffs), k] = coeffs
+    return T
+
+
+def test_cheb_matrix_matches_cheb2poly_bit_for_bit():
+    # the calibration recipe's six fit windows (R2, R4, R5 velocity and phase)
+    windows = [(0.50, 1.05), (0.02, np.pi), (0.005, 0.58), (1.05, 2.55),
+               (0.005, 0.50), (2.45, np.pi - 1e-3)]
+    for window in windows:
+        for degree in range(10):
+            got = cheb_to_monomial_matrix(degree, window)
+            want = _cheb_to_monomial_by_cheb2poly(degree, window)
+            assert got.tobytes() == want.tobytes(), (degree, window)
+
+
 def _compose_by_polynomial_module(outer, inner):
     """compose's Horner loop on numpy.polynomial's polyadd and polymul: the
     reference that compose must match bit for bit."""

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -43,6 +44,19 @@ REFERENCE_ORACLES = {
 def test_names_src_never_uses_are_the_reference_oracles():
     labels = [line.split()[-1] for line in _load("unused_params").unreferenced()]
     assert sorted(labels) == sorted(REFERENCE_ORACLES)
+
+
+def test_only_the_cli_picks_a_coefficient_table():
+    # every computation below the CLI takes its table as an argument
+    callers = set()
+    for path in sorted((ROOT / "src" / "vipair").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "load_table":
+                    callers.add(path.stem)
+    assert "cli" in callers and callers <= {"cli", "composite"}
 
 
 def test_digest_flags_non_strict_json(tmp_path):
