@@ -14,16 +14,17 @@ envelopes and the WCS ranges are exact closed forms: each extremum is the
 best of a short list of candidate points (box corners, edge critical points
 and interior critical points; Garloff 1986, Moore, Kearfott & Cloud 2009).
 They enclose the fitted polynomial maps up to floating-point rounding, not
-the exact dynamics.  The per-curve invariants (coefficient grid and interior
-critical points) are computed once per box; each WCS step builds its edge
-candidates in Python floats, with the operations of numpy.polynomial.
+the exact dynamics.  The per-map invariants (coefficient grid and interior
+critical points) do not depend on the box and are computed once per case;
+each WCS step builds its edge candidates in Python floats, with the
+operations of numpy.polynomial.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -170,7 +171,7 @@ def _rect_range(curve: _Curve, v_range, phi_range):
     Where A(v) = 0 an interior extremum extends along the whole line v = const
     and so also lies on a phi-edge.  Ties go to the earliest candidate, the
     corners first and the (v_min, phi_min) corner before all others.  The
-    candidates are built in Python floats and evaluated in one Poly2D call.
+    candidates are built and evaluated in Python floats (Poly2D.at_points).
     """
     (v0, v1), (p0, p1) = map(float, v_range), map(float, phi_range)
     # along phi = p0, p1: both ends, then the two edge critical points
@@ -184,7 +185,7 @@ def _rect_range(curve: _Curve, v_range, phi_range):
         if v0 <= v <= v1 and p0 <= phi <= p1:
             vs.append(v)
             ps.append(phi)
-    vals = curve.poly(np.array(vs), np.array(ps))
+    vals = np.array(curve.poly.at_points(vs, ps))
     lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
     return float(vals[lo]), float(vals[hi]), (vs[lo], ps[lo]), (vs[hi], ps[hi])
 
@@ -211,24 +212,30 @@ class BoundCurves:
     in phi), eta_U/eta_L those of g1 over the box's velocity interval at a
     given phi (g1 is cubic in v); each is the best of a few candidate points.
     crossing_detected records whether the phase-endpoint branches
-    f1(., phi_min) and f1(., phi_max) cross inside the v-interval.
+    f1(., phi_min) and f1(., phi_max) cross inside the v-interval.  The
+    per-map invariants (_Curve) do not depend on the box; ``on`` moves the
+    curves to another box and keeps them.
     """
 
     box: DomainBox
     f1: Poly2D
     g1: Poly2D
     crossing_detected: bool = field(init=False)
+    curves: InitVar[tuple[_Curve, _Curve] | None] = None   # the _Curves of f1 and g1
 
-    def __post_init__(self):
+    def __post_init__(self, curves):
         P = np.polynomial.polynomial
         box = self.box
-        self._f = _Curve(self.f1)
-        self._g = _Curve(self.g1)
+        self._f, self._g = curves or (_Curve(self.f1), _Curve(self.g1))
         gap = P.polysub(P.polyval(box.phi_min, self._f.grid),
                         P.polyval(box.phi_max, self._f.grid))
         real = P.polyroots(gap)
         real = real.real[real.imag == 0.0]
         self.crossing_detected = bool(np.any((real > box.v_min) & (real < box.v_max)))
+
+    def on(self, box: DomainBox) -> "BoundCurves":
+        """The bound curves of the same maps on another box."""
+        return BoundCurves(box, self.f1, self.g1, curves=(self._f, self._g))
 
     def xi_u(self, v):
         return self._xi(v, upper=True)
@@ -476,9 +483,11 @@ def iterate_updates(case: str, d: float | None = None, n_updates: int | None = N
                     table: CoeffTable) -> UpdateReport:
     """Repeated bound-curve construction and WCS convergence for one case.
 
-    Starts from the case's enlarged region-1 box, rebuilds the curves on each
+    Starts from the case's enlarged region-1 box, moves the curves to each
     converged box, and stops after n_updates or when an update no longer
-    moves the box.  The final box's 2-cycle is extracted from the last curves.
+    moves the box.  The region-1 maps and their _Curves are built once, by
+    the first build_bound_curves.  The final box's 2-cycle is extracted from
+    the last curves.
     """
     current = r1_plus(case)
     case_d, case_updates, _ = CASES[case]
@@ -492,7 +501,7 @@ def iterate_updates(case: str, d: float | None = None, n_updates: int | None = N
     curves = None
     trust = _trust_region(case)
     for _ in range(n_updates - 1):
-        curves = build_bound_curves(current, d, table)
+        curves = curves.on(current) if curves else build_bound_curves(current, d, table)
         crossing = crossing or curves.crossing_detected
         history = iterate_wcs(curves)
         new_box = DomainBox(*history.final.as_tuple())

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .composite import (R1_BOX, REGION_SHAPES, TABLE_PARAMS, CoeffTable, Poly2D, Region,
-                        region_of)
+from .composite import PI, R1_BOX, REGION_SHAPES, TABLE_PARAMS, CoeffTable, Poly2D, Region
 from .core import NondimParams, baseline_params
 from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_poly2d, fit_poly2d_scaled,
                       scaled_fit_2d, scaled_to_monomial_matrix_2d, design_matrix,
@@ -84,8 +83,23 @@ R3_TRIM_SIGMA = 3.0
 
 
 def _in_region(v, phi, region: Region) -> np.ndarray:
-    """Mask of the states (v, phi) that region_of dispatches to region."""
-    return np.array([region_of(a, b) == region for a, b in zip(v, phi)], dtype=bool)
+    """Mask of the states (v, phi) that region_of dispatches to region: its
+    if-chain as array comparisons, each branch taking what no earlier one
+    took (so NaN goes to R3, as there)."""
+    v, phi = np.asarray(v, dtype=float), np.asarray(phi, dtype=float)
+    above = v > 0.63 - 0.53 * phi
+    left = np.ones(np.broadcast(v, phi).shape, dtype=bool)   # not yet dispatched
+    for branch, test in (
+            (Region.RESET, (phi > PI) | (phi < 0.0)),
+            (Region.R1, (R1_BOX[0] <= v) & (v <= R1_BOX[1])
+             & (R1_BOX[2] <= phi) & (phi <= R1_BOX[3])),
+            (Region.R2, above & (v > 0.55)),
+            (Region.R4, above & (1.1 < phi) & (phi < 2.5) & (v < 0.55)),
+            (Region.R5, (2.5 < phi) & (phi < PI) & (v < 0.55))):
+        if branch == region:
+            return left & test
+        left &= ~test
+    return left
 
 
 def region_samples(surface, klass, region: Region):

@@ -2,15 +2,18 @@
 
 Every command writes CSV/JSON artifacts plus a gnuplot script where a
 figure-style output exists, and exits nonzero with a machine-readable error
-JSON on failure.
+JSON on failure.  Run as a program (``main``), it also prints each warning
+as one JSON line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +217,9 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="vipair",
                                      description="vibro-impact pair return-map toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -291,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for key, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -304,7 +308,15 @@ def run_command(argv=None) -> int:
         return 2
 
 
+def _show_warning(message, category, *_location):
+    """warnings.showwarning as one strict-JSON line on stderr that names the
+    warning class; the source location is left out."""
+    print(artifacts.dumps({"warning": category.__name__, "message": str(message)}),
+          file=sys.stderr)
+
+
 def main() -> None:
+    warnings.showwarning = _show_warning
     sys.exit(run_command())
 
 

@@ -71,39 +71,74 @@ def horner(coeffs, x):
     return out
 
 
-def _powers(x: np.ndarray, exponents, scalar: bool) -> dict:
-    """x**e for each distinct exponent e, by ndarray ``**``; Python floats
-    for a 0-d x, where x**0 = 1 and x**1 = x are taken as they are."""
-    if not scalar:
-        return {e: x**e for e in exponents}
-    f = float(x)
-    return {e: 1.0 if e == 0 else f if e == 1 else float(x**e) for e in exponents}
+def _power_row(x: float, top: int) -> list:
+    """[x**0, x**1, x**2, ..., x**top] (at least to x**2) in Python floats.
+
+    x**2 is x*x: ndarray ``**2`` is np.square, this one multiplication.  Each
+    x**e for e >= 3 is the np.power ufunc loop of ndarray ``**``, while Python
+    ``float ** e``, math.pow and ``np.float64 ** e`` round differently from it
+    on some inputs.
+    """
+    row = [1.0, x, x * x]
+    for e in range(3, top + 1):
+        row.append(float(np.power(x, e)))
+    return row
+
+
+def _power_rows(xs: list, top: int) -> list:
+    """_power_row of each float of xs, with one np.power call per power e >= 3
+    over all of them."""
+    cols = [[1.0] * len(xs), xs, [x * x for x in xs]]
+    if top >= 3:
+        arr = np.array(xs, dtype=float)
+        cols += [np.power(arr, e).tolist() for e in range(3, top + 1)]
+    return list(zip(*cols))
 
 
 @dataclass(frozen=True)
 class Poly2D:
     """Bivariate polynomial sum(c * phi^i * v^j) over fixed exponent pairs.
 
-    Each distinct power is taken once per call, with ndarray ``**`` for 0-d
-    and n-d input alike (a 0-d call takes x**0 = 1 and x**1 = x as they are).
-    One loop sums the terms in term order, in Python floats for a 0-d call and
-    elementwise for arrays, so a 0-d call equals the same point of an array
-    call bit for bit.  That rests on the powers: a 0-d ndarray ``**`` matches
-    the array loop, while Python ``float ** i`` and ``np.float64 ** i`` round
-    differently from it on some inputs for i >= 2.
+    Every evaluation sums the terms in term order, so a 0-d call, a call on
+    lists of points (``at_points``) and an n-d array call agree bit for bit at
+    every point.  The powers make it so (see _power_row): x**2 is one
+    multiplication and x**e for e >= 3 the np.power loop on every path.  0-d
+    calls and point lists run in Python floats over a term table built once
+    per instance; an n-d call takes ndarray ``**`` once per distinct power
+    and sums elementwise.
     """
 
     exponents: tuple[tuple[int, int], ...]
     coeffs: np.ndarray
 
+    def __post_init__(self):
+        # the (i, j, c) terms in Python ints and floats, and the top phi and v powers
+        terms = [(int(i), int(j), c) for (i, j), c in zip(self.exponents, self.coeffs.tolist())]
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_top", (max((i for i, _, _ in terms), default=0),
+                                          max((j for _, j, _ in terms), default=0)))
+
     def __call__(self, v, phi):
-        v = np.asarray(v, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        scalar = v.ndim == 0 and phi.ndim == 0
-        phi_pow = _powers(phi, {i for i, _ in self.exponents}, scalar)
-        v_pow = _powers(v, {j for _, j in self.exponents}, scalar)
+        if not (isinstance(v, float) and isinstance(phi, float)):   # np.float64 is a float
+            v, phi = np.asarray(v, dtype=float), np.asarray(phi, dtype=float)
+            if v.ndim or phi.ndim:
+                phi_pow = {i: phi**i for i in {i for i, _, _ in self._terms}}
+                v_pow = {j: v**j for j in {j for _, j, _ in self._terms}}
+                return self._term_sum(phi_pow, v_pow)
+        top_i, top_j = self._top
+        return self._term_sum(_power_row(float(phi), top_i), _power_row(float(v), top_j))
+
+    def at_points(self, vs: list, phis: list) -> list:
+        """Values at the points (vs[k], phis[k]) of two lists of floats, in
+        Python floats; each equals that point of the array call."""
+        top_i, top_j = self._top
+        return [self._term_sum(p, v)
+                for p, v in zip(_power_rows(phis, top_i), _power_rows(vs, top_j))]
+
+    def _term_sum(self, phi_pow, v_pow):
+        """sum(c * phi_pow[i] * v_pow[j]) in term order."""
         total = 0.0
-        for (i, j), c in zip(self.exponents, self.coeffs.tolist()):
+        for i, j, c in self._terms:
             total += c * phi_pow[i] * v_pow[j]
         return total
 

@@ -154,6 +154,40 @@ def test_iterate_updates_pd_cd_escape(table):
     assert cd.statement_case == STATEMENT_PART2
 
 
+def test_iterate_updates_builds_each_curve_once(table, monkeypatch):
+    """Every update's bound curves reuse the two _Curves of the case's
+    region-1 maps, and the report equals one whose curves are rebuilt on
+    every box."""
+    built = []
+
+    class Counted(_Curve):
+        def __init__(self, poly):
+            built.append(poly)
+            super().__init__(poly)
+
+    monkeypatch.setattr("vipair.auxmap._Curve", Counted)
+    report = iterate_updates("FP", table=table)
+    assert len(report.boxes) > 2
+    maps = table.coeffs_for(Region.R1, 0.35)
+    assert [p.coeffs.tolist() for p in built] == [maps["v"].coeffs.tolist(),
+                                                  maps["phi"].coeffs.tolist()]
+    monkeypatch.setattr(BoundCurves, "on", lambda self, box: BoundCurves(box, self.f1, self.g1))
+    rebuilt = iterate_updates("FP", table=table)
+    assert len(built) == 2 + 2 * (len(rebuilt.boxes) - 1)
+    assert rebuilt == report
+
+
+def test_nan_candidate_gives_nan_range_and_wcs_raises():
+    # 1e200 v^3 - 1e200 v^2 is inf - inf = NaN at the corner v = 1e60
+    f1 = _terms_poly2d({(0, 3): 1e200, (0, 2): -1e200})
+    curves = BoundCurves(DomainBox(0.0, 1e60, 0.0, 1.0), f1, _linear_poly2d(0.5, 0.0, 0.0))
+    lo, hi, arg_lo, arg_hi = _rect_range(curves._f, (0.0, 1e60), (0.0, 1.0))
+    assert np.isnan(lo) and np.isnan(hi)
+    assert arg_lo == arg_hi == (1e60, 0.0)       # the first NaN candidate
+    with pytest.raises(FloatingPointError):
+        iterate_wcs(curves)
+
+
 def test_second_iterate_composition(table, rng):
     composed, p_v, q_v, slope = second_iterate_v(
         build_bound_curves(DomainBox(0.6, 1.0, 0.2, PI / 3), 0.35, table), window=(0.6, 1.0))

@@ -2,6 +2,7 @@
 sweep per d that splits into the separate sweeps of its parts bit for bit;
 region 3's part, its own nodes, gives the whole grid's R3 samples."""
 
+import itertools
 import json
 from dataclasses import fields
 from importlib import resources
@@ -11,8 +12,9 @@ import pytest
 
 from vipair import calibration
 from vipair.calibration import (CURVE_POINTS, R1_GRID, R3_GRID, R3_POOL_D, SEPARABLE_RECIPE,
-                                _r3_nodes, _sweep_d, build_calibrated_table, region_samples)
-from vipair.composite import Region
+                                _in_region, _r3_nodes, _sweep_d, build_calibrated_table,
+                                region_samples)
+from vipair.composite import PI, R1_BOX, Region, region_of
 from vipair.core import baseline_params
 from vipair.returnmap import ReturnClass, _sweep_points, sweep_surfaces
 
@@ -81,3 +83,26 @@ def test_r3_sweep_of_its_region_nodes_gives_the_whole_grids_samples():
     whole = region_samples(sweep_surfaces(R3_GRID, p), ReturnClass.BB, Region.R3)
     for name, a, b in zip(("v_in", "phi_in", "v_out", "phi_out"), part, whole):
         _same_bytes(a, b, name)
+
+
+def _boundary_points():
+    """Every pair of the dispatch chain's edge values, points on the line
+    v = 0.63 - 0.53 phi, and NaN and +-inf in each coordinate."""
+    special = [np.nan, np.inf, -np.inf]
+    vs = [*R1_BOX[:2], 0.55, 0.63, 0.3, 0.0, -0.0, *special]
+    phis = [*R1_BOX[2:], 0.0, -0.0, 1.1, 2.5, PI, np.nextafter(PI, 4.0), *special]
+    v, phi = (np.array(x) for x in zip(*itertools.product(vs, phis)))
+    line = np.linspace(-0.5, 4.0, 451)
+    return np.concatenate([v, 0.63 - 0.53 * line]), np.concatenate([phi, line])
+
+
+def test_region_mask_equals_region_of():
+    rng = np.random.default_rng(5)
+    point_sets = {"R3_GRID": R3_GRID.points(),
+                  "seeded": (rng.uniform(-0.2, 1.2, 10_000), rng.uniform(-0.5, 3.7, 10_000)),
+                  "boundaries": _boundary_points()}
+    for name, (v, phi) in point_sets.items():
+        scalar = [region_of(a, b) for a, b in zip(v, phi)]
+        for region in Region:
+            expected = np.array([r == region for r in scalar], dtype=bool)
+            assert np.array_equal(_in_region(v, phi, region), expected), (name, region)

@@ -2,6 +2,9 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from vipair.cli import build_parser, run_command
 from vipair.composite import _data_path, table_checksum
 from vipair.config import ConfigError, load_config, parse_config
 from vipair.core import baseline_params
-from vipair.returnmap import GridSpec, ReturnClass, sweep_surfaces
+from vipair.returnmap import EmptyFilterResult, GridSpec, ReturnClass, sweep_surfaces
 
 
 def test_config_minimal_nondimensional(tmp_path):
@@ -473,6 +476,50 @@ def test_cli_float_options_at_zero_and_below_never_crash(tmp_path, capsys, name,
         # pytest records Python warnings, so stderr is checked on a refusal only
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+
+
+def test_parser_reuse_keeps_each_run_alone(tmp_path, capsys):
+    # one parser serves every run of a process; no run's options reach the next
+    runs = [["composite", "--v0", "0.2", "--phi0", "0.1", "--steps", "3"],
+            ["composite", "--v0", "0.2", "--phi0", "0.1"]]
+
+    def run(argv, out):
+        assert run_command(argv + ["--out", str(out)]) == 0
+        return capsys.readouterr().out, (out / "composite_trajectory.csv").read_bytes()
+
+    alone = []
+    for k, argv in enumerate(runs):
+        build_parser.cache_clear()
+        alone.append(run(argv, tmp_path / f"alone-{k}"))
+    together = [run(argv, tmp_path / f"together-{k}") for k, argv in enumerate(runs)]
+    assert together == alone
+    assert [len(out.splitlines()) for out, _ in alone] == [5, 6]   # header + steps + 1
+    assert build_parser() is build_parser()
+
+
+def _no_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_main_prints_warnings_as_json_lines(tmp_path, capsys):
+    argv = ["r1-filter", "--delta", "0", "--grid", "10x10", "--d-from", "0.35", "--d-to", "0.35"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-m", "vipair.cli", *argv,
+                          "--out", str(tmp_path / "main")],
+                         capture_output=True, text=True, env=os.environ | {"PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    lines = run.stderr.splitlines()
+    assert lines
+    for line in lines:
+        payload = json.loads(line, parse_constant=_no_constant)
+        assert set(payload) == {"warning", "message"}
+        assert payload["warning"] == "EmptyFilterResult"
+    # stdout and artifacts are those of an in-process run
+    with pytest.warns(EmptyFilterResult):
+        assert run_command(argv + ["--out", str(tmp_path / "in-process")]) == 0
+    assert run.stdout == capsys.readouterr().out
+    assert ((tmp_path / "main" / "r1_filter.json").read_bytes()
+            == (tmp_path / "in-process" / "r1_filter.json").read_bytes())
 
 
 def test_cli_fit_r3_ignores_r1_delta(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -228,31 +229,51 @@ def _term_loop(poly, v, phi):
     return out
 
 
-def test_scalar_call_equals_array_call(table):
-    # a 0-d call takes the Python-float path and must equal the array path
-    # bit for bit, for every region shape (R5's v-map carries |.|)
+def _same_floats(a, b) -> bool:
+    """Equal as floats, with -0.0 apart from 0.0 and any NaN equal to any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan], b[~nan])
+            and np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan])))
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 1e3, -1e3, 1e300, -1e300, 1e-300,
+                np.inf, -np.inf, np.nan]
+
+
+def test_scalar_call_equals_array_call(table, supplement):
+    # a 0-d call (Python float or np.float64) and a point-list call take the
+    # Python-float path and must equal the array path bit for bit, for every
+    # region shape (R5's v-map carries |.|), also where the values overflow
     rng = np.random.default_rng(77)
-    v = np.concatenate([rng.uniform(-0.5, 2.0, 300), [0.0, -0.0, 1.0, -1.0, 1e3]])
-    phi = np.concatenate([rng.uniform(-0.5, 3.5, 300), [0.0, -0.0, 1.0, 1e3, -1e3]])
-    for d in (0.26, 0.30, 0.35):
+    edge_v, edge_phi = (np.array(x) for x in zip(*itertools.product(_EDGE_VALUES, repeat=2)))
+    v = np.concatenate([rng.uniform(-0.5, 2.0, 300), edge_v])
+    phi = np.concatenate([rng.uniform(-0.5, 3.5, 300), edge_phi])
+    for tbl, d in itertools.product((table, supplement), (0.26, 0.30, 0.35)):
         for region in REGION_SHAPES:
-            for tname, fmap in table.coeffs_for(region, d).items():
-                if isinstance(fmap, Poly2D):
-                    array = fmap(v, phi)
-                    assert np.array_equal(array, _term_loop(fmap, v, phi))
-                    scalar = [fmap(a, b) for a, b in zip(v.tolist(), phi.tolist())]
-                    for k in (0, 7, 300):
-                        assert fmap(v[k], phi[k]) == fmap(np.array([v[k]]),
-                                                          np.array([phi[k]]))[0]
-                else:
-                    x = v if tname == "v" else phi
-                    array = fmap(x)
-                    old = np.polynomial.polynomial.polyval(x, fmap.coeffs)
-                    assert np.array_equal(array, np.abs(old) if fmap.absolute else old)
-                    scalar = [fmap(a) for a in x.tolist()]
-                    assert fmap(x[3]) == fmap(np.array([x[3]]))[0]
+            for tname, fmap in tbl.coeffs_for(region, d).items():
+                with np.errstate(all="ignore"):
+                    if isinstance(fmap, Poly2D):
+                        array = fmap(v, phi)
+                        assert _same_floats(array, _term_loop(fmap, v, phi))
+                        scalar = [fmap(a, b) for a, b in zip(v.tolist(), phi.tolist())]
+                        assert _same_floats([fmap(a, b) for a, b in zip(v, phi)], array)
+                        points = fmap.at_points(v.tolist(), phi.tolist())
+                        assert all(type(s) is float for s in points)
+                        assert _same_floats(points, array)
+                        for k in (0, 7, 300, -1):
+                            assert _same_floats(fmap(v[k], phi[k]),
+                                                fmap(np.array([v[k]]), np.array([phi[k]]))[0])
+                    else:
+                        x = v if tname == "v" else phi
+                        array = fmap(x)
+                        old = np.polynomial.polynomial.polyval(x, fmap.coeffs)
+                        assert _same_floats(array, np.abs(old) if fmap.absolute else old)
+                        scalar = [fmap(a) for a in x.tolist()]
+                        assert fmap(x[3]) == fmap(np.array([x[3]]))[0]
                 assert all(type(s) is float for s in scalar)
-                assert np.array_equal(np.array(scalar), array)
+                assert _same_floats(scalar, array)
     assert table.coeffs_for(Region.R5, 0.35)["v"].absolute
 
 

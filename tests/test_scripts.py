@@ -139,6 +139,14 @@ def test_leg_timing_runs_both_checkouts(monkeypatch):
     assert all(old > 0 and new > 0 and ratio > 0 for *_, old, new, ratio in rows)
 
 
+def test_map_timing_runs_both_checkouts(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    timing = _load("map_timing")
+    rows = timing.timing(ROOT, ROOT, calls={layer: 2 for layer in timing.CALLS}, reps=2)
+    assert [row[0] for row in rows] == list(timing.CALLS)
+    assert all(old > 0 and new > 0 and ratio > 0 for _, old, new, ratio in rows)
+
+
 def test_benchmark_hooks_resolve(monkeypatch):
     # the benchmark patches these names; resolving them patches nothing
     tracing = _load("tracing", ROOT / "bench")
