@@ -3,9 +3,11 @@
 
 Unpacks ``git archive REF`` into a temporary directory, runs each checkout's
 own ``scripts/artifact_digest.py`` (each on its own ``src/``), and prints the
-unified diff of the two outputs, then a one-line summary on stderr.  Exits 0
-when the digests agree and 1 on any difference or a failed digest run.  The
-working tree's side includes uncommitted edits.
+unified diff of the two outputs, then a summary on stderr: the digest line
+counts, and the ``src/vipair/*.py`` line counts of both checkouts (as
+``wc -l`` counts them), in total and per file.  Exits 0 when the digests agree
+and 1 on any difference or a failed digest run.  The working tree's side
+includes uncommitted edits.
 
 Run from the repository root:  python scripts/digest_diff.py REF
 """
@@ -45,18 +47,35 @@ def digest(checkout: Path) -> list[str]:
     return run.stdout.splitlines(keepends=True)
 
 
+def line_counts(checkout: Path) -> dict[str, int]:
+    """{file name: newline count} of checkout's src/vipair/*.py."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((checkout / "src" / "vipair").glob("*.py"))}
+
+
+def line_summary(ref: str, old: dict, new: dict) -> str:
+    """The total line counts of REF and of the working tree, then each file's,
+    one number where it did not change."""
+    files = [f"{name} {old.get(name, 0)}" if old.get(name) == new.get(name)
+             else f"{name} {old.get(name, 0)} -> {new.get(name, 0)}"
+             for name in sorted(old.keys() | new.keys())]
+    return (f"src/vipair/*.py lines, {ref} -> working tree: {sum(old.values())} -> "
+            f"{sum(new.values())} ({', '.join(files)})")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description="diff the artifact digest against REF")
     parser.add_argument("ref", help="git ref to compare with, e.g. HEAD~1")
     ref = parser.parse_args().ref
     with ref_checkout(ref) as checkout:
-        old = digest(checkout)
+        old, old_lines = digest(checkout), line_counts(checkout)
     new = digest(ROOT)
     diff = list(difflib.unified_diff(old, new, ref, "working tree"))
     sys.stdout.writelines(diff)
     changed = sum(line.startswith("+") for line in diff[2:])
     print(f"{ref}: {len(old)} lines, working tree: {len(new)} lines, "
           f"{changed} new or changed", file=sys.stderr)
+    print(line_summary(ref, old_lines, line_counts(ROOT)), file=sys.stderr)
     sys.exit(1 if diff else 0)
 
 

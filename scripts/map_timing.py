@@ -2,15 +2,19 @@
 """Time the composite-map layers of this checkout against the ones of a git ref.
 
 Loads both checkouts' ``src/vipair`` package into this one process, each under
-a name of its own, and times five layers on the shipped calibrated table at
+a name of its own, and times seven layers on the shipped calibrated table at
 d = 0.35:
 
 * ``poly-0d``: a 0-d call of the region-1 velocity map ``Poly2D``;
 * ``poly-list``: that map on a list of 10 candidate points (``Poly2D.at_points``
   where the checkout has it, else one array call, as ``_rect_range`` made it);
 * ``step``: ``CompositeMap.step`` on a region-1 state;
+* ``step-r3``: ``CompositeMap.step`` on (0.3, 0.5), a region-3 state, which
+  every dispatch rule is tried on;
 * ``bound-curves``: ``build_bound_curves`` on the FP case's box;
-* ``wcs``: ``iterate_wcs`` on the bound curves of the FP case's box.
+* ``wcs``: ``iterate_wcs`` on the bound curves of the FP case's box;
+* ``envelope``: ``second_iterate_phase`` on the bound curves of the FP case's
+  final box, the phase envelopes at 201 scan nodes and along the bisection.
 
 Each layer runs REPS pairs of passes in alternating order, each pass after one
 warm-up call.  Prints each checkout's median time per call and the median
@@ -35,7 +39,8 @@ from digest_diff import ROOT, ref_checkout
 
 D = 0.35
 REPS = 15
-CALLS = {"poly-0d": 4000, "poly-list": 2000, "step": 4000, "bound-curves": 100, "wcs": 20}
+CALLS = {"poly-0d": 4000, "poly-list": 2000, "step": 4000, "step-r3": 4000,
+         "bound-curves": 100, "wcs": 20, "envelope": 5}
 
 
 def load_package(checkout: Path):
@@ -67,10 +72,14 @@ def layers(checkout: Path) -> dict:
     cmap = composite.CompositeMap(table=table, d=D)
     box = auxmap.r1_plus("FP")
     curves = auxmap.build_bound_curves(box, D, table)
+    final = auxmap.iterate_updates("FP", D, table=table).boxes[-1]
+    final_curves = auxmap.build_bound_curves(final, D, table)
+    window = (final.phi_min - 0.05, final.phi_max + 0.05)
     return {"poly-0d": lambda: f1(0.8, 0.3), "poly-list": points,
-            "step": lambda: cmap.step(0.8, 0.3),
+            "step": lambda: cmap.step(0.8, 0.3), "step-r3": lambda: cmap.step(0.3, 0.5),
             "bound-curves": lambda: auxmap.build_bound_curves(box, D, table),
-            "wcs": lambda: auxmap.iterate_wcs(curves)}
+            "wcs": lambda: auxmap.iterate_wcs(curves),
+            "envelope": lambda: auxmap.second_iterate_phase(final_curves, window)}
 
 
 def seconds_per_call(call, n: int) -> float:

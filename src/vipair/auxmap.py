@@ -15,9 +15,10 @@ best of a short list of candidate points (box corners, edge critical points
 and interior critical points; Garloff 1986, Moore, Kearfott & Cloud 2009).
 They enclose the fitted polynomial maps up to floating-point rounding, not
 the exact dynamics.  The per-map invariants (coefficient grid and interior
-critical points) do not depend on the box and are computed once per case;
-each WCS step builds its edge candidates in Python floats, with the
-operations of numpy.polynomial.
+critical points) do not depend on the box and are computed once per case.
+Each WCS range and each envelope value is a list of candidate points, built
+in Python floats with the operations of numpy.polynomial and evaluated by
+Poly2D.at_points.
 """
 
 from __future__ import annotations
@@ -190,15 +191,11 @@ def _rect_range(curve: _Curve, v_range, phi_range):
     return float(vals[lo]), float(vals[hi]), (vs[lo], ps[lo]), (vs[hi], ps[hi])
 
 
-def _stacked(lo: float, hi: float, per_point, k: int, shape) -> np.ndarray:
-    """lo, hi and the k candidates of each point (a k-tuple per point, in C
-    order) stacked on axis 0 over the points' shape."""
-    extra = np.array(per_point, dtype=float).reshape(-1, k).T.reshape((k,) + shape)
-    return np.stack(np.broadcast_arrays(lo, hi, *extra))
-
-
-def _envelope(vals, upper: bool):
-    """Reduce stacked candidate values over axis 0; a float for a scalar."""
+def _envelope(vals: list, k: int, shape, upper: bool):
+    """Max (upper) or min over each point's k candidates; vals lists every
+    point's first candidate (points in C order over shape), then every point's
+    second, and so on.  A float for a scalar."""
+    vals = np.array(vals, dtype=float).reshape((k,) + shape)
     out = np.max(vals, axis=0) if upper else np.min(vals, axis=0)
     return float(out) if out.ndim == 0 else out
 
@@ -210,9 +207,9 @@ class BoundCurves:
     Exact closed-form envelopes of the polynomial maps: xi_U/xi_L are the
     extremes of f1 over the box's phase interval at a given v (f1 is quadratic
     in phi), eta_U/eta_L those of g1 over the box's velocity interval at a
-    given phi (g1 is cubic in v); each is the best of a few candidate points.
-    crossing_detected records whether the phase-endpoint branches
-    f1(., phi_min) and f1(., phi_max) cross inside the v-interval.  The
+    given phi (g1 is cubic in v); each is the best of a few candidate points,
+    the interval ends first.  crossing_detected records whether the
+    phase-endpoint branches (phase_branches) cross inside the v-interval.  The
     per-map invariants (_Curve) do not depend on the box; ``on`` moves the
     curves to another box and keeps them.
     """
@@ -224,14 +221,15 @@ class BoundCurves:
     curves: InitVar[tuple[_Curve, _Curve] | None] = None   # the _Curves of f1 and g1
 
     def __post_init__(self, curves):
-        P = np.polynomial.polynomial
-        box = self.box
         self._f, self._g = curves or (_Curve(self.f1), _Curve(self.g1))
-        gap = P.polysub(P.polyval(box.phi_min, self._f.grid),
-                        P.polyval(box.phi_max, self._f.grid))
-        real = P.polyroots(gap)
+        at_min, at_max = self.phase_branches()
+        real = np.polynomial.polynomial.polyroots(at_min.coeffs - at_max.coeffs)
         real = real.real[real.imag == 0.0]
-        self.crossing_detected = bool(np.any((real > box.v_min) & (real < box.v_max)))
+        self.crossing_detected = bool(np.any((real > self.box.v_min) & (real < self.box.v_max)))
+
+    def phase_branches(self) -> tuple[Poly1D, Poly1D]:
+        """f1(., phi_min) and f1(., phi_max), exact polynomials in v."""
+        return self.f1.partial_phi(self.box.phi_min), self.f1.partial_phi(self.box.phi_max)
 
     def on(self, box: DomainBox) -> "BoundCurves":
         """The bound curves of the same maps on another box."""
@@ -245,9 +243,10 @@ class BoundCurves:
 
     def _xi(self, v, upper: bool):
         v = np.asarray(v, dtype=float)
-        lo, hi = self.box.phi_min, self.box.phi_max
-        vertices = [(self._f.phi_vertex(x, lo, hi),) for x in v.ravel().tolist()]
-        return _envelope(self.f1(v, _stacked(lo, hi, vertices, 1, v.shape)), upper)
+        xs = v.ravel().tolist()
+        lo, hi = float(self.box.phi_min), float(self.box.phi_max)
+        ps = [lo] * len(xs) + [hi] * len(xs) + [self._f.phi_vertex(x, lo, hi) for x in xs]
+        return _envelope(self.f1.at_points(xs * 3, ps), 3, v.shape, upper)
 
     def eta_u(self, phi):
         return self._eta(phi, upper=True)
@@ -257,9 +256,11 @@ class BoundCurves:
 
     def _eta(self, phi, upper: bool):
         phi = np.asarray(phi, dtype=float)
-        lo, hi = self.box.v_min, self.box.v_max
-        roots = [self._g.v_roots(x, lo, hi) for x in phi.ravel().tolist()]
-        return _envelope(self.g1(_stacked(lo, hi, roots, 2, phi.shape), phi), upper)
+        xs = phi.ravel().tolist()
+        lo, hi = float(self.box.v_min), float(self.box.v_max)
+        roots = [self._g.v_roots(x, lo, hi) for x in xs]
+        vs = [lo] * len(xs) + [hi] * len(xs) + [a for a, _ in roots] + [b for _, b in roots]
+        return _envelope(self.g1.at_points(vs, xs * 4), 4, phi.shape, upper)
 
 
 def build_bound_curves(box: DomainBox, d: float, table: CoeffTable) -> BoundCurves:
@@ -369,9 +370,7 @@ def second_iterate_v(curves: BoundCurves, window: tuple[float, float]):
     the velocity window, and returns (polynomial, p_v, q_v, slope at the
     fixed point).
     """
-    box = curves.box
-    inner = curves.f1.partial_phi(box.phi_max)      # lower branch applied first
-    outer = curves.f1.partial_phi(box.phi_min)
+    outer, inner = curves.phase_branches()      # the phi_max branch applied first
     composed = Poly1D(compose(outer.coeffs, inner.coeffs))
     lo, hi = window
     deriv = composed.derivative()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .composite import PI, R1_BOX, REGION_SHAPES, TABLE_PARAMS, CoeffTable, Poly2D, Region
+from .composite import R1_BOX, REGION_SHAPES, TABLE_PARAMS, CoeffTable, Poly2D, Region, region_mask
 from .core import NondimParams, baseline_params
 from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_poly2d, fit_poly2d_scaled,
                       scaled_fit_2d, scaled_to_monomial_matrix_2d, design_matrix,
@@ -82,30 +82,10 @@ R3_GRID = GridSpec(n_v=90, n_phi=90, v_range=(0.0, 0.63), phi_range=(0.0, np.pi)
 R3_TRIM_SIGMA = 3.0
 
 
-def _in_region(v, phi, region: Region) -> np.ndarray:
-    """Mask of the states (v, phi) that region_of dispatches to region: its
-    if-chain as array comparisons, each branch taking what no earlier one
-    took (so NaN goes to R3, as there)."""
-    v, phi = np.asarray(v, dtype=float), np.asarray(phi, dtype=float)
-    above = v > 0.63 - 0.53 * phi
-    left = np.ones(np.broadcast(v, phi).shape, dtype=bool)   # not yet dispatched
-    for branch, test in (
-            (Region.RESET, (phi > PI) | (phi < 0.0)),
-            (Region.R1, (R1_BOX[0] <= v) & (v <= R1_BOX[1])
-             & (R1_BOX[2] <= phi) & (phi <= R1_BOX[3])),
-            (Region.R2, above & (v > 0.55)),
-            (Region.R4, above & (1.1 < phi) & (phi < 2.5) & (v < 0.55)),
-            (Region.R5, (2.5 < phi) & (phi < PI) & (v < 0.55))):
-        if branch == region:
-            return left & test
-        left &= ~test
-    return left
-
-
 def region_samples(surface, klass, region: Region):
     """Arrays (v_in, phi_in, v_out, phi_out) of one return class inside one region."""
     vk, pk, vn, pn = surface.class_samples(klass)
-    inside = _in_region(vk, pk, region)
+    inside = region_mask(vk, pk, region)
     return vk[inside], pk[inside], vn[inside], pn[inside]
 
 
@@ -244,7 +224,7 @@ def _r3_nodes():
     """(v, phi) of the R3_GRID nodes inside region 3, in grid order.  The
     region depends on (v, phi) alone, so every R3_POOL_D sweeps these nodes."""
     v, phi = R3_GRID.points()
-    inside = _in_region(v, phi, Region.R3)
+    inside = region_mask(v, phi, Region.R3)
     return v[inside], phi[inside]
 
 

@@ -1,9 +1,9 @@
 """Piecewise-polynomial composite return map over regions R1..R5 with reset.
 
-Dispatch is the ordered if-chain used to program the map: reset for phases
-outside [0, pi], then R1 (2D cubic/quadratic map on its box), R2/R4/R5
-(separable 1D maps), and R3 (2D map on the remaining low-velocity triangle;
-the final branch is a catch-all so dispatch is total).
+Dispatch is one ordered rule table, REGION_RULES, read by region_of and
+region_mask: reset for phases outside [0, pi], then R1 (2D cubic/quadratic map
+on its box), R2/R4/R5 (separable 1D maps), and R3 (2D map on the remaining
+low-velocity triangle, where no rule holds, so dispatch is total).
 
 Coefficient tables store every coefficient as a polynomial in the
 dimensionless length d (ascending powers); two sets ship with the package:
@@ -46,19 +46,37 @@ class Region(Enum):
     RESET = "RESET"
 
 
+# A state goes to the first region whose rule holds, else to R3 (NaN too).
+# Written with & and |, each rule takes floats and arrays alike.
+REGION_RULES = (
+    (Region.RESET, lambda v, phi: (phi > PI) | (phi < 0.0)),
+    (Region.R1, lambda v, phi: (R1_BOX[0] <= v) & (v <= R1_BOX[1])
+     & (R1_BOX[2] <= phi) & (phi <= R1_BOX[3])),
+    (Region.R2, lambda v, phi: (v > 0.63 - 0.53 * phi) & (v > 0.55)),
+    (Region.R4, lambda v, phi: (v > 0.63 - 0.53 * phi) & (1.1 < phi) & (phi < 2.5)
+     & (v < 0.55)),
+    (Region.R5, lambda v, phi: (2.5 < phi) & (phi < PI) & (v < 0.55)),
+)
+
+
 def region_of(v: float, phi: float) -> Region:
     """Dispatch a state to its region; total on all real (v, phi)."""
-    if phi > PI or phi < 0.0:
-        return Region.RESET
-    if R1_BOX[0] <= v <= R1_BOX[1] and R1_BOX[2] <= phi <= R1_BOX[3]:
-        return Region.R1
-    if v > 0.63 - 0.53 * phi and v > 0.55:
-        return Region.R2
-    if v > 0.63 - 0.53 * phi and 1.1 < phi < 2.5 and v < 0.55:
-        return Region.R4
-    if 2.5 < phi < PI and v < 0.55:
-        return Region.R5
+    for region, rule in REGION_RULES:
+        if rule(v, phi):
+            return region
     return Region.R3
+
+
+def region_mask(v, phi, region: Region) -> np.ndarray:
+    """Mask of the states (v, phi) that region_of dispatches to region."""
+    v, phi = np.asarray(v, dtype=float), np.asarray(phi, dtype=float)
+    left = np.ones(np.broadcast(v, phi).shape, dtype=bool)   # not yet dispatched
+    for branch, rule in REGION_RULES:
+        test = rule(v, phi)
+        if branch == region:
+            return left & test
+        left &= ~test
+    return left
 
 
 def horner(coeffs, x):
@@ -105,7 +123,8 @@ class Poly2D:
     multiplication and x**e for e >= 3 the np.power loop on every path.  0-d
     calls and point lists run in Python floats over a term table built once
     per instance; an n-d call takes ndarray ``**`` once per distinct power
-    and sums elementwise.
+    and sums elementwise.  The package itself makes no n-d call; that path
+    serves other callers, such as the tests' brute-force grids.
     """
 
     exponents: tuple[tuple[int, int], ...]

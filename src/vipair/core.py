@@ -108,21 +108,19 @@ class NondimParams:
 BASE_GRAVITY_TERM = 0.1245 * 9.8 * math.sin(PI / 3) / 5.0
 
 
-def baseline_params(d: float, psi: float = 0.0) -> NondimParams:
+def baseline_params(d: float) -> NondimParams:
     """Nondimensional parameters of the baseline setup at dimensionless length d."""
-    return NondimParams(restitution=0.5, length=d, gravity_term=BASE_GRAVITY_TERM,
-                        general_phase=psi)
+    return NondimParams(restitution=0.5, length=d, gravity_term=BASE_GRAVITY_TERM)
 
 
-def nondimensionalize(p: PhysicalParams, psi: float = 0.0) -> NondimParams:
+def nondimensionalize(p: PhysicalParams) -> NondimParams:
     """Map physical parameters to the nondimensional set.
 
     d = s*M*omega^2 / (||F||*pi^2),  gbar = M*g*sin(beta) / ||F||.
     """
     d = p.capsule_length * p.capsule_mass * p.forcing_frequency**2 / (p.forcing_norm * PI**2)
     gbar = p.capsule_mass * p.gravity * math.sin(p.incline) / p.forcing_norm
-    return NondimParams(restitution=p.restitution, length=d, gravity_term=gbar,
-                        general_phase=psi)
+    return NondimParams(restitution=p.restitution, length=d, gravity_term=gbar)
 
 
 def forcing_antiderivatives(t, psi: float = 0.0, amplitude: float = 1.0):

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from vipair.auxmap import (
     BoundCurves,
+    CASES,
     _Curve,
     _coeff_grid,
     _rect_range,
@@ -564,3 +567,76 @@ def test_ranges_match_frozen_numpy_polynomial_code(table):
         for box in (DomainBox(0.7, 1.0, 0.4, 0.4), DomainBox(0.45, 0.45, 0.0, 1.0),
                     DomainBox(0.3, 0.3, 0.6, 0.6)):
             _assert_same_as_frozen(poly, box, rng)
+
+
+# The envelopes and the crossing flag in the forms that preceded the
+# candidate lists and phase_branches: the candidates stacked into arrays and
+# evaluated through Poly2D's n-d path, and the gap of the two phase-endpoint
+# branches taken from the coefficient grid.
+
+def _stacked(lo, hi, per_point, k, shape):
+    extra = np.array(per_point, dtype=float).reshape(-1, k).T.reshape((k,) + shape)
+    return np.stack(np.broadcast_arrays(lo, hi, *extra))
+
+
+def _stacked_envelopes(curves, vs, ps):
+    """(xi_u, xi_l, eta_u, eta_l) at the velocities vs and phases ps."""
+    box = curves.box
+    vs, ps = np.asarray(vs, dtype=float), np.asarray(ps, dtype=float)
+    vertices = [(curves._f.phi_vertex(x, box.phi_min, box.phi_max),) for x in vs.ravel().tolist()]
+    roots = [curves._g.v_roots(x, box.v_min, box.v_max) for x in ps.ravel().tolist()]
+    fx = curves.f1(vs, _stacked(box.phi_min, box.phi_max, vertices, 1, vs.shape))
+    gy = curves.g1(_stacked(box.v_min, box.v_max, roots, 2, ps.shape), ps)
+    return fx.max(axis=0), fx.min(axis=0), gy.max(axis=0), gy.min(axis=0)
+
+
+def _grid_crossing(curves):
+    P = np.polynomial.polynomial
+    box = curves.box
+    gap = P.polysub(P.polyval(box.phi_min, curves._f.grid), P.polyval(box.phi_max, curves._f.grid))
+    real = P.polyroots(gap)
+    real = real.real[real.imag == 0.0]
+    return bool(np.any((real > box.v_min) & (real < box.v_max)))
+
+
+@pytest.mark.filterwarnings("ignore::vipair.auxmap.EscapedBox")
+def test_envelopes_equal_the_stacked_form(table, supplement):
+    rng = np.random.default_rng(28)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+    for tbl, case in itertools.product((table, supplement), CASES):
+        d = CASES[case][0]
+        boxes = iterate_updates(case, table=tbl).boxes
+        for box in (boxes[0], boxes[-1]):
+            curves = build_bound_curves(box, d, tbl)
+            vs = np.concatenate([rng.uniform(box.v_min - 0.2, box.v_max + 0.2, 300), special])
+            ps = np.concatenate([rng.uniform(box.phi_min - 0.2, box.phi_max + 0.2, 300), special])
+            inputs = [(vs, ps), (vs[:300].reshape(20, 15), ps[:300].reshape(15, 20)),
+                      (np.array([]), np.zeros((0, 3)))]
+            inputs += [(x, y) for x, y in zip(vs[::29], ps[::29])]              # np.float64
+            inputs += [(x, y) for x, y in zip(vs[::31].tolist(), ps[::31].tolist())]
+            inputs += [(x, x) for x in special]
+            for x, y in inputs:
+                got = (curves.xi_u(x), curves.xi_l(x), curves.eta_u(y), curves.eta_l(y))
+                with np.errstate(all="ignore"):
+                    want = _stacked_envelopes(curves, x, y)
+                for new, old in zip(got, want):
+                    if old.ndim:
+                        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+                    else:
+                        assert type(new) is float
+                        assert np.float64(new).tobytes() == old.tobytes(), (case, x, y)
+
+
+@pytest.mark.filterwarnings("ignore::vipair.composite.ExtrapolationWarning")
+def test_crossing_flag_equals_the_coefficient_grid_form(table, supplement):
+    rng = np.random.default_rng(2808)
+    flags = []
+    for tbl, d in itertools.product((table, supplement), np.linspace(0.25, 0.36, 23)):
+        curves = build_bound_curves(r1_plus("FP"), d, tbl)
+        for _ in range(220):
+            v_lo, v_hi = np.sort(rng.uniform(0.3, 1.3, 2))
+            p_lo, p_hi = np.sort(rng.uniform(0.0, 1.8, 2))
+            moved = curves.on(DomainBox(v_lo, v_hi, p_lo, p_hi))
+            flags.append(moved.crossing_detected)
+            assert moved.crossing_detected == _grid_crossing(moved), (d, moved.box)
+    assert len(flags) >= 10_000 and 0 < sum(flags) < len(flags)

@@ -12,9 +12,8 @@ import pytest
 
 from vipair import calibration
 from vipair.calibration import (CURVE_POINTS, R1_GRID, R3_GRID, R3_POOL_D, SEPARABLE_RECIPE,
-                                _in_region, _r3_nodes, _sweep_d, build_calibrated_table,
-                                region_samples)
-from vipair.composite import PI, R1_BOX, Region, region_of
+                                _r3_nodes, _sweep_d, build_calibrated_table, region_samples)
+from vipair.composite import PI, R1_BOX, Region, region_mask, region_of
 from vipair.core import baseline_params
 from vipair.returnmap import ReturnClass, _sweep_points, sweep_surfaces
 
@@ -96,13 +95,39 @@ def _boundary_points():
     return np.concatenate([v, 0.63 - 0.53 * line]), np.concatenate([phi, line])
 
 
-def test_region_mask_equals_region_of():
+def _point_sets():
     rng = np.random.default_rng(5)
-    point_sets = {"R3_GRID": R3_GRID.points(),
-                  "seeded": (rng.uniform(-0.2, 1.2, 10_000), rng.uniform(-0.5, 3.7, 10_000)),
-                  "boundaries": _boundary_points()}
-    for name, (v, phi) in point_sets.items():
+    return {"R3_GRID": R3_GRID.points(),
+            "seeded": (rng.uniform(-0.2, 1.2, 10_000), rng.uniform(-0.5, 3.7, 10_000)),
+            "boundaries": _boundary_points()}
+
+
+def test_region_mask_equals_region_of():
+    # the states calibration masks are the ones the composite map dispatches
+    for name, (v, phi) in _point_sets().items():
         scalar = [region_of(a, b) for a, b in zip(v, phi)]
         for region in Region:
             expected = np.array([r == region for r in scalar], dtype=bool)
-            assert np.array_equal(_in_region(v, phi, region), expected), (name, region)
+            assert np.array_equal(region_mask(v, phi, region), expected), (name, region)
+
+
+def _if_chain(v, phi):
+    """region_of as the if-chain that preceded REGION_RULES."""
+    if phi > PI or phi < 0.0:
+        return Region.RESET
+    if R1_BOX[0] <= v <= R1_BOX[1] and R1_BOX[2] <= phi <= R1_BOX[3]:
+        return Region.R1
+    if v > 0.63 - 0.53 * phi and v > 0.55:
+        return Region.R2
+    if v > 0.63 - 0.53 * phi and 1.1 < phi < 2.5 and v < 0.55:
+        return Region.R4
+    if 2.5 < phi < PI and v < 0.55:
+        return Region.R5
+    return Region.R3
+
+
+def test_region_rules_equal_the_if_chain():
+    for name, (v, phi) in _point_sets().items():
+        for pairs in (zip(v.tolist(), phi.tolist()), zip(v, phi)):   # float, np.float64
+            for a, b in pairs:
+                assert region_of(a, b) == _if_chain(a, b), (name, a, b)

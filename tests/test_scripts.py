@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -18,10 +19,9 @@ def _load(name: str, folder: Path = SCRIPTS):
 
 
 def test_no_unused_defaulted_parameters():
-    # the three psi/base parameters stay for fitting the paper's operating point
+    # the recipe's base parameters stay for fitting the paper's operating point
     labels = [line.split()[-1] for line in _load("unused_params").unused()]
-    assert labels == ["build_calibrated_table.base", "baseline_params.psi",
-                      "nondimensionalize.psi"]
+    assert labels == ["build_calibrated_table.base"]
 
 
 # Defaulted parameters that only tests set, each a seam kept on purpose.
@@ -57,6 +57,43 @@ def test_only_the_cli_picks_a_coefficient_table():
                 if name == "load_table":
                     callers.add(path.stem)
     assert "cli" in callers and callers <= {"cli", "composite"}
+
+
+def test_only_composite_writes_the_partition():
+    # the slope and the velocity edge of the region partition live in
+    # composite.REGION_RULES alone
+    owners = set()
+    for path in sorted((ROOT / "src" / "vipair").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in (0.53, 0.55):
+                owners.add(path.stem)
+    assert owners == {"composite"}
+
+
+def test_digest_diff_reports_both_line_counts(monkeypatch, capsys, tmp_path):
+    digest_diff = _load("digest_diff")
+    old, new = tmp_path / "old", tmp_path / "new"
+    for checkout, files in ((old, {"a.py": "x\ny\n", "b.py": "z\n"}),
+                            (new, {"a.py": "x\n", "b.py": "z\n", "c.py": "1\n2\n3"})):
+        (checkout / "src" / "vipair").mkdir(parents=True)
+        for name, text in files.items():
+            (checkout / "src" / "vipair" / name).write_text(text)
+    (new / "src" / "vipair" / "notes.txt").write_text("not counted\n")
+    assert digest_diff.line_counts(old) == {"a.py": 2, "b.py": 1}
+    assert digest_diff.line_counts(new) == {"a.py": 1, "b.py": 1, "c.py": 2}   # as wc -l
+    monkeypatch.setattr(digest_diff, "ROOT", new)
+    monkeypatch.setattr(digest_diff, "ref_checkout", lambda ref: contextlib.nullcontext(old))
+    monkeypatch.setattr(digest_diff, "digest", lambda checkout: ["same  line\n"])
+    monkeypatch.setattr(sys, "argv", ["digest_diff.py", "REF"])
+    with pytest.raises(SystemExit) as stop:
+        digest_diff.main()
+    assert stop.value.code == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "REF: 1 lines, working tree: 1 lines, 0 new or changed",
+        "src/vipair/*.py lines, REF -> working tree: 3 -> 4 "
+        "(a.py 2 -> 1, b.py 1, c.py 0 -> 2)"]
 
 
 def test_digest_flags_non_strict_json(tmp_path):
