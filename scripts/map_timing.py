@@ -2,8 +2,8 @@
 """Time the composite-map layers of this checkout against the ones of a git ref.
 
 Loads both checkouts' ``src/vipair`` package into this one process, each under
-a name of its own, and times seven layers on the shipped calibrated table at
-d = 0.35:
+a name of its own, and times eight layers on the shipped calibrated table, all
+but the last at d = 0.35:
 
 * ``poly-0d``: a 0-d call of the region-1 velocity map ``Poly2D``;
 * ``poly-list``: that map on a list of 10 candidate points (``Poly2D.at_points``
@@ -14,7 +14,9 @@ d = 0.35:
 * ``bound-curves``: ``build_bound_curves`` on the FP case's box;
 * ``wcs``: ``iterate_wcs`` on the bound curves of the FP case's box;
 * ``envelope``: ``second_iterate_phase`` on the bound curves of the FP case's
-  final box, the phase envelopes at 201 scan nodes and along the bisection.
+  final box, the phase envelopes at 201 scan nodes and along the bisection;
+* ``iterate``: ``CompositeMap.iterate``, 400 steps from the case presets'
+  start state at the d of each of FP, PD and CD.
 
 Each layer runs REPS pairs of passes in alternating order, each pass after one
 warm-up call.  Prints each checkout's median time per call and the median
@@ -40,12 +42,12 @@ from digest_diff import ROOT, ref_checkout
 D = 0.35
 REPS = 15
 CALLS = {"poly-0d": 4000, "poly-list": 2000, "step": 4000, "step-r3": 4000,
-         "bound-curves": 100, "wcs": 20, "envelope": 5}
+         "bound-curves": 100, "wcs": 20, "envelope": 5, "iterate": 10}
 
 
 def load_package(checkout: Path):
     """checkout's src/vipair package, loaded afresh under a name of its own;
-    (composite, auxmap) modules."""
+    (composite, auxmap, analysis) modules."""
     init = checkout / "src" / "vipair" / "__init__.py"
     name = f"vipair_{uuid.uuid4().hex}"
     spec = importlib.util.spec_from_file_location(name, init,
@@ -53,13 +55,13 @@ def load_package(checkout: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package   # its submodules and dataclasses look it up
     spec.loader.exec_module(package)
-    return (importlib.import_module(f"{name}.composite"),
-            importlib.import_module(f"{name}.auxmap"))
+    return tuple(importlib.import_module(f"{name}.{module}")
+                 for module in ("composite", "auxmap", "analysis"))
 
 
 def layers(checkout: Path) -> dict:
     """{layer: a call with no arguments} of checkout, as the module docstring lists."""
-    composite, auxmap = load_package(checkout)
+    composite, auxmap, analysis = load_package(checkout)
     table = composite.load_table(str(checkout / "src" / "vipair" / "data"
                                      / "calibrated_coefficients.json"))
     f1 = table.coeffs_for(composite.Region.R1, D)["v"]
@@ -75,11 +77,14 @@ def layers(checkout: Path) -> dict:
     final = auxmap.iterate_updates("FP", D, table=table).boxes[-1]
     final_curves = auxmap.build_bound_curves(final, D, table)
     window = (final.phi_min - 0.05, final.phi_max + 0.05)
+    case_maps = [composite.CompositeMap(table=table, d=d) for d, _, _ in auxmap.CASES.values()]
     return {"poly-0d": lambda: f1(0.8, 0.3), "poly-list": points,
             "step": lambda: cmap.step(0.8, 0.3), "step-r3": lambda: cmap.step(0.3, 0.5),
             "bound-curves": lambda: auxmap.build_bound_curves(box, D, table),
             "wcs": lambda: auxmap.iterate_wcs(curves),
-            "envelope": lambda: auxmap.second_iterate_phase(final_curves, window)}
+            "envelope": lambda: auxmap.second_iterate_phase(final_curves, window),
+            "iterate": lambda: [m.iterate(*analysis.CASE_START, analysis.SCAN_STEPS)
+                                for m in case_maps]}
 
 
 def seconds_per_call(call, n: int) -> float:

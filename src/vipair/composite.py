@@ -14,14 +14,17 @@ dimensionless length d (ascending powers); two sets ship with the package:
   for reference and comparison.
 
 ``load_table`` (the CLI's ``--table``) reads these names as the shipped files,
-whatever the working directory holds; any other string is a path.
+whatever the working directory holds, once per process; any other string is a
+path.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -342,7 +345,7 @@ class CoeffTable:
         out = {}
         for tname, terms in self.entries[region].items():
             exps = tuple(exp for exp, _ in terms)
-            vals = np.array([np.polynomial.polynomial.polyval(d, poly) for _, poly in terms])
+            vals = np.array([horner(poly.tolist(), d) for _, poly in terms])
             deg_phi, deg_v, absolute = REGION_SHAPES[region][tname]
             if deg_phi and deg_v:
                 out[tname] = Poly2D(exponents=exps, coeffs=vals)
@@ -362,12 +365,24 @@ def _data_path(name: str) -> Path:
 
 
 def load_table(name: str = "calibrated") -> CoeffTable:
-    """Load the shipped table of a name in SHIPPED_TABLES, else the table at a path."""
-    path = _data_path(name) if name in SHIPPED_TABLES else Path(name)
+    """Load the shipped table of a name in SHIPPED_TABLES, else the table at a path.
+
+    A shipped table is parsed and checksum-verified once per process and then
+    shared by every call, so treat it as read-only (the tests' session
+    fixtures share it too).  A path is read afresh on every call.
+    """
+    if name in SHIPPED_TABLES:
+        return _shipped_table(name)
+    path = Path(name)
     if not path.exists():
         raise FileNotFoundError(f"no coefficient table at {name!r}; the shipped tables "
                                 f"are {', '.join(SHIPPED_TABLES)}")
     return CoeffTable.from_dict(json.loads(path.read_text()))
+
+
+@functools.cache
+def _shipped_table(name: str) -> CoeffTable:
+    return CoeffTable.from_dict(json.loads(_data_path(name).read_text()))
 
 
 @dataclass
@@ -396,12 +411,24 @@ class CompositeMap:
 
         Region codes label the region used to map state k to k+1; the final
         state's code is the region it lies in.
+
+        The orbit stops at its first exact revisit: when state k has the same
+        bits as an earlier state j, the cycle j..k-1 is copied over the
+        remaining steps.  The copy is exact because step is a pure function of
+        the state and the keys are the states' bytes, so -0.0 and 0.0 (or two
+        NaNs of different bits) are never taken for one state.
         """
         v = np.empty(n_steps + 1)
         phi = np.empty(n_steps + 1)
         regions = np.empty(n_steps + 1, dtype=object)
         v[0], phi[0] = v0, phi0
+        seen = {}   # state bytes -> its first step
         for k in range(n_steps):
+            j = seen.setdefault(struct.pack("2d", v[k], phi[k]), k)
+            if j < k:
+                for arr in (v, phi, regions):
+                    arr[j:] = np.resize(arr[j:k], n_steps + 1 - j)
+                return v, phi, regions
             v[k + 1], phi[k + 1], regions[k] = self.step(v[k], phi[k])
         regions[n_steps] = region_of(v[n_steps], phi[n_steps])
         return v, phi, regions

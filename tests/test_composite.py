@@ -2,25 +2,33 @@ import ast
 import itertools
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vipair.composite
-from vipair.calibration import fit_region_maps, region_samples
+from vipair.analysis import CASE_START, SCAN_STEPS
+from vipair.auxmap import CASES
+from vipair.calibration import D_GRID, fit_region_maps, region_samples
+from vipair.cli import run_command
 from vipair.composite import (
     CoeffTable,
     CoeffTableError,
     CompositeMap,
+    ExtrapolationWarning,
     InsufficientData,
     Poly2D,
     REGION_SHAPES,
     Region,
     _data_path,
     detect_attractor,
+    load_table,
     region_of,
     table_checksum,
 )
@@ -286,3 +294,149 @@ def test_table_serialization_roundtrip(table, tmp_path):
     maps_a = table.coeffs_for(Region.R1, 0.3)
     maps_b = again.coeffs_for(Region.R1, 0.3)
     assert np.allclose(maps_a["v"].coeffs, maps_b["v"].coeffs)
+
+
+def test_coeffs_for_equals_polyval(table, supplement):
+    # coeffs_for evaluates each d-polynomial with horner; the map coefficients
+    # equal the polyval form bit for bit, on the grid nodes and extrapolated
+    ds = [float(d) for d in D_GRID] + np.linspace(0.20, 0.40, 41).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        for tbl, d, region in itertools.product((table, supplement), ds, REGION_SHAPES):
+            maps = tbl.coeffs_for(region, d)
+            for tname, terms in tbl.entries[region].items():
+                vals = [np.polynomial.polynomial.polyval(d, poly) for _, poly in terms]
+                deg_phi, deg_v, _ = REGION_SHAPES[region][tname]
+                if deg_phi and deg_v:
+                    expected = vals
+                else:
+                    expected = np.zeros(deg_phi + deg_v + 1)
+                    for (i, j), val in zip((exp for exp, _ in terms), vals):
+                        expected[i + j] += val
+                assert _same_floats(maps[tname].coeffs, expected), (tbl.name, d, region)
+
+
+def _step_loop(cmap, v0, phi0, n_steps):
+    """CompositeMap.iterate as a plain loop of n_steps steps."""
+    v, phi = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    regions = np.empty(n_steps + 1, dtype=object)
+    v[0], phi[0] = v0, phi0
+    for k in range(n_steps):
+        v[k + 1], phi[k + 1], regions[k] = cmap.step(v[k], phi[k])
+    regions[n_steps] = region_of(v[n_steps], phi[n_steps])
+    return v, phi, regions
+
+
+def _same_orbit(cmap, v0, phi0, n_steps=SCAN_STEPS):
+    fast, slow = cmap.iterate(v0, phi0, n_steps), _step_loop(cmap, v0, phi0, n_steps)
+    return (fast[0].tobytes() == slow[0].tobytes() and fast[1].tobytes() == slow[1].tobytes()
+            and list(fast[2]) == list(slow[2]))
+
+
+def test_iterate_equals_the_step_loop(table, supplement):
+    # the stop at the first exact revisit leaves v, phi (bits) and the
+    # region codes as the plain loop makes them
+    rng = np.random.default_rng(29)
+    diverging = (1.6, 4.898754646275609)
+    with np.errstate(all="ignore"):
+        for case, (d, _, _) in CASES.items():
+            assert _same_orbit(CompositeMap(table=table, d=d), *CASE_START), case
+        for tbl, d in itertools.product((table, supplement), (0.35, 0.30, 0.26)):
+            cmap = CompositeMap(table=tbl, d=d)
+            starts = zip(rng.uniform(0.01, 1.6, 12).tolist(),
+                         rng.uniform(0.0, 2 * np.pi, 12).tolist())
+            for v0, phi0 in [*starts, diverging, (np.nan, 0.3), (np.inf, 0.3)]:
+                assert _same_orbit(cmap, v0, phi0), (tbl.name, d, v0, phi0)
+            for n_steps in (0, 1):
+                assert _same_orbit(cmap, *CASE_START, n_steps)
+        # a diverged orbit is carried over as it is: non-finite to the end
+        v, phi, _ = CompositeMap(table=table, d=0.26).iterate(np.inf, 0.3, SCAN_STEPS)
+        assert not np.isfinite(v[-1]) and not np.isfinite(phi[-1])
+
+
+class _CountingMap(CompositeMap):
+    calls = 0
+
+    def step(self, v, phi):
+        _CountingMap.calls += 1
+        return super().step(v, phi)
+
+
+def test_iterate_stops_at_an_exact_fixed_point(table):
+    fixed = (0.8333784829028135, 0.36364270881315885)
+    cmap = _CountingMap(table=table, d=0.35)
+    assert cmap.step(*fixed) == (*fixed, Region.R1)
+    _CountingMap.calls = 0
+    v, phi, regions = cmap.iterate(*fixed, SCAN_STEPS)
+    assert _CountingMap.calls == 1
+    assert (v == fixed[0]).all() and (phi == fixed[1]).all()
+    assert set(regions) == {Region.R1}
+    assert _same_orbit(cmap, *fixed)
+
+
+class _SignedZeroMap(CompositeMap):
+    """Sends (0.5, 0.0) to (0.5, -0.0), a state a float-tuple key takes for it."""
+
+    def step(self, v, phi):
+        if struct.pack("2d", v, phi) == struct.pack("2d", 0.5, 0.0):
+            return 0.5, -0.0, Region.R3
+        return super().step(v, phi)
+
+
+def test_iterate_keys_are_exact_bits(table):
+    cmap = _SignedZeroMap(table=table, d=0.35)
+    v, phi, _ = cmap.iterate(0.5, 0.0, 5)
+    assert np.signbit(phi[:2]).tolist() == [False, True]
+    assert phi[2] != 0.0
+    assert _same_orbit(cmap, 0.5, 0.0)
+
+
+def test_case_steps_until_the_first_exact_revisit(monkeypatch, tmp_path):
+    # FP revisits at step 203 (period 36), PD at step 40 (period 2); CD never
+    calls = []
+    step = CompositeMap.step
+    monkeypatch.setattr(CompositeMap, "step", lambda self, v, phi: calls.append(1)
+                        or step(self, v, phi))
+    for case, n_steps in {"FP": 203, "PD": 40, "CD": 400}.items():
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # PD and CD escape the trust region
+            assert run_command(["case", "--name", case, "--out", str(tmp_path)]) == 0
+        assert len(calls) == n_steps, case
+
+
+def test_shipped_tables_load_once(table, supplement):
+    assert load_table("calibrated") is table and load_table() is table
+    assert load_table("supplement") is supplement
+
+
+def test_a_table_path_is_read_on_every_call(tmp_path):
+    path = tmp_path / "table.json"
+    shutil.copy(_data_path("calibrated"), path)
+    first = load_table(str(path))
+    payload = json.loads(path.read_text())
+    payload["name"] = "edited"   # the checksum covers the regions only
+    path.write_text(json.dumps(payload))
+    second = load_table(str(path))
+    assert (first.name, second.name) == ("calibrated", "edited")
+    payload["regions"]["R1"]["v"]["terms"][0]["d_poly"][0] += 1e-3
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CoeffTableError, match="checksum"):
+        load_table(str(path))
+
+
+def test_commands_leave_the_shared_table_unchanged(tmp_path):
+    shipped = load_table("calibrated")
+    checksum = shipped.to_dict()["checksum"]
+    polys = [poly.copy() for targets in shipped.entries.values()
+             for terms in targets.values() for _, poly in terms]
+    for argv in (["case", "--name", "FP"],
+                 ["composite", "--v0", "0.2", "--phi0", "0.1", "--steps", "50"],
+                 ["bifurcation", "--kind", "composite", "--d-from", "0.35",
+                  "--d-to", "0.33", "--step", "0.01"]):
+        assert run_command(argv + ["--out", str(tmp_path / argv[0])]) == 0
+    assert load_table("calibrated") is shipped
+    assert shipped.to_dict()["checksum"] == checksum
+    after = [poly for targets in shipped.entries.values()
+             for terms in targets.values() for _, poly in terms]
+    assert all(np.array_equal(a, b) for a, b in zip(polys, after, strict=True))

@@ -182,6 +182,9 @@ def test_map_timing_runs_both_checkouts(monkeypatch):
     rows = timing.timing(ROOT, ROOT, calls={layer: 2 for layer in timing.CALLS}, reps=2)
     assert [row[0] for row in rows] == list(timing.CALLS)
     assert all(old > 0 and new > 0 and ratio > 0 for _, old, new, ratio in rows)
+    # the iterate layer runs the three case trajectories in full
+    orbits = timing.layers(ROOT)["iterate"]()
+    assert [len(v) for v, _, _ in orbits] == [401] * 3
 
 
 def test_benchmark_hooks_resolve(monkeypatch):
