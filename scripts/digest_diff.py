@@ -9,17 +9,23 @@ counts, and the ``src/vipair/*.py`` line counts of both checkouts (as
 and 1 on any difference or a failed digest run.  The working tree's side
 includes uncommitted edits.
 
+The other ref scripts take ``ref_checkout`` and ``load_package`` from here:
+each unpacks a ref and loads its whole ``src/vipair`` package in-process.
+
 Run from the repository root:  python scripts/digest_diff.py REF
 """
 
 import argparse
 import contextlib
 import difflib
+import importlib
+import importlib.util
 import io
 import subprocess
 import sys
 import tarfile
 import tempfile
+import uuid
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -28,13 +34,35 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @contextlib.contextmanager
 def ref_checkout(ref: str) -> Iterator[Path]:
-    """The files of git ref REF, unpacked into a temporary directory."""
-    archive = subprocess.run(["git", "archive", ref], cwd=ROOT, capture_output=True,
-                             check=True).stdout
+    """The files of git ref REF, unpacked into a temporary directory; stops
+    with one line naming REF and giving git's message when git cannot archive it."""
+    archive = subprocess.run(["git", "archive", ref], cwd=ROOT, capture_output=True)
+    if archive.returncode != 0:
+        message = "; ".join(archive.stderr.decode(errors="replace").strip().splitlines())
+        raise SystemExit(f"{ref}: git archive failed: {message}")
     with tempfile.TemporaryDirectory(prefix="vipair-ref-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
         yield Path(tmp)
+
+
+def load_package(checkout: Path, ref: str):
+    """checkout's src/vipair package with every module of it, loaded afresh
+    under a name of its own; stops, naming ref, when it does not load."""
+    init = checkout / "src" / "vipair" / "__init__.py"
+    name = f"vipair_{uuid.uuid4().hex}"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package   # its submodules and dataclasses look it up
+    try:
+        spec.loader.exec_module(package)
+        for module in sorted(init.parent.glob("*.py")):
+            if module != init:
+                importlib.import_module(f"{name}.{module.stem}")
+    except Exception as exc:
+        raise SystemExit(f"{ref}: src/vipair does not load ({exc!r})")
+    return package
 
 
 def digest(checkout: Path) -> list[str]:

@@ -1,9 +1,18 @@
 #!/usr/bin/env python3
-"""Time the composite-map layers of this checkout against the ones of a git ref.
+"""Time the exact map's event leg and the composite-map layers of this
+checkout against the ones of a git ref.
 
-Loads both checkouts' ``src/vipair`` package into this one process, each under
-a name of its own, and times eight layers on the shipped calibrated table, all
-but the last at d = 0.35:
+Loads both checkouts' ``src/vipair`` package into this one process with
+digest_diff.py's ``load_package`` and times eleven layers, all but ``iterate``
+at d = 0.35.  Three time the exact map's ``next_impact_batch`` on
+solver_agreement.py's seeded legs, per leg:
+
+* ``leg-1``: 2,000 legs, one per call;
+* ``leg-6144``: 36,864 legs in calls of 6,144, ``vipair calibrate``'s largest
+  batch;
+* ``leg-40k``: 40,000 legs in one call.
+
+Eight time the composite map on the shipped calibrated table, per call:
 
 * ``poly-0d``: a 0-d call of the region-1 velocity map ``Poly2D``;
 * ``poly-list``: that map on a list of 10 candidate points (``Poly2D.at_points``
@@ -19,50 +28,47 @@ but the last at d = 0.35:
   start state at the d of each of FP, PD and CD.
 
 Each layer runs REPS pairs of passes in alternating order, each pass after one
-warm-up call.  Prints each checkout's median time per call and the median
-paired ratio (working tree / REF; below 1 is faster).  The working tree's side
-includes uncommitted edits.
+warm-up call.  Prints each checkout's median time per leg or call and the
+median paired ratio (working tree / REF; below 1 is faster).  The working
+tree's side includes uncommitted edits.  A run takes under a minute.
 
 Run from the repository root:  python scripts/map_timing.py REF
 """
 
 import argparse
-import importlib
-import importlib.util
 import statistics
-import sys
-import uuid
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-from digest_diff import ROOT, ref_checkout
+from digest_diff import ROOT, load_package, ref_checkout
+from solver_agreement import legs
 
 D = 0.35
 REPS = 15
-CALLS = {"poly-0d": 4000, "poly-list": 2000, "step": 4000, "step-r3": 4000,
+BATCHES = {"leg-1": 1, "leg-6144": 6144, "leg-40k": 40000}   # rows per solver call
+# legs per pass in the leg layers, calls per pass in the others
+CALLS = {"leg-1": 2000, "leg-6144": 36864, "leg-40k": 40000,
+         "poly-0d": 4000, "poly-list": 2000, "step": 4000, "step-r3": 4000,
          "bound-curves": 100, "wcs": 20, "envelope": 5, "iterate": 10}
 
 
-def load_package(checkout: Path):
-    """checkout's src/vipair package, loaded afresh under a name of its own;
-    (composite, auxmap, analysis) modules."""
-    init = checkout / "src" / "vipair" / "__init__.py"
-    name = f"vipair_{uuid.uuid4().hex}"
-    spec = importlib.util.spec_from_file_location(name, init,
-                                                  submodule_search_locations=[str(init.parent)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package   # its submodules and dataclasses look it up
-    spec.loader.exec_module(package)
-    return tuple(importlib.import_module(f"{name}.{module}")
-                 for module in ("composite", "auxmap", "analysis"))
+def leg_calls(core, batch: int, n: int) -> list:
+    """The next_impact_batch calls of that solver module that solve n seeded
+    legs at d = 0.35, batch rows per call."""
+    leg_set = legs(0, n)
+    p = core.baseline_params(leg_set["d"])
+    s, t, v = leg_set["sides"], leg_set["times"], leg_set["vels"]
+    return [lambda i=i: core.next_impact_batch(s[i:i + batch], t[i:i + batch], v[i:i + batch], p)
+            for i in range(0, n, batch)]
 
 
-def layers(checkout: Path) -> dict:
-    """{layer: a call with no arguments} of checkout, as the module docstring lists."""
-    composite, auxmap, analysis = load_package(checkout)
-    table = composite.load_table(str(checkout / "src" / "vipair" / "data"
+def layers(package) -> dict:
+    """{layer: a call with no arguments} of that loaded package, for each
+    composite-map layer the module docstring lists."""
+    composite, auxmap, analysis = package.composite, package.auxmap, package.analysis
+    table = composite.load_table(str(Path(package.__file__).parent / "data"
                                      / "calibrated_coefficients.json"))
     f1 = table.coeffs_for(composite.Region.R1, D)["v"]
     vs = np.linspace(0.70, 1.0, 10).tolist()
@@ -87,40 +93,50 @@ def layers(checkout: Path) -> dict:
                                 for m in case_maps]}
 
 
-def seconds_per_call(call, n: int) -> float:
-    """One timed pass of n calls, after one warm-up call."""
-    call()
+def passes(package, calls=CALLS) -> dict:
+    """{layer: the calls of one timed pass} of that loaded package: n legs
+    in calls of BATCHES rows for a leg layer, n calls of the others."""
+    single = layers(package)
+    return {layer: leg_calls(package.core, BATCHES[layer], n) if layer in BATCHES
+            else [single[layer]] * n for layer, n in calls.items()}
+
+
+def seconds_per_unit(calls: list, n: int) -> float:
+    """One timed pass over the calls, after one warm-up call of the first;
+    per leg or call, n of them per pass."""
+    calls[0]()
     start = perf_counter()
-    for _ in range(n):
+    for call in calls:
         call()
     return (perf_counter() - start) / n
 
 
-def timing(old_checkout: Path, new_checkout: Path, calls=CALLS,
-           reps: int = REPS) -> list[tuple]:
-    """(layer, old median s/call, new median s/call, median paired ratio) per
-    layer; the pairs alternate which checkout runs first."""
-    old_layers, new_layers, rows = layers(old_checkout), layers(new_checkout), []
+def timing(old_package, new_package, calls=CALLS, reps: int = REPS) -> list[tuple]:
+    """(layer, old median s/unit, new median s/unit, median paired ratio) per
+    layer of the two loaded packages; the pairs alternate which runs first."""
+    old_passes, new_passes, rows = passes(old_package, calls), passes(new_package, calls), []
     for layer, n in calls.items():
         old, new = [], []
         for rep in range(reps):
-            order = ((old, old_layers[layer]), (new, new_layers[layer]))
-            for times, call in order[::-1] if rep % 2 else order:
-                times.append(seconds_per_call(call, n))
+            order = ((old, old_passes[layer]), (new, new_passes[layer]))
+            for times, pass_calls in order[::-1] if rep % 2 else order:
+                times.append(seconds_per_unit(pass_calls, n))
         ratio = statistics.median(b / a for a, b in zip(old, new))
         rows.append((layer, statistics.median(old), statistics.median(new), ratio))
     return rows
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description="time the composite-map layers against REF")
+    parser = argparse.ArgumentParser(description="time the exact and composite map layers "
+                                                 "against REF")
     parser.add_argument("ref", help="git ref to compare with, e.g. HEAD~1")
     ref = parser.parse_args().ref
     with ref_checkout(ref) as checkout:
-        rows = timing(checkout, ROOT)
+        rows = timing(load_package(checkout, ref), load_package(ROOT, "working tree"))
     for layer, old, new, ratio in rows:
-        print(f"{layer}: {ref} {old * 1e6:.4g} us/call, working tree {new * 1e6:.4g} us/call, "
-              f"paired ratio {ratio:.3f} ({REPS} pairs)")
+        unit = "leg" if layer in BATCHES else "call"
+        print(f"{layer}: {ref} {old * 1e6:.4g} us/{unit}, working tree {new * 1e6:.4g} "
+              f"us/{unit}, paired ratio {ratio:.3f} ({REPS} pairs)")
 
 
 if __name__ == "__main__":

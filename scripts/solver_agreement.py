@@ -2,8 +2,8 @@
 """Compare the exact event solver of this checkout with the one of a git ref.
 
 Unpacks REF with digest_diff.py's ``ref_checkout``, loads each checkout's
-``src/vipair/core.py`` into this one process as a module of its own (so a ref's
-``core.py`` must load on its own), and solves the same seeded legs with both,
+``src/vipair`` package into this one process with its ``load_package``, and
+solves the same seeded legs with both ``core`` modules,
 at d = 0.35, 0.30 and 0.26 on the baseline parameters, from either wall: LEGS
 legs per d with t0 uniform in [0, 2], |v| uniform in [1e-3, 1.6] and A = 1,
 and LEGS slow, late legs per d and A in AMPLITUDES, with t0 uniform in [0, 40]
@@ -20,39 +20,17 @@ Run from the repository root:  python scripts/solver_agreement.py REF
 """
 
 import argparse
-import importlib.util
 import sys
-import uuid
-from pathlib import Path
 
 import numpy as np
 
-from digest_diff import ref_checkout
+from digest_diff import ROOT, load_package, ref_checkout
 
-ROOT = Path(__file__).resolve().parents[1]
 D_VALUES = (0.35, 0.30, 0.26)
 AMPLITUDES = (1.0, -0.7)   # forcing amplitudes of the slow family
 LEGS = 20000      # per d, and per d and amplitude in the slow family
 SEED = 2000
 BATCH = 1000      # rows per solver call, the size calibration sweeps use
-
-
-def load_core(checkout: Path):
-    """checkout's src/vipair/core.py, loaded afresh as a module of its own."""
-    path = checkout / "src" / "vipair" / "core.py"
-    spec = importlib.util.spec_from_file_location(f"vipair_core_{uuid.uuid4().hex}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # its dataclasses look up their module
-    spec.loader.exec_module(module)
-    return module
-
-
-def check_loads(ref: str, checkout: Path) -> None:
-    """Stop, naming ref, when checkout's core.py does not load on its own."""
-    try:
-        load_core(checkout)
-    except Exception as exc:
-        raise SystemExit(f"{ref}: src/vipair/core.py does not load on its own ({exc!r})")
 
 
 def legs(d_index: int, n: int) -> dict:
@@ -100,24 +78,24 @@ def compare(old: dict, new: dict) -> tuple[int, float, int, float]:
             int(np.count_nonzero(bits)), float(dv.max(initial=0.0)))
 
 
-def _agree(old_checkout: Path, new_checkout: Path, leg_sets) -> list[tuple]:
-    """(legs, disagreements, max |dt|, bit-different legs, max |dv|) per leg set."""
-    old_core, new_core = load_core(old_checkout), load_core(new_checkout)
-    return [(leg_set["sides"].size, *compare(solve(old_core, leg_set), solve(new_core, leg_set)))
+def _agree(old, new, leg_sets) -> list[tuple]:
+    """(legs, disagreements, max |dt|, bit-different legs, max |dv|) per leg
+    set, of the two loaded packages' solvers."""
+    return [(leg_set["sides"].size, *compare(solve(old.core, leg_set), solve(new.core, leg_set)))
             for leg_set in leg_sets]
 
 
-def agreement(old_checkout: Path, new_checkout: Path, n: int) -> list[tuple]:
+def agreement(old, new, n: int) -> list[tuple]:
     """(d, legs, disagreements, max |dt|, bit-different legs, max |dv|) per d."""
-    rows = _agree(old_checkout, new_checkout, (legs(i, n) for i in range(len(D_VALUES))))
+    rows = _agree(old, new, (legs(i, n) for i in range(len(D_VALUES))))
     return [(d, *row) for d, row in zip(D_VALUES, rows)]
 
 
-def slow_agreement(old_checkout: Path, new_checkout: Path, n: int) -> list[tuple]:
+def slow_agreement(old, new, n: int) -> list[tuple]:
     """(d, A, legs, disagreements, max |dt|, bit-different legs, max |dv|) of
     the slow family, per d and amplitude."""
     cases = [(i, j) for i in range(len(D_VALUES)) for j in range(len(AMPLITUDES))]
-    rows = _agree(old_checkout, new_checkout, (slow_legs(i, j, n) for i, j in cases))
+    rows = _agree(old, new, (slow_legs(i, j, n) for i, j in cases))
     return [(D_VALUES[i], AMPLITUDES[j], *row) for (i, j), row in zip(cases, rows)]
 
 
@@ -126,10 +104,10 @@ def main() -> None:
     parser.add_argument("ref", help="git ref to compare with, e.g. HEAD~1")
     ref = parser.parse_args().ref
     with ref_checkout(ref) as checkout:
-        check_loads(ref, checkout)
-        rows = [(f"d={d:.2f}", counts) for d, *counts in agreement(checkout, ROOT, LEGS)]
+        old, new = load_package(checkout, ref), load_package(ROOT, "working tree")
+        rows = [(f"d={d:.2f}", counts) for d, *counts in agreement(old, new, LEGS)]
         rows += [(f"slow d={d:.2f} A={a:g}", counts)
-                 for d, a, *counts in slow_agreement(checkout, ROOT, LEGS)]
+                 for d, a, *counts in slow_agreement(old, new, LEGS)]
     for label, (n, bad, dt, bits, dv) in rows:
         print(f"{label}: {n} legs, {bad} disagreements, max |dt| {dt:.3g}, "
               f"{bits} bit-different, max |dv| {dv:.3g}")

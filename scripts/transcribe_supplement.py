@@ -117,7 +117,8 @@ def descending_1d_terms(rows, variable, degree):
     return terms
 
 
-def main():
+def table_text() -> str:
+    """The JSON text of the supplement table, as main writes it."""
     exps1 = poly2d_exponents(2, 3)
     exps3_v = poly2d_exponents(3, 5)
     exps3_p = poly2d_exponents(4, 5)
@@ -151,10 +152,14 @@ def main():
                   "note": ("reference only: the printed rounding loses digits "
                            "to cancellation when evaluated at a concrete d")},
     )
+    return json.dumps(table.to_dict(), indent=1)
+
+
+def main():
     out = Path(__file__).resolve().parents[1] / "src" / "vipair" / "data"
     out.mkdir(parents=True, exist_ok=True)
     path = out / "supplement_coefficients.json"
-    path.write_text(json.dumps(table.to_dict(), indent=1))
+    path.write_text(table_text())
     print(f"wrote {path}")
 
 

@@ -1,7 +1,9 @@
 import ast
 import contextlib
 import importlib.util
+import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +111,8 @@ def test_digest_flags_non_strict_json(tmp_path):
 def test_solver_agreement_runs_both_checkouts(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
     agreement = _load("solver_agreement")
-    rows = agreement.agreement(ROOT, ROOT, 300)
+    rows = agreement.agreement(agreement.load_package(ROOT, "HEAD"),
+                               agreement.load_package(ROOT, "HEAD"), 300)
     assert [row[:3] for row in rows] == [(d, 300, 0) for d in agreement.D_VALUES]
     assert all(row[3:] == (0.0, 0, 0.0) for row in rows)
     legs = agreement.legs(0, 300)
@@ -134,30 +137,44 @@ def test_solver_agreement_sees_two_different_solvers(monkeypatch, tmp_path):
     agreement = _load("solver_agreement")
     source = (ROOT / "src" / "vipair" / "core.py").read_text()
     assert source.count("GRAZING_TOL = 1e-8\n") == 1
-    (tmp_path / "src" / "vipair").mkdir(parents=True)
+    shutil.copytree(ROOT / "src" / "vipair", tmp_path / "src" / "vipair",
+                    ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "src" / "vipair" / "core.py").write_text(
         source.replace("GRAZING_TOL = 1e-8\n", "GRAZING_TOL = 1e-2\n"))
-    first, second = agreement.load_core(tmp_path), agreement.load_core(tmp_path)
+    first, second = (agreement.load_package(tmp_path, "edited") for _ in range(2))
+    here = agreement.load_package(ROOT, "HEAD")
     assert first is not second and first.__name__ != second.__name__
-    assert first.GRAZING_TOL == 1e-2 and agreement.load_core(ROOT).GRAZING_TOL == 1e-8
-    rows = agreement.agreement(tmp_path, ROOT, 300)
+    assert first.core.GRAZING_TOL == 1e-2 and here.core.GRAZING_TOL == 1e-8
+    rows = agreement.agreement(first, here, 300)
     assert any(bad or bits for _, _, bad, _, bits, _ in rows)
 
 
-def test_solver_agreement_names_a_ref_whose_core_does_not_load(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
-    agreement = _load("solver_agreement")
+def test_load_package_names_a_ref_that_does_not_load(tmp_path):
+    digest_diff = _load("digest_diff")
     (tmp_path / "src" / "vipair").mkdir(parents=True)
+    (tmp_path / "src" / "vipair" / "__init__.py").write_text("")
     (tmp_path / "src" / "vipair" / "core.py").write_text("from .config import PI\n")
-    with pytest.raises(SystemExit, match="^abc123: src/vipair/core.py does not load on its own"):
-        agreement.check_loads("abc123", tmp_path)
-    agreement.check_loads("HEAD", ROOT)
+    with pytest.raises(SystemExit, match="^abc123: src/vipair does not load"):
+        digest_diff.load_package(tmp_path, "abc123")
+    package = digest_diff.load_package(ROOT, "HEAD")
+    assert package.core.GRAZING_TOL == 1e-8 and package.cli.main
+
+
+def test_ref_checkout_names_an_unknown_ref():
+    digest_diff = _load("digest_diff")
+    with pytest.raises(SystemExit) as stop:
+        with digest_diff.ref_checkout("nosuchref"):
+            pass
+    message = str(stop.value.code)
+    assert message.startswith("nosuchref: git archive failed: ") and "\n" not in message
+    assert "fatal: " in message   # git's own message
 
 
 def test_solver_agreement_slow_family_runs_both_checkouts(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
     agreement = _load("solver_agreement")
-    rows = agreement.slow_agreement(ROOT, ROOT, 50)
+    package = agreement.load_package(ROOT, "HEAD")
+    rows = agreement.slow_agreement(package, package, 50)
     assert [row[:2] for row in rows] == [(d, a) for d in agreement.D_VALUES
                                          for a in agreement.AMPLITUDES]
     assert all(row[2:] == (50, 0, 0.0, 0, 0.0) for row in rows)
@@ -168,23 +185,56 @@ def test_solver_agreement_slow_family_runs_both_checkouts(monkeypatch):
     assert np.all((legs["times"] >= 0.0) & (legs["times"] <= 40.0)) and legs["times"].max() > 30
 
 
-def test_leg_timing_runs_both_checkouts(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff and solver_agreement imports
-    timing = _load("leg_timing")
-    rows = timing.timing(ROOT, ROOT, batches=((1, 3), (20, 40)), reps=2)
-    assert [row[:2] for row in rows] == [(1, 3), (20, 40)]
-    assert all(old > 0 and new > 0 and ratio > 0 for *_, old, new, ratio in rows)
-
-
 def test_map_timing_runs_both_checkouts(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff and solver_agreement imports
     timing = _load("map_timing")
-    rows = timing.timing(ROOT, ROOT, calls={layer: 2 for layer in timing.CALLS}, reps=2)
+    package = timing.load_package(ROOT, "HEAD")
+    rows = timing.timing(package, timing.load_package(ROOT, "HEAD"),
+                         calls={layer: 2 for layer in timing.CALLS}, reps=2)
     assert [row[0] for row in rows] == list(timing.CALLS)
     assert all(old > 0 and new > 0 and ratio > 0 for _, old, new, ratio in rows)
+    # a leg layer solves its legs in calls of its batch size
+    passes = timing.passes(package, {"leg-1": 3, "leg-6144": 2})
+    assert [len(passes["leg-1"]), len(passes["leg-6144"])] == [3, 1]
+    assert [out[0].size for out in (passes["leg-1"][0](), passes["leg-6144"][0]())] == [1, 2]
     # the iterate layer runs the three case trajectories in full
-    orbits = timing.layers(ROOT)["iterate"]()
+    orbits = timing.layers(package)["iterate"]()
     assert [len(v) for v, _, _ in orbits] == [401] * 3
+
+
+def test_sampled_boxes_prints_this_checkouts_boxes(monkeypatch, table):
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    from vipair.auxmap import iterate_updates
+    sampled = _load("sampled_boxes")
+    pins = {}
+    exec("\n".join(sampled.sampled(sampled.load_package(ROOT, "HEAD"))), pins)
+    bits = lambda values: [float(x).hex() for x in values]
+    assert list(pins["SAMPLED_BOXES"]) == ["FP", "PD", "CD"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports = {case: iterate_updates(case, table=table) for case in pins["SAMPLED_BOXES"]}
+    for case, boxes in pins["SAMPLED_BOXES"].items():
+        assert [bits(box) for box in boxes] == [bits(box.as_tuple())
+                                                for box in reports[case].boxes]
+    c = reports["FP"].two_cycle
+    assert bits(pins["SAMPLED_FP_CYCLE"]) == bits(
+        (c.p_v, c.q_v, c.p_phi, c.q_phi, c.slope_v, c.slope_phi))
+
+
+def test_transcribe_supplement_writes_the_shipped_table(monkeypatch):
+    monkeypatch.setattr(sys, "path", [*sys.path])   # the script puts src/ on it
+    text = _load("transcribe_supplement").table_text()
+    shipped = ROOT / "src" / "vipair" / "data" / "supplement_coefficients.json"
+    assert text.encode() == shipped.read_bytes()
+
+
+def test_every_script_is_loaded_by_a_test():
+    loaded = set()
+    for test in ast.parse(Path(__file__).read_text()).body:
+        if isinstance(test, ast.FunctionDef) and test.name.startswith("test_"):
+            loaded |= {node.args[0].value for node in ast.walk(test)
+                       if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_load"}
+    assert sorted({path.stem for path in SCRIPTS.glob("*.py")} - loaded) == []
 
 
 def test_benchmark_hooks_resolve(monkeypatch):
