@@ -185,6 +185,15 @@ def test_solver_agreement_slow_family_runs_both_checkouts(monkeypatch):
     assert np.all((legs["times"] >= 0.0) & (legs["times"] <= 40.0)) and legs["times"].max() > 30
 
 
+def test_leg_timing_runs_both_checkouts(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff and solver_agreement imports
+    timing = _load("map_timing")
+    rows = timing.timing(timing.load_package(ROOT, "HEAD"), timing.load_package(ROOT, "HEAD"),
+                         calls={"leg-1": 3, "leg-6144": 40}, reps=2)
+    assert [row[0] for row in rows] == ["leg-1", "leg-6144"]
+    assert all(old > 0 and new > 0 and ratio > 0 for _, old, new, ratio in rows)
+
+
 def test_map_timing_runs_both_checkouts(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff and solver_agreement imports
     timing = _load("map_timing")
