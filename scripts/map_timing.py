@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time the exact map's event leg and the composite-map layers of this
-checkout against the ones of a git ref.
+"""Time the exact map's event leg and first return and the composite-map
+layers of this checkout against the ones of a git ref.
 
 Loads both checkouts' ``src/vipair`` package into this one process with
-digest_diff.py's ``load_package`` and times eleven layers, all but ``iterate``
+digest_diff.py's ``load_package`` and times twelve layers, all but ``iterate``
 at d = 0.35.  Three time the exact map's ``next_impact_batch`` on
 solver_agreement.py's seeded legs, per leg:
 
@@ -11,6 +11,12 @@ solver_agreement.py's seeded legs, per leg:
 * ``leg-6144``: 36,864 legs in calls of 6,144, ``vipair calibrate``'s largest
   batch;
 * ``leg-40k``: 40,000 legs in one call.
+
+One times a whole exact return, per call:
+
+* ``exact-step``: ``ExactMap(baseline_params(0.35)).step(0.8, 0.3)``, 200
+  calls (a one-row ``returnmap._sweep_points`` call on that state where the
+  checkout has no ``ExactMap``).
 
 Eight time the composite map on the shipped calibrated table, per call:
 
@@ -49,7 +55,7 @@ D = 0.35
 REPS = 15
 BATCHES = {"leg-1": 1, "leg-6144": 6144, "leg-40k": 40000}   # rows per solver call
 # legs per pass in the leg layers, calls per pass in the others
-CALLS = {"leg-1": 2000, "leg-6144": 36864, "leg-40k": 40000,
+CALLS = {"leg-1": 2000, "leg-6144": 36864, "leg-40k": 40000, "exact-step": 200,
          "poly-0d": 4000, "poly-list": 2000, "step": 4000, "step-r3": 4000,
          "bound-curves": 100, "wcs": 20, "envelope": 5, "iterate": 10}
 
@@ -66,8 +72,13 @@ def leg_calls(core, batch: int, n: int) -> list:
 
 def layers(package) -> dict:
     """{layer: a call with no arguments} of that loaded package, for each
-    composite-map layer the module docstring lists."""
+    layer but the leg layers the module docstring lists."""
     composite, auxmap, analysis = package.composite, package.auxmap, package.analysis
+    p = package.core.baseline_params(D)
+    if hasattr(analysis, "ExactMap"):
+        exact_step = lambda: analysis.ExactMap(p).step(0.8, 0.3)
+    else:
+        exact_step = lambda: package.returnmap._sweep_points(np.array([0.8]), np.array([0.3]), p)
     table = composite.load_table(str(Path(package.__file__).parent / "data"
                                      / "calibrated_coefficients.json"))
     f1 = table.coeffs_for(composite.Region.R1, D)["v"]
@@ -84,7 +95,7 @@ def layers(package) -> dict:
     final_curves = auxmap.build_bound_curves(final, D, table)
     window = (final.phi_min - 0.05, final.phi_max + 0.05)
     case_maps = [composite.CompositeMap(table=table, d=d) for d, _, _ in auxmap.CASES.values()]
-    return {"poly-0d": lambda: f1(0.8, 0.3), "poly-list": points,
+    return {"exact-step": exact_step, "poly-0d": lambda: f1(0.8, 0.3), "poly-list": points,
             "step": lambda: cmap.step(0.8, 0.3), "step-r3": lambda: cmap.step(0.3, 0.5),
             "bound-curves": lambda: auxmap.build_bound_curves(box, D, table),
             "wcs": lambda: auxmap.iterate_wcs(curves),

@@ -10,10 +10,10 @@ import numpy as np
 
 from . import auxmap
 # load_table is not called here, but bench/tracing.py patches it on this module
-from .composite import (TAIL_FRACTION, AttractorClass, CoeffTable, CoeffTableError,
-                        CompositeMap, ExtrapolationWarning, detect_attractor, load_table)
+from .composite import (TAIL_FRACTION, AttractorClass, CoeffTable, CompositeMap,
+                        ExtrapolationWarning, ReturnMap, detect_attractor, load_table)
 from .config import ConfigError
-from .core import NondimParams, baseline_params
+from .core import NondimParams
 from .returnmap import ReturnClass, _sweep_points
 
 SCAN_STEPS = 400
@@ -35,16 +35,17 @@ class BifurcationSample:
     classification: AttractorClass | None   # None marks a gap
 
 
-def _iterate_exact(v0: float, phi0: float, p: NondimParams, n_steps: int):
-    v = np.empty(n_steps + 1)
-    phi = np.empty(n_steps + 1)
-    v[0], phi[0] = v0, phi0
-    for k in range(n_steps):
-        step = _sweep_points(v[k:k + 1], phi[k:k + 1], p)
-        if step.klass[0] == ReturnClass.OTHER:
-            return v[:k + 1], phi[:k + 1], False
-        v[k + 1], phi[k + 1] = step.v_out[0], step.phi_out[0]
-    return v, phi, True
+@dataclass(frozen=True)
+class ExactMap(ReturnMap):
+    """The exact first-return map at p; an orbit stops at its first OTHER return."""
+
+    p: NondimParams
+    STOP = ReturnClass.OTHER
+
+    def step(self, v: float, phi: float) -> tuple[float, float, ReturnClass]:
+        """One row of _sweep_points: the next state (NaN if OTHER) and its class."""
+        out = _sweep_points(np.array([v]), np.array([phi]), self.p)
+        return out.v_out[0], out.phi_out[0], ReturnClass(out.klass[0])
 
 
 def d_values(d_from: float, d_to: float, step: float) -> list[float]:
@@ -61,49 +62,29 @@ def d_values(d_from: float, d_to: float, step: float) -> list[float]:
     return [d_from + direction * i * step for i in range(int(span / step + 1e-9) + 1)]
 
 
-def bifurcation_scan(kind: str, d_from: float, d_to: float, step: float,
-                     table: CoeffTable | None = None) -> list[BifurcationSample]:
-    """Continuation scan of the exact or composite map over d_values(d_from,
-    d_to, step); the exact map runs at baseline_params(d), the composite on table.
+def bifurcation_scan(make_map, ds) -> list[BifurcationSample]:
+    """Continuation scan of the maps make_map(d), such as CompositeMap(table, d)
+    or ExactMap(baseline_params(d)), over the d values ds.
 
     The attracting state at each d seeds the next one; a tail that
-    detect_attractor cannot judge (an OTHER return, a diverged orbit) is
-    recorded as a gap and the seed falls back to the default.
+    detect_attractor cannot judge (an orbit stopped on an OTHER return, a
+    diverged orbit) is recorded as a gap and the seed falls back to the default.
     """
-    if kind not in ("exact", "composite"):
-        raise ValueError(f"kind must be 'exact' or 'composite', got {kind!r}")
-    ds = d_values(d_from, d_to, step)
-    lowest = min(ds[0], ds[-1])    # ds is monotone; d <= 0 is refused before any run
-    if kind == "exact":
-        baseline_params(lowest)
-    elif table is None:
-        raise ValueError("a composite scan needs a coefficient table")
-    elif not lowest > 0:    # as coeffs_for would, before any warning
-        raise CoeffTableError(f"d must be positive, got {lowest}")
-    elif outside := sum(not table.covers(d) for d in ds):
-        lo, hi = table.d_range
-        warnings.warn(f"{outside} of {len(ds)} d values outside the calibrated range "
-                      f"[{lo}, {hi}]; extrapolating the coefficient polynomials",
-                      ExtrapolationWarning, stacklevel=2)
+    with warnings.catch_warnings():   # the scan warns once, not once per map
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        lowest = make_map(min(ds))    # refuses a d <= 0 before any orbit runs
+    lowest.warn_outside(ds)
     samples: list[BifurcationSample] = []
     state = DEFAULT_SEED_STATE
-    with warnings.catch_warnings():  # counted once above, not once per map
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtrapolationWarning)
         for d in ds:
-            if kind == "exact":
-                v, phi, ok = _iterate_exact(*state, baseline_params(d), SCAN_STEPS)
-            else:
-                v, phi, _ = CompositeMap(table=table, d=d).iterate(*state, SCAN_STEPS)
-                ok = True
-            cls = detect_attractor(v, phi) if ok else None
-            if cls is None:
-                samples.append(BifurcationSample(d=d, tail_v=np.empty(0),
-                                                 tail_phi=np.empty(0), classification=None))
-                state = DEFAULT_SEED_STATE
-                continue
-            samples.append(BifurcationSample(d=d, tail_v=v[SCAN_DISCARD:],
-                                             tail_phi=phi[SCAN_DISCARD:], classification=cls))
-            state = (float(v[-1]), float(phi[-1]))
+            v, phi, _ = make_map(d).iterate(*state, SCAN_STEPS)
+            cls = detect_attractor(v, phi) if len(v) > SCAN_STEPS else None
+            keep = SCAN_DISCARD if cls else len(v)    # a gap has an empty tail
+            samples.append(BifurcationSample(d=d, tail_v=v[keep:], tail_phi=phi[keep:],
+                                             classification=cls))
+            state = (float(v[-1]), float(phi[-1])) if cls else DEFAULT_SEED_STATE
     return samples
 
 
@@ -152,18 +133,18 @@ def compare_exact_vs_composite(initial_conditions, p: NondimParams, table: Coeff
     initial conditions and measure the Hausdorff distance between their
     trajectory tails; NaN when the exact trajectory stops on an OTHER return
     before n_steps returns."""
-    cmap = CompositeMap(table=table, d=p.length)
+    exact, cmap = ExactMap(p), CompositeMap(table, p.length)
     records = []
     n_tail = max(int(n_steps * TAIL_FRACTION), 2)
     for (v0, phi0) in initial_conditions:
-        ev, ep, full = _iterate_exact(v0, phi0, p, n_steps)
+        ev, ep, _ = exact.iterate(v0, phi0, n_steps)
         cv, cp, regions = cmap.iterate(v0, phi0, n_steps)
         tail_a = np.column_stack([ev[-n_tail:], ep[-n_tail:]])
         tail_b = np.column_stack([cv[-n_tail:], cp[-n_tail:]])
         records.append(ComparisonRecord(
             d=p.length, v0=v0, phi0=phi0, exact_v=ev, exact_phi=ep,
             composite_v=cv, composite_phi=cp, composite_regions=regions,
-            tail_distance=hausdorff_distance(tail_a, tail_b) if full else float("nan")))
+            tail_distance=hausdorff_distance(tail_a, tail_b) if len(ev) > n_steps else np.nan))
     return records
 
 

@@ -153,9 +153,10 @@ def cmd_composite(args) -> int:
 
 def cmd_bifurcation(args) -> int:
     out = _outdir(args)
-    table = load_table(args.table) if args.kind == "composite" else None
-    samples = analysis.bifurcation_scan(args.kind, args.d_from, args.d_to, args.step,
-                                        table=table)
+    make_map = (functools.partial(CompositeMap, load_table(args.table)) if args.kind == "composite"
+                else lambda d: analysis.ExactMap(baseline_params(d)))
+    ds = analysis.d_values(args.d_from, args.d_to, args.step)
+    samples = analysis.bifurcation_scan(make_map, ds)
     path = artifacts.write_bifurcation_csv(out / f"bifurcation_{args.kind}.csv", samples)
     artifacts.write_plot_script(out / f"bifurcation_{args.kind}.gp", path.name,
                                 title=f"bifurcation diagram ({args.kind} map)",

@@ -385,12 +385,48 @@ def _shipped_table(name: str) -> CoeffTable:
     return CoeffTable.from_dict(json.loads(_data_path(name).read_text()))
 
 
+class ReturnMap:
+    """A map of bottom-wall states (CompositeMap, analysis.ExactMap) whose
+    step(v, phi) gives the next state and the code of the branch that made it."""
+
+    STOP = None    # the code of a step that has no next state
+    label = staticmethod(lambda v, phi: None)    # the code of an orbit's last state
+
+    def warn_outside(self, ds) -> None:
+        """Warn once about the d values ds this map's family only extrapolates to."""
+
+    def iterate(self, v0: float, phi0: float, n_steps: int):
+        """Orbit of up to n_steps steps; arrays (v, phi, codes), code k the one
+        of the step from state k and the last state's code its label.  It stops
+        at its first STOP step, keeping its code but not its state, and at its
+        first exact revisit: when state k has the bits of an earlier state j,
+        the cycle j..k-1 is copied over the remaining steps.  The copy is exact:
+        step is a pure function of the state, and the keys are the states'
+        bytes, so -0.0 and 0.0 (or NaNs of different bits) are never one state."""
+        v, phi = np.empty(n_steps + 1), np.empty(n_steps + 1)
+        codes = np.empty(n_steps + 1, dtype=object)
+        v[0], phi[0] = v0, phi0
+        seen = {}   # state bytes -> its first step
+        for k in range(n_steps):
+            j = seen.setdefault(struct.pack("2d", v[k], phi[k]), k)
+            if j < k:
+                for arr in (v, phi, codes):
+                    arr[j:] = np.resize(arr[j:k], n_steps + 1 - j)
+                break
+            v[k + 1], phi[k + 1], codes[k] = self.step(v[k], phi[k])
+            if codes[k] is self.STOP:
+                return v[:k + 1], phi[:k + 1], codes[:k + 1]
+        codes[n_steps] = self.label(v[n_steps], phi[n_steps])
+        return v, phi, codes
+
+
 @dataclass
-class CompositeMap:
+class CompositeMap(ReturnMap):
     """The composite map M: dispatch to a region map, or reset the phase."""
 
     table: CoeffTable
     d: float
+    label = staticmethod(region_of)
 
     def __post_init__(self):
         self._maps = {region: self.table.coeffs_for(region, self.d)
@@ -406,32 +442,13 @@ class CompositeMap:
             return fmap(v, phi), gmap(v, phi), region
         return fmap(v), gmap(phi), region
 
-    def iterate(self, v0: float, phi0: float, n_steps: int):
-        """Trajectory of n_steps applications; arrays (v, phi, region codes).
-
-        Region codes label the region used to map state k to k+1; the final
-        state's code is the region it lies in.
-
-        The orbit stops at its first exact revisit: when state k has the same
-        bits as an earlier state j, the cycle j..k-1 is copied over the
-        remaining steps.  The copy is exact because step is a pure function of
-        the state and the keys are the states' bytes, so -0.0 and 0.0 (or two
-        NaNs of different bits) are never taken for one state.
-        """
-        v = np.empty(n_steps + 1)
-        phi = np.empty(n_steps + 1)
-        regions = np.empty(n_steps + 1, dtype=object)
-        v[0], phi[0] = v0, phi0
-        seen = {}   # state bytes -> its first step
-        for k in range(n_steps):
-            j = seen.setdefault(struct.pack("2d", v[k], phi[k]), k)
-            if j < k:
-                for arr in (v, phi, regions):
-                    arr[j:] = np.resize(arr[j:k], n_steps + 1 - j)
-                return v, phi, regions
-            v[k + 1], phi[k + 1], regions[k] = self.step(v[k], phi[k])
-        regions[n_steps] = region_of(v[n_steps], phi[n_steps])
-        return v, phi, regions
+    def warn_outside(self, ds) -> None:
+        """One ExtrapolationWarning that counts the d values ds outside the table's range."""
+        if outside := sum(not self.table.covers(d) for d in ds):
+            lo, hi = self.table.d_range
+            warnings.warn(f"{outside} of {len(ds)} d values outside the calibrated range "
+                          f"[{lo}, {hi}]; extrapolating the coefficient polynomials",
+                          ExtrapolationWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)

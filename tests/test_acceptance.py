@@ -6,6 +6,7 @@ README.md); the shipped refit makes the dynamics criteria (6-9) pass
 and reports the remaining gaps honestly rather than loosening tolerances.
 """
 
+import functools
 import time
 import warnings
 
@@ -145,8 +146,9 @@ def test_criterion_6_fit_quality(sweep35):
 
 def test_criterion_7_bifurcation_fidelity(table):
     t0 = time.perf_counter()
-    exact = analysis.bifurcation_scan("exact", 0.36, 0.25, 0.001)
-    comp = analysis.bifurcation_scan("composite", 0.36, 0.25, 0.001, table=table)
+    ds = analysis.d_values(0.36, 0.25, 0.001)
+    exact = analysis.bifurcation_scan(lambda d: analysis.ExactMap(baseline_params(d)), ds)
+    comp = analysis.bifurcation_scan(functools.partial(CompositeMap, table), ds)
     elapsed = time.perf_counter() - t0
 
     def at(samples, d):

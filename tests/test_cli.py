@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vipair import analysis
 from vipair.artifacts import write_surface_csv
 from vipair.cli import build_parser, run_command
 from vipair.composite import _data_path, table_checksum
 from vipair.config import ConfigError, load_config, parse_config
 from vipair.core import baseline_params
+from vipair.analysis import ExactMap
 from vipair.returnmap import EmptyFilterResult, GridSpec, ReturnClass, sweep_surfaces
 
 
@@ -429,7 +429,7 @@ def test_cli_exact_scan_refuses_d_at_most_zero_before_any_run(tmp_path, capsys,
     def refuse(*args):
         raise AssertionError("the exact map ran before the d range was checked")
 
-    monkeypatch.setattr(analysis, "_iterate_exact", refuse)
+    monkeypatch.setattr(ExactMap, "step", refuse)
     assert run_command(["bifurcation", "--d-from", "0.005", "--d-to", "0",
                         "--out", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from vipair.analysis import ExactMap
 from vipair.core import (PI, STATUS_NO_IMPACT, STATUS_OK, NondimParams, baseline_params,
                          impact_phase, next_impact_batch)
 from vipair.returnmap import (
@@ -136,7 +137,8 @@ def _trajectories(v0, phi0, p, n_returns):
 @pytest.mark.parametrize("d", [0.26, 0.35])
 def test_batched_trajectories_equal_single_ones(d):
     # 100 returns from 16 starts as one shrinking batch equal each start
-    # iterated alone, bit for bit
+    # iterated alone, bit for bit, and ExactMap's orbit of each start (which
+    # stops at its first OTHER return and copies its first exact revisit)
     rng = np.random.default_rng(round(d * 1000) + 1)
     p = baseline_params(d)
     v0, phi0 = rng.uniform(0.05, 1.6, 16), rng.uniform(0.0, 2 * PI, 16)
@@ -145,6 +147,10 @@ def test_batched_trajectories_equal_single_ones(d):
         v_i, phi_i = _trajectories(v0[i:i + 1], phi0[i:i + 1], p, 100)
         assert v_i.tobytes() == v[i:i + 1].tobytes()
         assert phi_i.tobytes() == phi[i:i + 1].tobytes()
+        ev, ep, codes = ExactMap(p).iterate(v0[i], phi0[i], 100)
+        n = len(ev)
+        assert ev.tobytes() == v[i, :n].tobytes() and ep.tobytes() == phi[i, :n].tobytes()
+        assert np.isnan(v[i, n:]).all() and (n == 101 or codes[-1] is ReturnClass.OTHER)
 
 
 def test_classification_total(params35):

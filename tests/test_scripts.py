@@ -207,8 +207,14 @@ def test_map_timing_runs_both_checkouts(monkeypatch):
     assert [len(passes["leg-1"]), len(passes["leg-6144"])] == [3, 1]
     assert [out[0].size for out in (passes["leg-1"][0](), passes["leg-6144"][0]())] == [1, 2]
     # the iterate layer runs the three case trajectories in full
-    orbits = timing.layers(package)["iterate"]()
-    assert [len(v) for v, _, _ in orbits] == [401] * 3
+    single = timing.layers(package)
+    assert [len(v) for v, _, _ in single["iterate"]()] == [401] * 3
+    # the exact-step layer is one exact return, one-row _sweep_points where
+    # a checkout has no ExactMap
+    v, phi, klass = single["exact-step"]()
+    del package.analysis.ExactMap
+    row = timing.layers(package)["exact-step"]()
+    assert (row.v_out[0], row.phi_out[0], row.klass[0]) == (v, phi, klass)
 
 
 def test_sampled_boxes_prints_this_checkouts_boxes(monkeypatch, table):
