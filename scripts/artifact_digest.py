@@ -8,11 +8,13 @@ file, sorted by path; a command's standard output counts as the file
 ``<label>/stdout.txt``.  Two checkouts that print the same lines write the
 same bytes on this command set.  The script exits nonzero when a ``.json``
 artifact or a stdout line that opens with ``{`` is not strict JSON (NaN and
-Infinity are not JSON).
+Infinity are not JSON).  tests/golden/artifact_digest.txt holds its output,
+and tests/test_cli.py checks the artifacts against it.
 
 Run from the repository root:  python scripts/artifact_digest.py
-Compare two checkouts:         diff <(python a/scripts/artifact_digest.py) \\
-                                    <(python b/scripts/artifact_digest.py)
+Re-pin after a change that moves bytes on purpose:
+    python scripts/artifact_digest.py > tests/golden/artifact_digest.txt
+See what moved against a git ref:  git diff REF -- tests/golden/
 """
 
 import contextlib

@@ -3,7 +3,7 @@
 layers of this checkout against the ones of a git ref.
 
 Loads both checkouts' ``src/vipair`` package into this one process with
-digest_diff.py's ``load_package`` and times twelve layers, all but ``iterate``
+refs.py's ``load_package`` and times twelve layers, all but ``iterate``
 at d = 0.35.  Three time the exact map's ``next_impact_batch`` on
 solver_agreement.py's seeded legs, per leg:
 
@@ -48,7 +48,7 @@ from time import perf_counter
 
 import numpy as np
 
-from digest_diff import ROOT, load_package, ref_checkout
+from refs import ROOT, load_package, ref_checkout
 from solver_agreement import legs
 
 D = 0.35

@@ -5,7 +5,7 @@
 envelopes of ``iterate_updates`` against the sampled ones (201 x 1001 grids)
 they replaced, on the shipped calibrated table.  The sampled envelopes live
 only in git history, so when the table changes, this script unpacks
-SAMPLED_REF (the last commit with them) with digest_diff.py's
+SAMPLED_REF (the last commit with them) with refs.py's
 ``ref_checkout``, loads its package with ``load_package``, runs its
 ``iterate_updates`` for FP, PD and CD on this checkout's shipped table, and
 prints ``SAMPLED_BOXES`` and ``SAMPLED_FP_CYCLE`` to paste into the test.
@@ -15,7 +15,7 @@ Run from the repository root:  python scripts/sampled_boxes.py
 
 import warnings
 
-from digest_diff import ROOT, load_package, ref_checkout
+from refs import ROOT, load_package, ref_checkout
 
 SAMPLED_REF = "edd4317"
 TABLE = ROOT / "src" / "vipair" / "data" / "calibrated_coefficients.json"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the exact event solver of this checkout with the one of a git ref.
 
-Unpacks REF with digest_diff.py's ``ref_checkout``, loads each checkout's
+Unpacks REF with refs.py's ``ref_checkout``, loads each checkout's
 ``src/vipair`` package into this one process with its ``load_package``, and
 solves the same seeded legs with both ``core`` modules,
 at d = 0.35, 0.30 and 0.26 on the baseline parameters, from either wall: LEGS
@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from digest_diff import ROOT, load_package, ref_checkout
+from refs import ROOT, load_package, ref_checkout
 
 D_VALUES = (0.35, 0.30, 0.26)
 AMPLITUDES = (1.0, -0.7)   # forcing amplitudes of the slow family

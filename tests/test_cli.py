@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vipair.artifacts import write_surface_csv
+from vipair import artifacts
 from vipair.cli import build_parser, run_command
 from vipair.composite import _data_path, table_checksum
 from vipair.config import ConfigError, load_config, parse_config
@@ -543,7 +543,7 @@ def test_cli_fit_rejects_separable_regions(capsys):
 
 def test_surface_csv_roundtrip(tmp_path):
     surface = sweep_surfaces(GridSpec(n_v=6, n_phi=6), baseline_params(0.3))
-    path = write_surface_csv(tmp_path / "s.csv", surface)
+    path = artifacts.write_surface_csv(tmp_path / "s.csv", surface)
     with path.open() as fh:
         rows = list(csv.DictReader(fh))
     column = lambda key: np.array([float(r[key]) if r[key] else np.nan for r in rows])
@@ -566,91 +566,42 @@ def test_artifacts_are_reproducible(tmp_path):
             == (tmp_path / "b" / "surface.gp").read_bytes())
 
 
-def _digests(tmp_path, monkeypatch, commands) -> dict:
-    """{relative path: sha256} of every file that scripts/artifact_digest.py's
-    run_all writes from tmp_path for commands, stdout files included."""
+GOLDEN = Path(__file__).resolve().parent / "golden" / "artifact_digest.txt"
+
+
+def _counting(writer, called: set):
+    def wrapped(*args, **kwargs):
+        called.add(writer.__name__)
+        return writer(*args, **kwargs)
+    return wrapped
+
+
+def test_cli_artifacts_match_the_golden_digest(tmp_path, monkeypatch):
+    """scripts/artifact_digest.py's command set writes the bytes that
+    tests/golden/artifact_digest.txt records, runs every subcommand, calls
+    every artifacts.write_* function and writes only strict JSON.
+
+    Re-pin after a change that moves bytes on purpose:
+        python scripts/artifact_digest.py > tests/golden/artifact_digest.txt
+    Host-dependent, like the calibrated-table checksum test: the record was
+    taken with Python 3.11.7 and numpy 2.4.6 on x86-64, and another libm or
+    numpy build may round a power or a root differently.  On a failure
+    elsewhere, compare with the script's output at the previous commit on the
+    same machine before suspecting the change.
+    """
     spec = importlib.util.spec_from_file_location(
         "artifact_digest", Path(__file__).resolve().parents[1] / "scripts" / "artifact_digest.py")
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
-    monkeypatch.setattr(digest, "COMMANDS", commands)
+    writers, called = {name for name in vars(artifacts) if name.startswith("write_")}, set()
+    for name in writers:   # writers that call writers look them up as module globals
+        monkeypatch.setattr(artifacts, name, _counting(getattr(artifacts, name), called))
     monkeypatch.chdir(tmp_path)   # the stdout lists the relative artifact paths
     digest.run_all(tmp_path)
-    return {path: sha for sha, path in (line.split("  ", 1)
-                                        for line in digest.digest_lines(tmp_path))}
-
-
-# sha256 of every file `case --name FP|PD|CD --out case-<name>` writes, and of
-# its stdout, as `python scripts/artifact_digest.py` prints them
-CASE_DIGESTS = {
-    "case-CD/aux_report.json": "f9e4fb65ee8faa7d4577715d45f967c2a8352d4af64ad4e0ea74af4722ed699e",
-    "case-CD/stdout.txt": "62c3c17868a436bbef8af96e77d9cb4e5e463143eda4e708cf82aaf81ce566a1",
-    "case-CD/trajectory.csv": "0b439324b116b0b8d85616592d7911628c57c698f20b8dac9e4317d9cfb62532",
-    "case-CD/trajectory.gp": "1c4da8c4813667f2c0dc06ecb0e148e0e82aa37dff6aa4316ae222c31dc1e22e",
-    "case-CD/widths.csv": "c4eda8738161dbc266f9a59651a59fe11d52b2b624e461b61631c9ee3109f571",
-    "case-CD/widths.gp": "082f6bc6a9e0320c1afdc96a1dfdd1d9e6b126aec5af66ccae9277ee748b6d59",
-    "case-FP/aux_report.json": "d65670155c80dccb6a5f01f953ed028675f28583b285f5139dbc3383289a404b",
-    "case-FP/stdout.txt": "265c6881c8086cd816fc7cb60721312a40914fce4034fe184c17b43fc09fd080",
-    "case-FP/trajectory.csv": "484a08515f7e5f041d2883917562ad3b53ef6df3ba775d196432ab7412eb9f96",
-    "case-FP/trajectory.gp": "f1df66fceb5a5542825c49255a6db2bf39fa12766fe4563d5ea669bb4afe382f",
-    "case-FP/widths.csv": "d27a19b8da81970c0aaeca1899c78f25cc448056c21639ed3adbb4cb8f3db0f3",
-    "case-FP/widths.gp": "e05a19760aface584cbfd0c76a27dbc1d1157222cddfc99b737c1c906a975247",
-    "case-PD/aux_report.json": "aaf2b8dfd8cae6abcc0a06262b74f8de985c463963dfe29368415d44ef1bcd6b",
-    "case-PD/stdout.txt": "ed9bd885874a6f9e2ce8eb6aa284c955bd076486c40d04438c6397004f1bbc8d",
-    "case-PD/trajectory.csv": "13a13aa0832faf55083034e811a3e3218facb05fbba24a93da46c9e0fb08eedd",
-    "case-PD/trajectory.gp": "7a29ed17b685c13271cb34fa7b63dae7774baf046dfe13302bed7abf6c5dfc13",
-    "case-PD/widths.csv": "f1357c1c74975371f3166751245023a3fc2f9aaa9fe2442f7ffa2667a20da447",
-    "case-PD/widths.gp": "82e5e6031554f037342a293a788878ca0801628f119903d48a5caa2d2db345cd",
-}
-
-
-def test_case_artifacts_keep_their_bytes(tmp_path, monkeypatch):
-    """The case presets write the same bytes as the digest command set did.
-
-    Host-dependent, like the calibrated-table checksum test: the digests were
-    taken with Python 3.11.7 and numpy 2.4.6 on x86-64, and another libm or
-    numpy build may round a power or a root differently.  On a failure
-    elsewhere, compare with the digest script's output at the previous commit
-    on the same machine before suspecting the change.
-    """
-    got = _digests(tmp_path, monkeypatch, [(f"case-{name}", ["case", "--name", name])
-                                           for name in ("FP", "PD", "CD")])
-    assert got == CASE_DIGESTS
-
-
-# small runs of the CSV writers that CASE_DIGESTS does not reach
-CSV_COMMANDS = [
-    ("sweep", ["sweep", "--d", "0.3", "--grid", "8x8"]),
-    ("partition", ["partition", "--d", "0.3", "--grid", "8x8"]),
-    ("composite", ["composite", "--d", "0.35", "--v0", "0.2", "--phi0", "0.1",
-                   "--steps", "8"]),
-    ("bifurcation", ["bifurcation", "--kind", "composite", "--d-from", "0.26",
-                     "--d-to", "0.25", "--step", "0.005"]),
-]
-CSV_DIGESTS = {
-    "bifurcation/bifurcation_composite.csv": "0c77704de42880a8b5f2aad22ce04bb194071492dc1f249b9d4b6af778056f8d",
-    "bifurcation/bifurcation_composite.gp": "f4064d4a5ec125d1476a4988a6a6f7c21979e5e14478477cf15ac5f32e48a7e1",
-    "bifurcation/bifurcation_composite_meta.json": "8fb8711eb692e2c10d56c7f027e4cbac5ccfc155e4a247f8cbd451c8f2d52c7f",
-    "bifurcation/stdout.txt": "a603b0c6513eca2947388791ab7f3be52464e03293823dfa5060978cf4a977d3",
-    "composite/composite_trajectory.csv": "1d43fb8d30ffb80de94041d1f61275adb42177c527a50bea2a7d49faaef0cd4d",
-    "composite/stdout.txt": "afa3a8532d2fa889d2a63c62cd20d46f2f2b14b407b6bbdcd9bc06694aee85ca",
-    "partition/partition.csv": "c224886552b03a9f51c78d3f75d2ef4075f63988e9e7649cc4358d96a266ae6a",
-    "partition/stdout.txt": "063a833613425ebf197dff58c4081518aa6af94b8ebcc8c58a49acd0e042d387",
-    "sweep/stdout.txt": "22cda7fbd79ab6d04bf0513a145d2cc877b50f480176b6c8c7ca3aa13bf920ed",
-    "sweep/surface.csv": "6ceebee4d5e891124e772b3f4b5cc9c0628bd9ef4ecc4bb6f045084473ff7fc3",
-    "sweep/surface.gp": "b32b65df140f8d190a79450f41c34b74d5dc9339df835db47d71d37624fd2e59",
-    "sweep/surface.json": "47e8013695fc127e3c967b2e4f53e216e7ef41339b7a15695e19d40c8e28375c",
-}
-
-
-def test_csv_artifacts_keep_their_bytes(tmp_path, monkeypatch):
-    """Small sweep, partition, composite and bifurcation runs write the same
-    bytes as before.
-
-    Host-dependent, like the calibrated-table checksum test: the digests were
-    taken with Python 3.11.7 and numpy 2.4.6 on x86-64, and another libm or
-    numpy build may round a power or a root differently.  On a failure
-    elsewhere, compare with the same runs at the previous commit on the same
-    machine before suspecting the change.
-    """
-    assert _digests(tmp_path, monkeypatch, CSV_COMMANDS) == CSV_DIGESTS
+    got, want = digest.digest_lines(tmp_path), GOLDEN.read_text().splitlines()
+    moved = sorted({line.split("  ", 1)[1] for line in set(got) ^ set(want)})
+    assert got == want, f"artifacts that moved: {moved}"
+    assert called == writers
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for _, argv in digest.COMMANDS} == set(subcommands)
+    assert digest.non_strict_json(tmp_path) == []

@@ -1,5 +1,4 @@
 import ast
-import contextlib
 import importlib.util
 import shutil
 import sys
@@ -72,32 +71,6 @@ def test_only_composite_writes_the_partition():
     assert owners == {"composite"}
 
 
-def test_digest_diff_reports_both_line_counts(monkeypatch, capsys, tmp_path):
-    digest_diff = _load("digest_diff")
-    old, new = tmp_path / "old", tmp_path / "new"
-    for checkout, files in ((old, {"a.py": "x\ny\n", "b.py": "z\n"}),
-                            (new, {"a.py": "x\n", "b.py": "z\n", "c.py": "1\n2\n3"})):
-        (checkout / "src" / "vipair").mkdir(parents=True)
-        for name, text in files.items():
-            (checkout / "src" / "vipair" / name).write_text(text)
-    (new / "src" / "vipair" / "notes.txt").write_text("not counted\n")
-    assert digest_diff.line_counts(old) == {"a.py": 2, "b.py": 1}
-    assert digest_diff.line_counts(new) == {"a.py": 1, "b.py": 1, "c.py": 2}   # as wc -l
-    monkeypatch.setattr(digest_diff, "ROOT", new)
-    monkeypatch.setattr(digest_diff, "ref_checkout", lambda ref: contextlib.nullcontext(old))
-    monkeypatch.setattr(digest_diff, "digest", lambda checkout: ["same  line\n"])
-    monkeypatch.setattr(sys, "argv", ["digest_diff.py", "REF"])
-    with pytest.raises(SystemExit) as stop:
-        digest_diff.main()
-    assert stop.value.code == 0
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.splitlines() == [
-        "REF: 1 lines, working tree: 1 lines, 0 new or changed",
-        "src/vipair/*.py lines, REF -> working tree: 3 -> 4 "
-        "(a.py 2 -> 1, b.py 1, c.py 0 -> 2)"]
-
-
 def test_digest_flags_non_strict_json(tmp_path):
     (tmp_path / "run").mkdir()
     (tmp_path / "run" / "ok.json").write_text('{"x": null}')
@@ -109,7 +82,7 @@ def test_digest_flags_non_strict_json(tmp_path):
 
 
 def test_solver_agreement_runs_both_checkouts(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its refs import
     agreement = _load("solver_agreement")
     rows = agreement.agreement(agreement.load_package(ROOT, "HEAD"),
                                agreement.load_package(ROOT, "HEAD"), 300)
@@ -133,7 +106,7 @@ def test_solver_agreement_runs_both_checkouts(monkeypatch):
 
 
 def test_solver_agreement_sees_two_different_solvers(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its refs import
     agreement = _load("solver_agreement")
     source = (ROOT / "src" / "vipair" / "core.py").read_text()
     assert source.count("GRAZING_TOL = 1e-8\n") == 1
@@ -150,20 +123,20 @@ def test_solver_agreement_sees_two_different_solvers(monkeypatch, tmp_path):
 
 
 def test_load_package_names_a_ref_that_does_not_load(tmp_path):
-    digest_diff = _load("digest_diff")
+    refs = _load("refs")
     (tmp_path / "src" / "vipair").mkdir(parents=True)
     (tmp_path / "src" / "vipair" / "__init__.py").write_text("")
     (tmp_path / "src" / "vipair" / "core.py").write_text("from .config import PI\n")
     with pytest.raises(SystemExit, match="^abc123: src/vipair does not load"):
-        digest_diff.load_package(tmp_path, "abc123")
-    package = digest_diff.load_package(ROOT, "HEAD")
+        refs.load_package(tmp_path, "abc123")
+    package = refs.load_package(ROOT, "HEAD")
     assert package.core.GRAZING_TOL == 1e-8 and package.cli.main
 
 
 def test_ref_checkout_names_an_unknown_ref():
-    digest_diff = _load("digest_diff")
+    refs = _load("refs")
     with pytest.raises(SystemExit) as stop:
-        with digest_diff.ref_checkout("nosuchref"):
+        with refs.ref_checkout("nosuchref"):
             pass
     message = str(stop.value.code)
     assert message.startswith("nosuchref: git archive failed: ") and "\n" not in message
@@ -171,7 +144,7 @@ def test_ref_checkout_names_an_unknown_ref():
 
 
 def test_solver_agreement_slow_family_runs_both_checkouts(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its refs import
     agreement = _load("solver_agreement")
     package = agreement.load_package(ROOT, "HEAD")
     rows = agreement.slow_agreement(package, package, 50)
@@ -186,7 +159,7 @@ def test_solver_agreement_slow_family_runs_both_checkouts(monkeypatch):
 
 
 def test_leg_timing_runs_both_checkouts(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff and solver_agreement imports
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its refs and solver_agreement imports
     timing = _load("map_timing")
     rows = timing.timing(timing.load_package(ROOT, "HEAD"), timing.load_package(ROOT, "HEAD"),
                          calls={"leg-1": 3, "leg-6144": 40}, reps=2)
@@ -195,7 +168,7 @@ def test_leg_timing_runs_both_checkouts(monkeypatch):
 
 
 def test_map_timing_runs_both_checkouts(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff and solver_agreement imports
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its refs and solver_agreement imports
     timing = _load("map_timing")
     package = timing.load_package(ROOT, "HEAD")
     rows = timing.timing(package, timing.load_package(ROOT, "HEAD"),
@@ -218,7 +191,7 @@ def test_map_timing_runs_both_checkouts(monkeypatch):
 
 
 def test_sampled_boxes_prints_this_checkouts_boxes(monkeypatch, table):
-    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its digest_diff import
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its refs import
     from vipair.auxmap import iterate_updates
     sampled = _load("sampled_boxes")
     pins = {}
