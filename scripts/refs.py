@@ -3,8 +3,8 @@ with this checkout.
 
 ``ref_checkout`` unpacks ``git archive REF`` into a temporary directory, and
 ``load_package`` loads a checkout's whole ``src/vipair`` package in-process,
-under a name of its own.  ``map_timing.py``, ``solver_agreement.py`` and
-``sampled_boxes.py`` take both from here.
+under a name of its own.  ``map_timing.py`` and ``solver_agreement.py``
+take both from here.
 """
 
 import contextlib

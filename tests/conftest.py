@@ -1,9 +1,31 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vipair.composite import load_table
 from vipair.core import baseline_params
 from vipair.returnmap import GridSpec, sweep_surfaces
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def artifact_digest():
+    """scripts/artifact_digest.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digest", ROOT / "scripts" / "artifact_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def golden_digest():
+    """The lines of the committed record that scripts/artifact_digest.py prints."""
+    return (ROOT / "tests" / "golden" / "artifact_digest.txt").read_text().splitlines()
 
 
 @pytest.fixture(scope="session")

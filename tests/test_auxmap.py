@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from vipair.auxmap import (
     STATEMENT_PART1,
     STATEMENT_PART2,
     TwoCycle,
+    WcsRecord,
+    _clip_to,
     _same_bounds,
     build_bound_curves,
     iterate_updates,
@@ -376,53 +379,89 @@ def test_rect_range_rejects_other_shapes():
                     (0.0, 1.0), (0.0, 1.0))
 
 
-# iterate_updates with the sampled envelopes (201 x 1001 grids) this module
-# replaced, on the shipped table; the closed-form boxes differ from them by the
-# sampling error only.  When the table changes, regenerate them with
-# `python scripts/sampled_boxes.py`, which runs the sampled envelopes of the
-# last commit that had them on the shipped table.
-SAMPLED_BOXES = {
-    "FP": [
-        (0.70, 1.0, 0.20, PI / 3),
-        (0.7706972136675392, 0.9018702763230244, 0.3258074278826508, 0.6627188705145381),
-        (0.7793961313552666, 0.865076877020679, 0.3308351811943431, 0.4703159880729455),
-        (0.806113821540372, 0.8523110439545041, 0.3334670792279524, 0.4512466990717092),
-        (0.8101151925939778, 0.8499641741067032, 0.34216381268242557, 0.40304076002961553),
-        (0.8214727909219862, 0.8430921961022718, 0.3441496808299864, 0.39669892793052464),
-        (0.8231653241250546, 0.8419245023454135, 0.35161864132453546, 0.37972968103241955),
-        (0.828051188805659, 0.8381999648202614, 0.3530074607392861, 0.37734014089381507),
-        (0.8287900503378114, 0.8375850976825819, 0.357549138713253, 0.3706374262388281),
-        (0.830950675890732, 0.8356934545794976, 0.3583139360168448, 0.3696488506169988),
-        (0.8312818086986952, 0.835390297200889, 0.3606898310793367, 0.3667931831293525),
-    ],
-    "PD": [
-        (0.65, 1.0, 0.13, PI / 3),
-        (0.6050861120812976, 1.2480022991645097, 0.21179536984425917, 1.7315782958246366),
-    ],
-    "CD": [
-        (0.64, 1.0, 0.08, PI / 3),
-        (0.3466541411946966, 2.0000468869195807, 0.11743926357296575, 5.042086842911877),
-    ],
-}
-SAMPLED_FP_CYCLE = (0.8312818086996121, 0.8353902972002103, 0.3606898315117102,
-                    0.3667931826159019, 0.16836496790623912, 0.2438574246976799)
+# Frozen reference: the sampled envelopes (201 x 1001 grids) that the closed
+# forms replaced, on this tree's region-1 maps.  Each envelope value is the
+# extreme over INNER_GRID samples of the box; each WCS range the extreme over
+# ENVELOPE_GRID nodes of the clipped interval, with argmax/argmin extremizers.
+# xi takes the phase-end branch that dominates on the sampled v-interval, and
+# samples the phase interval where the branches cross.  Patched into
+# iterate_updates, they give the boxes the closed forms differ from by the
+# sampling error only, from whichever table is shipped.
+INNER_GRID = 1001
+ENVELOPE_GRID = 201
+
+
+def _sampled_extreme(vals, upper):
+    """Max (upper) or min over each row; a float for a single row."""
+    out = np.max(vals, axis=1) if upper else np.min(vals, axis=1)
+    return out if out.shape != (1,) else float(out[0])
+
+
+def _sampled_xi(curves, v, upper):
+    box = curves.box
+    at_min, at_max = curves.phase_branches()
+    v_src = np.linspace(box.v_min, box.v_max, INNER_GRID)
+    if np.all(at_min(v_src) >= at_max(v_src)):
+        return (at_min if upper else at_max)(v)
+    if np.all(at_max(v_src) >= at_min(v_src)):
+        return (at_max if upper else at_min)(v)
+    phi_src = np.linspace(box.phi_min, box.phi_max, INNER_GRID)
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    return _sampled_extreme(curves.f1(v[:, None], phi_src[None, :]), upper)
+
+
+def _sampled_eta(curves, phi, upper):
+    v_src = np.linspace(curves.box.v_min, curves.box.v_max, INNER_GRID)
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    return _sampled_extreme(curves.g1(v_src[None, :], phi[:, None]), upper)
+
+
+def _sampled_wcs_step(curves, interval_v, interval_phi):
+    box = curves.box
+    iv = _clip_to(interval_v, box.v_min, box.v_max)
+    ip = _clip_to(interval_phi, box.phi_min, box.phi_max)
+    vv = np.linspace(iv[0], iv[1], ENVELOPE_GRID)
+    up, lo = _sampled_xi(curves, vv, True), _sampled_xi(curves, vv, False)
+    pp = np.linspace(ip[0], ip[1], ENVELOPE_GRID)
+    e_up, e_lo = _sampled_eta(curves, pp, True), _sampled_eta(curves, pp, False)
+    return WcsRecord(interval_v=(float(np.min(lo)), float(np.max(up))),
+                     interval_phi=(float(np.min(e_lo)), float(np.max(e_up))),
+                     argmax_xi_u=float(vv[np.argmax(up)]), argmin_xi_l=float(vv[np.argmin(lo)]),
+                     argmax_eta_u=float(pp[np.argmax(e_up)]),
+                     argmin_eta_l=float(pp[np.argmin(e_lo)]))
+
+
+@pytest.fixture(scope="module")
+def sampled_reports(table):
+    """iterate_updates of each case with the sampled WCS step and phase
+    envelopes (the 2-cycle's eta_L(eta_U(.)) scan reads the envelopes)."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", EscapedBox)
+        mp.setattr("vipair.auxmap.wcs_step", _sampled_wcs_step)
+        mp.setattr(BoundCurves, "eta_u", lambda self, phi: _sampled_eta(self, phi, True))
+        mp.setattr(BoundCurves, "eta_l", lambda self, phi: _sampled_eta(self, phi, False))
+        return {case: iterate_updates(case, table=table) for case in CASES}
+
+
+def _cycle(rep):
+    c = rep.two_cycle
+    return c.p_v, c.q_v, c.p_phi, c.q_phi, c.slope_v, c.slope_phi
 
 
 @pytest.mark.filterwarnings("ignore::vipair.auxmap.EscapedBox")
 @pytest.mark.parametrize("case", ["FP", "PD", "CD"])
-def test_update_sequence_matches_sampled_boxes(table, case):
+def test_update_sequence_matches_sampled_boxes(table, sampled_reports, case):
     rep = iterate_updates(case, table=table)
-    old = SAMPLED_BOXES[case]
+    old = [box.as_tuple() for box in sampled_reports[case].boxes]
     assert len(rep.boxes) == len(old)
     for k, (box, want) in enumerate(zip(rep.boxes, old)):
         tol = 2e-6 if case == "CD" and k == len(old) - 1 else 5e-7
         assert np.allclose(box.as_tuple(), want, rtol=0.0, atol=tol)
     if case == "FP":
         assert rep.statement_case == STATEMENT_PART1 and not rep.escaped
-        cycle = (rep.two_cycle.p_v, rep.two_cycle.q_v, rep.two_cycle.p_phi,
-                 rep.two_cycle.q_phi, rep.two_cycle.slope_v, rep.two_cycle.slope_phi)
+        cycle = _cycle(rep)
         assert all(type(x) is float for x in cycle)
-        assert np.allclose(cycle, SAMPLED_FP_CYCLE, rtol=0.0, atol=1e-8)
+        assert np.allclose(cycle, _cycle(sampled_reports[case]), rtol=0.0, atol=1e-8)
     else:
         assert rep.statement_case == STATEMENT_PART2 and rep.escaped
 

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from vipair import calibration
-from vipair.calibration import (CURVE_POINTS, R1_GRID, R3_GRID, R3_POOL_D, SEPARABLE_RECIPE,
-                                _r3_nodes, _sweep_d, build_calibrated_table, region_samples)
+from vipair.calibration import (CURVE_POINTS, R1_GRID, R1_MIN_SAMPLES, R3_GRID, R3_POOL_D,
+                                SEPARABLE_RECIPE, _r1_samples, _r3_nodes, _sweep_d,
+                                build_calibrated_table, region_samples)
 from vipair.composite import PI, R1_BOX, Region, region_mask, region_of
 from vipair.core import baseline_params
-from vipair.returnmap import ReturnClass, _sweep_points, sweep_surfaces
+from vipair.returnmap import R1_DELTA, ReturnClass, SurfaceData, _sweep_points, sweep_surfaces
 
 
 def test_calibration_reproduces_shipped_checksum():
@@ -131,3 +132,38 @@ def test_region_rules_equal_the_if_chain():
         for pairs in (zip(v.tolist(), phi.tolist()), zip(v, phi)):   # float, np.float64
             for a, b in pairs:
                 assert region_of(a, b) == _if_chain(a, b), (name, a, b)
+
+
+def _ratio_surface(ratios, klass=None):
+    """A point set whose samples return from (v, phi) = (1, 1) to (ratio, 1),
+    of the classes klass (all BTB by default)."""
+    ratios = np.asarray(ratios, dtype=float)
+    klass = [ReturnClass.BTB] * ratios.size if klass is None else klass
+    ones = np.ones_like(ratios)
+    return SurfaceData(params=baseline_params(0.35), grid=None, v_in=ones, phi_in=ones,
+                       klass=np.array(klass, dtype=np.int8), v_out=ratios, phi_out=ones,
+                       n_intermediate=np.zeros(ratios.size, dtype=np.int64),
+                       reason=np.zeros(ratios.size, dtype=np.int8))
+
+
+def test_r1_samples_relaxes_delta_until_enough_samples_pass():
+    # 1.2 keeps the 100 BTB ratios of 1, 1.2 * 1.1 still 100, 1.2 * 1.1**2 ~ 1.452
+    # also the BTB ratios of 1.4; the BB samples never count
+    n = R1_MIN_SAMPLES
+    surface = _ratio_surface([1.0] * 100 + [1.4] * (n - 100) + [1.0] * n,
+                             [ReturnClass.BTB] * n + [ReturnClass.BB] * n)
+    _, _, vn, _, delta = _r1_samples(surface, R1_DELTA)
+    assert delta == pytest.approx(1.2 * 1.1**2, rel=1e-12)
+    assert vn.size == n and np.array_equal(np.unique(vn), [1.0, 1.4])
+    _, _, vn, _, delta = _r1_samples(_ratio_surface([1.0] * n), R1_DELTA)
+    assert delta == R1_DELTA and vn.size == n
+
+
+def test_r1_samples_stops_relaxing_past_three():
+    # too few samples at any delta: it keeps what the first delta > 3.0,
+    # 1.2 * 1.1**10 ~ 3.11, keeps (the ratios of 3.05 but not those of 3.2)
+    _, _, vn, _, delta = _r1_samples(_ratio_surface([1.0] * 10 + [3.05] * 5 + [3.2] * 5),
+                                     R1_DELTA)
+    assert delta > 3.0 and delta / 1.1 <= 3.0
+    assert delta == pytest.approx(1.2 * 1.1**10, rel=1e-12)
+    assert vn.tolist() == [1.0] * 10 + [3.05] * 5

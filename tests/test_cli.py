@@ -1,5 +1,4 @@
 import csv
-import importlib.util
 import json
 import math
 import os
@@ -566,9 +565,6 @@ def test_artifacts_are_reproducible(tmp_path):
             == (tmp_path / "b" / "surface.gp").read_bytes())
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "artifact_digest.txt"
-
-
 def _counting(writer, called: set):
     def wrapped(*args, **kwargs):
         called.add(writer.__name__)
@@ -576,10 +572,12 @@ def _counting(writer, called: set):
     return wrapped
 
 
-def test_cli_artifacts_match_the_golden_digest(tmp_path, monkeypatch):
-    """scripts/artifact_digest.py's command set writes the bytes that
-    tests/golden/artifact_digest.txt records, runs every subcommand, calls
-    every artifacts.write_* function and writes only strict JSON.
+def test_cli_artifacts_match_the_golden_digest(tmp_path, monkeypatch, artifact_digest,
+                                               golden_digest):
+    """scripts/artifact_digest.py's command set and pinned legs give the
+    bytes that tests/golden/artifact_digest.txt records; the commands run
+    every subcommand, call every artifacts.write_* function and write only
+    strict JSON.
 
     Re-pin after a change that moves bytes on purpose:
         python scripts/artifact_digest.py > tests/golden/artifact_digest.txt
@@ -589,19 +587,15 @@ def test_cli_artifacts_match_the_golden_digest(tmp_path, monkeypatch):
     elsewhere, compare with the script's output at the previous commit on the
     same machine before suspecting the change.
     """
-    spec = importlib.util.spec_from_file_location(
-        "artifact_digest", Path(__file__).resolve().parents[1] / "scripts" / "artifact_digest.py")
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
     writers, called = {name for name in vars(artifacts) if name.startswith("write_")}, set()
     for name in writers:   # writers that call writers look them up as module globals
         monkeypatch.setattr(artifacts, name, _counting(getattr(artifacts, name), called))
     monkeypatch.chdir(tmp_path)   # the stdout lists the relative artifact paths
-    digest.run_all(tmp_path)
-    got, want = digest.digest_lines(tmp_path), GOLDEN.read_text().splitlines()
+    artifact_digest.run_all(tmp_path)
+    got, want = artifact_digest.digest_lines(tmp_path), golden_digest
     moved = sorted({line.split("  ", 1)[1] for line in set(got) ^ set(want)})
     assert got == want, f"artifacts that moved: {moved}"
     assert called == writers
     subcommands = build_parser()._subparsers._group_actions[0].choices
-    assert {argv[0] for _, argv in digest.COMMANDS} == set(subcommands)
-    assert digest.non_strict_json(tmp_path) == []
+    assert {argv[0] for _, argv in artifact_digest.COMMANDS} == set(subcommands)
+    assert artifact_digest.non_strict_json(tmp_path) == []

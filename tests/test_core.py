@@ -545,44 +545,12 @@ def test_crossings_on_zdd_breakpoints_match_bisection(amplitude, psi):
     assert on_breakpoint >= 40
 
 
-# (params, amplitude) of the bit-pinned leg sets: calibrate's own forcing at
-# two d, and branches calibrate never takes: no Zdd breakpoints (A = 0 and
-# 0 < A < gbar), a negative amplitude and a general phase.
-PINNED_LEG_SETS = [
-    (baseline_params(0.35), 1.0),
-    (baseline_params(0.26), 1.0),
-    (baseline_params(0.30), 0.0),
-    (baseline_params(0.30), 0.1),
-    (baseline_params(0.30), -0.7),
-    (baseline_params(0.30).replace(general_phase=0.7), 1.0),
-]
-# sha256 of next_impact_batch's four outputs on those legs, computed at the
-# grid-free solver's first version (e2e3ba6)
-PINNED_LEGS_SHA256 = "b547db61c280b328a87e989e313e4a58d5d55d2971e4a415219548dbca568766"
-
-
-def _pinned_legs(i, n=250):
-    """n seeded legs from either wall: every fifth log-uniform in [1e-10, 1e-3]
-    (chattering and grazing), the rest uniform in [1e-3, 1.6], and row 1 NaN."""
-    rng = np.random.default_rng([1717, i])
-    sides = rng.choice(np.array([1, -1], dtype=np.int8), n)
-    slow = np.arange(n) % 5 == 0
-    speed = np.where(slow, np.exp(rng.uniform(np.log(1e-10), np.log(1e-3), n)),
-                     rng.uniform(1e-3, 1.6, n))
-    times = rng.uniform(0.0, 2.0, n)
-    vels = sides * speed
-    vels[1] = np.nan
-    return sides, times, vels
-
-
-def test_next_impact_batch_outputs_are_pinned():
-    # Speed-ups of the event solver keep its every output bit
-    digest = hashlib.sha256()
-    statuses = set()
-    for i, (p, amplitude) in enumerate(PINNED_LEG_SETS):
-        out = next_impact_batch(*_pinned_legs(i), p, amplitude=amplitude)
-        statuses.update(out[3].tolist())
-        for column in out:
-            digest.update(np.ascontiguousarray(column).tobytes())
+def test_next_impact_batch_outputs_are_pinned(artifact_digest, golden_digest):
+    # Speed-ups of the event solver keep its every output bit: the golden
+    # record's line for scripts/artifact_digest.py's pinned legs, which run
+    # every status
+    outputs = artifact_digest.pinned_leg_outputs()
+    statuses = {status for out in outputs for status in out[3].tolist()}
     assert statuses == {STATUS_OK, STATUS_NO_IMPACT, STATUS_GRAZING}
-    assert digest.hexdigest() == PINNED_LEGS_SHA256
+    digest = hashlib.sha256(artifact_digest.leg_bytes(outputs)).hexdigest()
+    assert f"{digest}  {artifact_digest.LEGS}" in golden_digest

@@ -2,7 +2,6 @@ import ast
 import importlib.util
 import shutil
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,25 +189,6 @@ def test_map_timing_runs_both_checkouts(monkeypatch):
     assert (row.v_out[0], row.phi_out[0], row.klass[0]) == (v, phi, klass)
 
 
-def test_sampled_boxes_prints_this_checkouts_boxes(monkeypatch, table):
-    monkeypatch.syspath_prepend(str(SCRIPTS))   # for its refs import
-    from vipair.auxmap import iterate_updates
-    sampled = _load("sampled_boxes")
-    pins = {}
-    exec("\n".join(sampled.sampled(sampled.load_package(ROOT, "HEAD"))), pins)
-    bits = lambda values: [float(x).hex() for x in values]
-    assert list(pins["SAMPLED_BOXES"]) == ["FP", "PD", "CD"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        reports = {case: iterate_updates(case, table=table) for case in pins["SAMPLED_BOXES"]}
-    for case, boxes in pins["SAMPLED_BOXES"].items():
-        assert [bits(box) for box in boxes] == [bits(box.as_tuple())
-                                                for box in reports[case].boxes]
-    c = reports["FP"].two_cycle
-    assert bits(pins["SAMPLED_FP_CYCLE"]) == bits(
-        (c.p_v, c.q_v, c.p_phi, c.q_phi, c.slope_v, c.slope_phi))
-
-
 def test_transcribe_supplement_writes_the_shipped_table(monkeypatch):
     monkeypatch.setattr(sys, "path", [*sys.path])   # the script puts src/ on it
     text = _load("transcribe_supplement").table_text()
@@ -223,6 +203,16 @@ def test_every_script_is_loaded_by_a_test():
             loaded |= {node.args[0].value for node in ast.walk(test)
                        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_load"}
     assert sorted({path.stem for path in SCRIPTS.glob("*.py")} - loaded) == []
+
+
+def test_every_golden_record_is_read_by_a_test():
+    # a record that no test names could linger, stale, after its test goes
+    named = set()
+    for module in (ROOT / "tests").glob("*.py"):
+        named |= {node.value for node in ast.walk(ast.parse(module.read_text()))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    records = {path.name for path in (ROOT / "tests" / "golden").rglob("*") if path.is_file()}
+    assert records and sorted(records - named) == []
 
 
 def test_benchmark_hooks_resolve(monkeypatch):
