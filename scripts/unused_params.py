@@ -16,10 +16,10 @@ is not seen.  Each printed line is ``path:line  Owner.param``.  A second
 section lists the defaulted parameters that only calls under ``tests/`` set.
 
 A third section lists the top-level names (functions, classes and
-module-level assignments, dunders aside) of the package that no code under
-``src/`` loads by name or reads as an attribute: API that only tests or
-scripts use.  It too matches by name alone, so a same-named attribute
-anywhere under ``src/`` counts as a use.
+module-level assignments) and the methods and properties of the top-level
+classes, dunders aside, that no code under ``src/`` loads by name or reads as
+an attribute: API that only tests or scripts use.  It too matches by name
+alone, so a same-named attribute anywhere under ``src/`` counts as a use.
 
 Run from the repository root:  python scripts/unused_params.py
 """
@@ -141,20 +141,26 @@ def set_only_by_tests() -> list[str]:
             if line not in never]
 
 
-def _top_level_names(module: ast.Module) -> list[tuple[int, str]]:
+def _top_level_names(module: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, label, name) of each top-level name and of each method or
+    property of a top-level class, labelled ``Class.method``."""
     out = []
     for node in module.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append((node.lineno, node.name))
+            out.append((node.lineno, node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(fn.lineno, f"{node.name}.{fn.name}", fn.name) for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            out += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
-    return [(line, name) for line, name in out
+            out += [(node.lineno, t.id, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, label, name) for line, label, name in out
             if not (name.startswith("__") and name.endswith("__"))]
 
 
 def unreferenced() -> list[str]:
-    """Top-level names of the package that nothing under ``src/`` uses."""
+    """Top-level names, methods and properties of the package that nothing
+    under ``src/`` uses."""
     used = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         for node in ast.walk(_parse(path)):
@@ -162,9 +168,9 @@ def unreferenced() -> list[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return [f"{path.relative_to(ROOT).as_posix()}:{line}  {name}"
+    return [f"{path.relative_to(ROOT).as_posix()}:{line}  {label}"
             for path in sorted(PACKAGE.glob("*.py"))
-            for line, name in _top_level_names(_parse(path)) if name not in used]
+            for line, label, name in _top_level_names(_parse(path)) if name not in used]
 
 
 def main() -> None:
@@ -174,7 +180,7 @@ def main() -> None:
     print("\nset only by tests:")
     print("\n".join(lines) if lines else "none")
     lines = unreferenced()
-    print("\ntop-level names nothing under src/ uses:")
+    print("\ntop-level names and methods nothing under src/ uses:")
     print("\n".join(lines) if lines else "none")
 
 

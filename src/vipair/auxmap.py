@@ -9,16 +9,17 @@ curves on the converged interval and repeating contracts the box onto the
 attracting domain, whose final size is set by a stable 2-cycle of the bound
 curves.
 
-Region 1's maps have phase degree <= 2 and velocity degree <= 3, so the
-envelopes and the WCS ranges are exact closed forms: each extremum is the
-best of a short list of candidate points (box corners, edge critical points
-and interior critical points; Garloff 1986, Moore, Kearfott & Cloud 2009).
-They enclose the fitted polynomial maps up to floating-point rounding, not
-the exact dynamics.  The per-map invariants (coefficient grid and interior
-critical points) do not depend on the box and are computed once per case.
-Each WCS range and each envelope value is a list of candidate points, built
-in Python floats with the operations of numpy.polynomial and evaluated by
-Poly2D.at_points.
+Region 1's maps have phase degree <= 2 and velocity degree <= 3, so the WCS
+ranges are exact closed forms: each extremum is the best of a short list of
+candidate points (box corners, edge critical points and interior critical
+points; Garloff 1986, Moore, Kearfott & Cloud 2009).  They enclose the fitted
+polynomial maps up to floating-point rounding, not the exact dynamics.  xi
+enters only through these ranges (_rect_range of f1 over an interval x the
+box's phase interval); eta is also evaluated pointwise, for the phase
+2-cycle.  The per-map invariants (coefficient grid and interior critical
+points) do not depend on the box and are computed once per case.  Each range
+and each eta value is a list of candidate points, built in Python floats with
+the operations of numpy.polynomial and evaluated by Poly2D.at_points.
 """
 
 from __future__ import annotations
@@ -191,24 +192,16 @@ def _rect_range(curve: _Curve, v_range, phi_range):
     return float(vals[lo]), float(vals[hi]), (vs[lo], ps[lo]), (vs[hi], ps[hi])
 
 
-def _envelope(vals: list, k: int, shape, upper: bool):
-    """Max (upper) or min over each point's k candidates; vals lists every
-    point's first candidate (points in C order over shape), then every point's
-    second, and so on.  A float for a scalar."""
-    vals = np.array(vals, dtype=float).reshape((k,) + shape)
-    out = np.max(vals, axis=0) if upper else np.min(vals, axis=0)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass
 class BoundCurves:
     """Upper/lower bound curves of (f1, g1) on a source box.
 
-    Exact closed-form envelopes of the polynomial maps: xi_U/xi_L are the
-    extremes of f1 over the box's phase interval at a given v (f1 is quadratic
-    in phi), eta_U/eta_L those of g1 over the box's velocity interval at a
-    given phi (g1 is cubic in v); each is the best of a few candidate points,
-    the interval ends first.  crossing_detected records whether the
+    xi_U/xi_L are the extremes of f1 over the box's phase interval at a given
+    v (f1 is quadratic in phi), eta_U/eta_L those of g1 over the box's
+    velocity interval at a given phi (g1 is cubic in v).  xi enters only
+    through the exact ranges of _rect_range (wcs_step); eta_u/eta_l evaluate
+    eta pointwise, for the phase 2-cycle, as the best of four candidate
+    points, the interval ends first.  crossing_detected records whether the
     phase-endpoint branches (phase_branches) cross inside the v-interval.  The
     per-map invariants (_Curve) do not depend on the box; ``on`` moves the
     curves to another box and keeps them.
@@ -235,19 +228,6 @@ class BoundCurves:
         """The bound curves of the same maps on another box."""
         return BoundCurves(box, self.f1, self.g1, curves=(self._f, self._g))
 
-    def xi_u(self, v):
-        return self._xi(v, upper=True)
-
-    def xi_l(self, v):
-        return self._xi(v, upper=False)
-
-    def _xi(self, v, upper: bool):
-        v = np.asarray(v, dtype=float)
-        xs = v.ravel().tolist()
-        lo, hi = float(self.box.phi_min), float(self.box.phi_max)
-        ps = [lo] * len(xs) + [hi] * len(xs) + [self._f.phi_vertex(x, lo, hi) for x in xs]
-        return _envelope(self.f1.at_points(xs * 3, ps), 3, v.shape, upper)
-
     def eta_u(self, phi):
         return self._eta(phi, upper=True)
 
@@ -260,7 +240,9 @@ class BoundCurves:
         lo, hi = float(self.box.v_min), float(self.box.v_max)
         roots = [self._g.v_roots(x, lo, hi) for x in xs]
         vs = [lo] * len(xs) + [hi] * len(xs) + [a for a, _ in roots] + [b for _, b in roots]
-        return _envelope(self.g1.at_points(vs, xs * 4), 4, phi.shape, upper)
+        vals = np.array(self.g1.at_points(vs, xs * 4), dtype=float).reshape((4,) + phi.shape)
+        out = np.max(vals, axis=0) if upper else np.min(vals, axis=0)
+        return float(out) if out.ndim == 0 else out
 
 
 def build_bound_curves(box: DomainBox, d: float, table: CoeffTable) -> BoundCurves:

@@ -30,9 +30,8 @@ import numpy as np
 
 from .composite import R1_BOX, REGION_SHAPES, TABLE_PARAMS, CoeffTable, Poly2D, Region, region_mask
 from .core import NondimParams, baseline_params
-from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_poly2d, fit_poly2d_scaled,
-                      scaled_fit_2d, scaled_to_monomial_matrix_2d, design_matrix,
-                      poly2d_exponents)
+from .fitting import (cheb_fit_1d, cheb_to_monomial_matrix, fit_poly2d, scaled_fit_2d,
+                      scaled_to_monomial_matrix_2d, design_matrix, poly2d_exponents)
 # sweep_surfaces is not called here, but bench/workloads.py counts swept points
 # at this module's sweep_surfaces and _sweep_points, so it stays importable
 from .returnmap import (R1_DELTA, GridSpec, ReturnClass, near_diagonal, sweep_surfaces,
@@ -238,12 +237,13 @@ def calibrate_r3(samples, log=None):
 
     def trimmed(target, tname):
         deg_phi, deg_v, _ = REGION_SHAPES[Region.R3][tname]
-        c, exps, rep = fit_poly2d_scaled(vk, pk, target, deg_phi, deg_v, v_win, p_win)
-        resid = design_matrix(vk, pk, exps) @ c - target
+        T = scaled_to_monomial_matrix_2d(deg_phi, deg_v, v_win, p_win)
+        exps = poly2d_exponents(deg_phi, deg_v)
+        scaled, _ = scaled_fit_2d(vk, pk, target, deg_phi, deg_v, v_win, p_win)
+        resid = design_matrix(vk, pk, exps) @ (T @ scaled) - target
         keep = np.abs(resid) < R3_TRIM_SIGMA * resid.std()
-        c, _, rep = fit_poly2d_scaled(vk[keep], pk[keep], target[keep],
-                                      deg_phi, deg_v, v_win, p_win)
-        return c, exps, rep, keep.sum()
+        scaled, rep = scaled_fit_2d(vk[keep], pk[keep], target[keep], deg_phi, deg_v, v_win, p_win)
+        return T @ scaled, exps, rep, keep.sum()
 
     cb, exps_f, rep_b, nb = trimmed(vn, "v")
     ca, exps_g, rep_a, na = trimmed(pn, "phi")

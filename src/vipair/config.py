@@ -35,7 +35,7 @@ def parse_config(payload) -> NondimParams:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     version = payload.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {version}")
 
     has_phys = "physical" in payload

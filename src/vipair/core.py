@@ -48,8 +48,8 @@ class DegenerateParamsError(ValueError):
 
 
 def _check_finite(params):
-    if not all(map(math.isfinite, vars(params).values())):
-        raise ValueError(f"parameters must be finite, got {params}")
+    if not all(type(x) is not bool and math.isfinite(x) for x in vars(params).values()):
+        raise ValueError(f"parameters must be finite numbers, not booleans, got {params}")
 
 
 @dataclass(frozen=True)

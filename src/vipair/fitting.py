@@ -165,10 +165,3 @@ def scaled_to_monomial_matrix_2d(deg_phi: int, deg_v: int,
                 T[index[(a, b)], col] += ca * cb
     return T
 
-
-def fit_poly2d_scaled(v, phi, target, deg_phi: int, deg_v: int,
-                      v_window: tuple[float, float], phi_window: tuple[float, float]):
-    """Box-scaled polyNM fit converted exactly to raw monomial coefficients."""
-    scaled, report = scaled_fit_2d(v, phi, target, deg_phi, deg_v, v_window, phi_window)
-    T = scaled_to_monomial_matrix_2d(deg_phi, deg_v, v_window, phi_window)
-    return T @ scaled, poly2d_exponents(deg_phi, deg_v), report

@@ -25,6 +25,8 @@ from vipair.core import (PI, STATUS_OK, _flow, apply_impact_law, baseline_params
                          next_impact_batch)
 from vipair.returnmap import GridSpec, ReturnClass, partition_by_class, sweep_surfaces
 
+from conftest import xi_range
+
 RESULTS = []
 
 
@@ -241,7 +243,8 @@ def test_criterion_8_property_suites(table, sweep35, rng):
     rp = rng.uniform(0.20, PI / 3, 10000)
     fv = curves.f1(rv, rp)
     gp = curves.g1(rv, rp)
-    if not (np.all(fv <= curves.xi_u(rv) + 1e-6) and np.all(fv >= curves.xi_l(rv) - 1e-6)):
+    xi_l, xi_u = xi_range(curves, rv)
+    if not (np.all(fv <= xi_u + 1e-6) and np.all(fv >= xi_l - 1e-6)):
         failures.append("xi envelope violated")
     if not (np.all(gp <= curves.eta_u(rp) + 1e-6) and np.all(gp >= curves.eta_l(rp) - 1e-6)):
         failures.append("eta envelope violated")

@@ -18,16 +18,12 @@ from vipair.analysis import (
 )
 from vipair.composite import (CoeffTableError, CompositeMap, ExtrapolationWarning, Region,
                               region_of)
-from vipair.auxmap import DomainBox
 from vipair.core import DegenerateParamsError, baseline_params
 from vipair.returnmap import GridSpec, ReturnClass, _sweep_points
 
+from conftest import grown
+
 PI = np.pi
-
-
-def _grown(box, by=1e-3):
-    """box widened by `by` on every side."""
-    return DomainBox(box.v_min - by, box.v_max + by, box.phi_min - by, box.phi_max + by)
 
 
 def test_hausdorff():
@@ -214,7 +210,7 @@ def test_run_case_preset_fp(table):
     box = result.aux_report.boxes[-1]
     assert box.widths[0] <= 1e-2 and box.widths[1] <= 1e-2
     # the trajectory's limit lies inside the final box
-    assert _grown(box).contains(result.trajectory_v[-1], result.trajectory_phi[-1])
+    assert grown(box).contains(result.trajectory_v[-1], result.trajectory_phi[-1])
     assert not result.aux_report.escaped
 
 
@@ -241,4 +237,4 @@ def test_composite_tail_inside_aux_box(table):
     rep = iterate_updates("FP", table=table)
     box = rep.boxes[-1]
     for v, p in zip(samples[0].tail_v, samples[0].tail_phi):
-        assert _grown(box).contains(v, p)
+        assert grown(box).contains(v, p)

@@ -31,12 +31,9 @@ from vipair.auxmap import (
 from vipair.composite import Poly2D, Region
 from vipair.fitting import poly2d_exponents
 
+from conftest import grown, term_loop, xi_range
+
 PI = np.pi
-
-
-def _grown(box, by=1e-3):
-    """box widened by `by` on every side."""
-    return DomainBox(box.v_min - by, box.v_max + by, box.phi_min - by, box.phi_max + by)
 
 
 def test_r1_plus_boxes():
@@ -65,15 +62,17 @@ def test_bound_curves_orientation_and_domination(table):
     curves = build_bound_curves(box, 0.35, table)
     vs = np.linspace(box.v_min, box.v_max, 40)
     ps = np.linspace(box.phi_min, box.phi_max, 40)
-    assert np.all(curves.xi_u(vs) >= curves.xi_l(vs) - 1e-12)
+    xi_l, xi_u = xi_range(curves, vs)
+    assert np.all(xi_u >= xi_l - 1e-12)
     assert np.all(curves.eta_u(ps) >= curves.eta_l(ps) - 1e-12)
     # envelopes dominate the 2D maps on the box (sampled)
     rng = np.random.default_rng(3)
     rv = rng.uniform(box.v_min, box.v_max, 1000)
     rp = rng.uniform(box.phi_min, box.phi_max, 1000)
     f1, g1 = curves.f1, curves.g1
-    assert np.all(f1(rv, rp) <= curves.xi_u(rv) + 1e-6)
-    assert np.all(f1(rv, rp) >= curves.xi_l(rv) - 1e-6)
+    xi_l, xi_u = xi_range(curves, rv)
+    assert np.all(f1(rv, rp) <= xi_u + 1e-6)
+    assert np.all(f1(rv, rp) >= xi_l - 1e-6)
     assert np.all(g1(rv, rp) <= curves.eta_u(rp) + 1e-6)
     assert np.all(g1(rv, rp) >= curves.eta_l(rp) - 1e-6)
 
@@ -84,7 +83,8 @@ def test_degenerate_phase_box_collapses_xi():
     box = DomainBox(0.7, 1.0, 0.4, 0.4)
     curves = BoundCurves(box=box, f1=f1, g1=g1)
     vs = np.linspace(0.7, 1.0, 9)
-    assert np.allclose(curves.xi_u(vs), curves.xi_l(vs))
+    xi_l, xi_u = xi_range(curves, vs)
+    assert np.allclose(xi_u, xi_l)
 
 
 def test_wcs_step_constant_curves():
@@ -140,7 +140,7 @@ def test_iterate_updates_fp(table):
 
     v, phi, _ = CompositeMap(table=table, d=0.35).iterate(0.75, 0.4, 400)
     for box in rep.boxes:
-        assert _grown(box).contains(v[-1], phi[-1])
+        assert grown(box).contains(v[-1], phi[-1])
     cyc = rep.two_cycle
     assert cyc is not None
     assert cyc.p_v <= cyc.q_v and cyc.p_phi <= cyc.q_phi
@@ -326,8 +326,9 @@ def _assert_covers(poly, box):
     for (v, phi), val in ((arg_lo, lo), (arg_hi, hi)):
         assert box.contains(v, phi) and poly(v, phi) == pytest.approx(val, abs=1e-12)
     curves = BoundCurves(box=box, f1=poly, g1=poly)
-    assert np.all(curves.xi_u(vs) >= vals.max(axis=1) - UNDER_COVER)
-    assert np.all(curves.xi_l(vs) <= vals.min(axis=1) + UNDER_COVER)
+    xi_l, xi_u = xi_range(curves, vs)
+    assert np.all(xi_u >= vals.max(axis=1) - UNDER_COVER)
+    assert np.all(xi_l <= vals.min(axis=1) + UNDER_COVER)
     assert np.all(curves.eta_u(ps) >= vals.max(axis=0) - UNDER_COVER)
     assert np.all(curves.eta_l(ps) <= vals.min(axis=0) + UNDER_COVER)
     return arg_lo, arg_hi
@@ -354,7 +355,7 @@ def test_ranges_never_under_cover_each_candidate_branch():
     _, arg_hi = _assert_covers(bump, box)
     assert 0.0 < arg_hi[0] < 1.0 and 0.0 < arg_hi[1] < 1.0
     curves = BoundCurves(box=box, f1=bump, g1=bump)
-    assert curves.xi_u(0.5) > max(bump(0.5, 0.0), bump(0.5, 1.0)) + 0.1
+    assert xi_range(curves, 0.5)[1] > max(bump(0.5, 0.0), bump(0.5, 1.0)) + 0.1
     # A == 0: linear in phi, saddle-only interior
     linear_phi = _terms_poly2d({(0, 3): 1.0, (0, 1): -1.0, (1, 1): 0.5, (1, 0): -0.2})
     # convex in v along the phi-edges: edge critical points
@@ -468,16 +469,9 @@ def test_update_sequence_matches_sampled_boxes(table, sampled_reports, case):
 
 # Frozen reference: the numpy.polynomial candidate helpers, range and
 # envelopes that preceded the Python-float candidates, kept verbatim apart
-# from evaluating the map through _old_poly2d (the term loop of that time).
-# The production code must return bit-identical results.
-
-def _old_poly2d(poly, v, phi):
-    v = np.asarray(v, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    out = np.zeros(np.broadcast(v, phi).shape)
-    for (i, j), c in zip(poly.exponents, poly.coeffs):
-        out += c * phi**i * v**j
-    return out
+# from evaluating the map through term_loop (the Poly2D of that time).  The
+# production code must return bit-identical results; xi, whose methods are
+# gone, is taken by the ranges (xi_range).
 
 
 def _old_phi_candidates(grid, v, lo, hi):
@@ -519,7 +513,7 @@ def _old_rect_range(poly, v_range, phi_range):
                          roots[inside]])
     ps = np.concatenate([np.broadcast_to([p0, p1], along_v.shape).ravel(), along_phi.ravel(),
                          phi_star[inside]])
-    vals = _old_poly2d(poly, vs, ps)
+    vals = term_loop(poly, vs, ps)
     lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
     return (float(vals[lo]), float(vals[hi]),
             (float(vs[lo]), float(ps[lo])), (float(vs[hi]), float(ps[hi])))
@@ -528,8 +522,8 @@ def _old_rect_range(poly, v_range, phi_range):
 def _old_envelopes(poly, box, vs, ps):
     """(xi_u, xi_l, eta_u, eta_l) at the velocities vs and phases ps."""
     grid = _coeff_grid(poly)
-    fx = _old_poly2d(poly, vs, _old_phi_candidates(grid, vs, box.phi_min, box.phi_max))
-    gy = _old_poly2d(poly, _old_v_candidates(grid, ps, box.v_min, box.v_max), ps)
+    fx = term_loop(poly, vs, _old_phi_candidates(grid, vs, box.phi_min, box.phi_max))
+    gy = term_loop(poly, _old_v_candidates(grid, ps, box.v_min, box.v_max), ps)
     return fx.max(axis=0), fx.min(axis=0), gy.max(axis=0), gy.min(axis=0)
 
 
@@ -563,12 +557,13 @@ def _assert_same_as_frozen(poly, box, rng):
     curves = BoundCurves(box=box, f1=poly, g1=poly)
     vs = np.concatenate([[box.v_min, box.v_max], rng.uniform(*v_range, 30)])
     ps = np.concatenate([[box.phi_min, box.phi_max], rng.uniform(*phi_range, 30)])
-    got = (curves.xi_u(vs), curves.xi_l(vs), curves.eta_u(ps), curves.eta_l(ps))
+    xi_l, xi_u = xi_range(curves, vs)
+    got = (xi_u, xi_l, curves.eta_u(ps), curves.eta_l(ps))
     for new, old in zip(got, _old_envelopes(poly, box, vs, ps)):
         assert np.array_equal(new, old, equal_nan=True)
-    for k in (0, 5):   # a scalar is a float equal to the array's element
-        got = (curves.xi_u(vs[k]), curves.xi_l(vs[k]), curves.eta_u(ps[k]), curves.eta_l(ps[k]))
-        old = _old_envelopes(poly, box, vs[k:k + 1], ps[k:k + 1])
+    for k in (0, 5):   # a scalar eta is a float equal to the array's element
+        got = (curves.eta_u(ps[k]), curves.eta_l(ps[k]))
+        old = _old_envelopes(poly, box, vs[k:k + 1], ps[k:k + 1])[2:]
         assert all(type(x) is float for x in got)
         assert got == tuple(float(x[0]) for x in old)
 
@@ -608,7 +603,7 @@ def test_ranges_match_frozen_numpy_polynomial_code(table):
             _assert_same_as_frozen(poly, box, rng)
 
 
-# The envelopes and the crossing flag in the forms that preceded the
+# The phase envelopes and the crossing flag in the forms that preceded the
 # candidate lists and phase_branches: the candidates stacked into arrays and
 # evaluated through Poly2D's n-d path, and the gap of the two phase-endpoint
 # branches taken from the coefficient grid.
@@ -618,15 +613,13 @@ def _stacked(lo, hi, per_point, k, shape):
     return np.stack(np.broadcast_arrays(lo, hi, *extra))
 
 
-def _stacked_envelopes(curves, vs, ps):
-    """(xi_u, xi_l, eta_u, eta_l) at the velocities vs and phases ps."""
+def _stacked_eta(curves, ps):
+    """(eta_u, eta_l) at the phases ps."""
     box = curves.box
-    vs, ps = np.asarray(vs, dtype=float), np.asarray(ps, dtype=float)
-    vertices = [(curves._f.phi_vertex(x, box.phi_min, box.phi_max),) for x in vs.ravel().tolist()]
+    ps = np.asarray(ps, dtype=float)
     roots = [curves._g.v_roots(x, box.v_min, box.v_max) for x in ps.ravel().tolist()]
-    fx = curves.f1(vs, _stacked(box.phi_min, box.phi_max, vertices, 1, vs.shape))
     gy = curves.g1(_stacked(box.v_min, box.v_max, roots, 2, ps.shape), ps)
-    return fx.max(axis=0), fx.min(axis=0), gy.max(axis=0), gy.min(axis=0)
+    return gy.max(axis=0), gy.min(axis=0)
 
 
 def _grid_crossing(curves):
@@ -647,23 +640,20 @@ def test_envelopes_equal_the_stacked_form(table, supplement):
         boxes = iterate_updates(case, table=tbl).boxes
         for box in (boxes[0], boxes[-1]):
             curves = build_bound_curves(box, d, tbl)
-            vs = np.concatenate([rng.uniform(box.v_min - 0.2, box.v_max + 0.2, 300), special])
             ps = np.concatenate([rng.uniform(box.phi_min - 0.2, box.phi_max + 0.2, 300), special])
-            inputs = [(vs, ps), (vs[:300].reshape(20, 15), ps[:300].reshape(15, 20)),
-                      (np.array([]), np.zeros((0, 3)))]
-            inputs += [(x, y) for x, y in zip(vs[::29], ps[::29])]              # np.float64
-            inputs += [(x, y) for x, y in zip(vs[::31].tolist(), ps[::31].tolist())]
-            inputs += [(x, x) for x in special]
-            for x, y in inputs:
-                got = (curves.xi_u(x), curves.xi_l(x), curves.eta_u(y), curves.eta_l(y))
+            inputs = [ps, ps[:300].reshape(15, 20), np.zeros((0, 3))]
+            inputs += list(ps[::29])                                            # np.float64
+            inputs += ps[::31].tolist() + special
+            for y in inputs:
+                got = (curves.eta_u(y), curves.eta_l(y))
                 with np.errstate(all="ignore"):
-                    want = _stacked_envelopes(curves, x, y)
+                    want = _stacked_eta(curves, y)
                 for new, old in zip(got, want):
                     if old.ndim:
                         assert new.shape == old.shape and new.tobytes() == old.tobytes()
                     else:
                         assert type(new) is float
-                        assert np.float64(new).tobytes() == old.tobytes(), (case, x, y)
+                        assert np.float64(new).tobytes() == old.tobytes(), (case, y)
 
 
 @pytest.mark.filterwarnings("ignore::vipair.composite.ExtrapolationWarning")

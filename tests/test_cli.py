@@ -369,6 +369,29 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, argv, config):
     assert "finite" in err["message"]
 
 
+_BASELINE_ND = {"restitution": 0.5, "length": 0.3, "gravity_term": 0.2113}
+
+
+@pytest.mark.parametrize("config", [
+    {"nondimensional": _BASELINE_ND | {"restitution": True}},
+    {"physical": _BASELINE_PHYSICAL | {"capsule_mass": True}},
+    {"schema_version": True, "nondimensional": _BASELINE_ND},
+    {"schema_version": 1.0, "nondimensional": _BASELINE_ND},
+], ids=["nondimensional", "physical", "version-true", "version-float"])
+def test_config_refuses_booleans_and_a_float_version(tmp_path, capsys, config):
+    # json reads true as a bool, which Python counts as the int 1
+    with pytest.raises(ConfigError):
+        parse_config(config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run_command(["sweep", "--grid", "3x3", "--config", str(path),
+                        "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    # integers stay numbers: restitution 1 and the integer version 1
+    config = {"schema_version": 1, "nondimensional": _BASELINE_ND | {"restitution": 1}}
+    assert parse_config(config).restitution == 1
+
+
 def test_cli_compare_survives_three_top_impacts(tmp_path, capsys):
     # the exact map's first return from this start meets three top impacts
     rc = run_command(["compare", "--d", "0.35", "--v0", "1.6", "--phi0", "4.898754646275609",

@@ -34,6 +34,8 @@ from vipair.composite import (
 )
 from vipair.returnmap import GridSpec, ReturnClass, sweep_surfaces
 
+from conftest import term_loop
+
 
 def test_composite_imports_no_other_vipair_module():
     # the reduced map stands alone; fitting it from the exact map is calibration's job
@@ -227,16 +229,6 @@ def test_poly_partial_evaluation(table):
         assert poly_v(v) == pytest.approx(f1(v, 0.3), abs=1e-12)
 
 
-def _term_loop(poly, v, phi):
-    """Poly2D evaluation as a plain term loop, each power taken per term."""
-    v = np.asarray(v, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    out = np.zeros(np.broadcast(v, phi).shape)
-    for (i, j), c in zip(poly.exponents, poly.coeffs):
-        out += c * phi**i * v**j
-    return out
-
-
 def _same_floats(a, b) -> bool:
     """Equal as floats, with -0.0 apart from 0.0 and any NaN equal to any NaN."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -264,7 +256,7 @@ def test_scalar_call_equals_array_call(table, supplement):
                 with np.errstate(all="ignore"):
                     if isinstance(fmap, Poly2D):
                         array = fmap(v, phi)
-                        assert _same_floats(array, _term_loop(fmap, v, phi))
+                        assert _same_floats(array, term_loop(fmap, v, phi))
                         scalar = [fmap(a, b) for a, b in zip(v.tolist(), phi.tolist())]
                         assert _same_floats([fmap(a, b) for a, b in zip(v, phi)], array)
                         points = fmap.at_points(v.tolist(), phi.tolist())

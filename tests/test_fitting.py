@@ -8,9 +8,10 @@ from vipair.fitting import (
     compose,
     design_matrix,
     fit_poly2d,
-    fit_poly2d_scaled,
     lstsq_fit,
     poly2d_exponents,
+    scaled_fit_2d,
+    scaled_to_monomial_matrix_2d,
 )
 
 
@@ -42,7 +43,9 @@ def test_scaled_fit_matches_plain_on_good_data(rng):
     p = rng.uniform(0.15, 0.45, 200)
     target = 1 + p - v + 0.5 * p**2 * v - v**2
     plain, exps, _ = (*fit_poly2d(v, p, target, 2, 3)[:2], None)
-    scaled, _, _ = fit_poly2d_scaled(v, p, target, 2, 3, (0.63, 0.94), (0.15, 0.45))
+    windows = (0.63, 0.94), (0.15, 0.45)
+    scaled = scaled_to_monomial_matrix_2d(2, 3, *windows) @ scaled_fit_2d(
+        v, p, target, 2, 3, *windows)[0]
     assert np.allclose(plain, scaled, atol=1e-8)
 
 

@@ -35,7 +35,7 @@ def test_parameters_only_tests_set_are_the_kept_seams():
     assert sorted(labels) == sorted(TEST_ONLY_SEAMS)
 
 
-# Top-level package names that nothing in src/ uses, each kept on purpose.
+# Top-level package names and methods that nothing in src/ uses, each kept on purpose.
 REFERENCE_ORACLES = {
     "_flow": "the closed-form flight that tests check the event solver against",
 }
@@ -44,6 +44,37 @@ REFERENCE_ORACLES = {
 def test_names_src_never_uses_are_the_reference_oracles():
     labels = [line.split()[-1] for line in _load("unused_params").unreferenced()]
     assert sorted(labels) == sorted(REFERENCE_ORACLES)
+
+
+def test_census_flags_a_method_nothing_reads(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class Thing:\n"
+        "    def __init__(self):\n"
+        "        self.n = 1\n"
+        "\n"
+        "    def used(self):\n"
+        "        return self.size\n"
+        "\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self.n\n"
+        "\n"
+        "    def unread(self):\n"
+        "        return 2\n"
+        "\n"
+        "\n"
+        "def main():\n"
+        "    return Thing().used()\n"
+        "\n"
+        "\n"
+        "if __name__ == '__main__':\n"
+        "    main()\n")
+    census = _load("unused_params")
+    monkeypatch.setattr(census, "ROOT", tmp_path)
+    monkeypatch.setattr(census, "PACKAGE", package)
+    assert census.unreferenced() == ["src/pkg/mod.py:12  Thing.unread"]
 
 
 def test_only_the_cli_picks_a_coefficient_table():
